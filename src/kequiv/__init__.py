@@ -11,7 +11,7 @@ congruence layer for term equalities, and a batch CLI.
 from .congruence import CongruenceState, InconsistentEqualityError, UnionFind
 from .engine import (
     Asserted,
-    Counters,
+    EngineInvariantError,
     HistoryNode,
     KSet,
     Merged,
@@ -45,8 +45,8 @@ __all__ = [
     "Merged",
     "Rewritten",
     "HistoryNode",
-    "Counters",
     "Stats",
+    "EngineInvariantError",
     "Assume",
     "SubRefl",
     "Trans",

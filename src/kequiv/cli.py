@@ -44,10 +44,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load(path: str) -> Problem:
-    return parse_path(path)
-
-
 def _build_state(problem: Problem) -> CongruenceState:
     state = CongruenceState(problem.relations)
     for name in problem.term_order:
@@ -103,8 +99,8 @@ def _solve_naive_lines(problem: Problem) -> list[str]:
 
 def cmd_solve(args) -> int:
     try:
-        problem = _load(args.problem)
-    except (ParseError, OSError) as e:
+        problem = parse_path(args.problem)
+    except (ParseError, OSError, UnicodeDecodeError) as e:
         return _fail(str(e), EXIT_USAGE)
     try:
         if args.engine == "naive":
@@ -120,10 +116,10 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        problem = _load(args.problem)
+        problem = parse_path(args.problem)
         with open(args.proofs, encoding="utf-8") as f:
             proof_lines = f.read().splitlines()
-    except (ParseError, OSError) as e:
+    except (ParseError, OSError, UnicodeDecodeError) as e:
         return _fail(str(e), EXIT_USAGE)
     if len(proof_lines) != len(problem.queries):
         return _fail(

@@ -1,11 +1,10 @@
 """Equality layer over closure sessions.
 
 Terms may be asserted equal; every affected k-set is then rewritten to
-representative terms and re-submitted, and merged k-sets keep the
-function applications they name (the "line through a,b") in one class of a
-dedicated union-find.  Equalities are only accepted between terms the
-distinctness partition allows to be equal; equating known-distinct terms
-is an inconsistency.
+representative terms and re-submitted.  All sessions share one term table
+(names, ids and the distinctness partition).  Equalities are only accepted
+between terms the distinctness partition allows to be equal; equating
+known-distinct terms is an inconsistency.
 
 Proofs survive the rewriting: each renaming step is justified by a chain
 of `subst` nodes over the raw equality log, found by walking the forest of
@@ -17,52 +16,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Mapping
 
-from .engine import Asserted, Session
+from .engine import EngineInvariantError, Session, Steps, TermTable, UnionFind
 from .proofs import ProofTerm
 
 __all__ = ["UnionFind", "InconsistentEqualityError", "CongruenceState"]
-
-
-class UnionFind:
-    """Union-find with size-based merging and per-root member lists."""
-
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-        self.size: dict[int, int] = {}
-        self.members: dict[int, list[int]] = {}
-
-    def add(self, x: int) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.size[x] = 1
-            self.members[x] = [x]
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]  # path halving
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> tuple[int, list[int]] | None:
-        """Merge the classes of a and b; smaller class moves.
-
-        Returns (surviving root, members that changed representative), or
-        None when already together.
-        """
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return None
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        moved = self.members.pop(rb)
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.members[ra].extend(moved)
-        return ra, moved
-
-    def class_members(self, x: int) -> list[int]:
-        return list(self.members[self.find(x)])
 
 
 class InconsistentEqualityError(Exception):
@@ -72,82 +29,48 @@ class InconsistentEqualityError(Exception):
 class CongruenceState:
     """Shared term universe plus one closure session per relation.
 
-    One writer, like the sessions it owns.  Term names are interned into
-    every session in the same order, so ids agree across relations.
+    One writer, like the sessions it owns.  Every session reads the
+    state's term table, so ids agree across relations.
     """
 
     def __init__(self, relations: Mapping[str, int]):
+        self.terms = TermTable()
         self.sessions: dict[str, Session] = {}
         self.equalities: list[tuple[int, int]] = []
-        self._names: dict[str, int] = {}
-        self.term_names: list[str] = []
-        self.class_of: dict[int, int] = {}
-        self._next_class = 0
         self.uf = UnionFind()
         self._edges: dict[int, list[tuple[int, int]]] = {}
-        self._apps: dict[str, dict[frozenset[int], int]] = {}
-        self._app_uf: dict[str, UnionFind] = {}
-        self._kset_app: dict[str, dict[int, int]] = {}
         for name, k in relations.items():
             session = Session(k)
+            session.terms = self.terms
             session.equalities = self.equalities
-            session.on_merge = self._merge_hook(name)
             self.sessions[name] = session
-            self._apps[name] = {}
-            self._app_uf[name] = UnionFind()
-            self._kset_app[name] = {}
 
     # ------------------------------------------------------------------
     # terms
 
+    @property
+    def term_names(self) -> list[str]:
+        return self.terms.term_names
+
+    @property
+    def class_of(self) -> dict[int, int]:
+        return self.terms.class_of
+
     def intern_term(self, name: str) -> int:
-        tid = self._names.get(name)
-        if tid is None:
-            tid = len(self.term_names)
-            self._names[name] = tid
-            self.term_names.append(name)
-            self.class_of[tid] = self._next_class
-            self._next_class += 1
-            self.uf.add(tid)
-            for session in self.sessions.values():
-                sid = session.intern_term(name)
-                assert sid == tid, "session term ids out of step"
-        return tid
+        return self.terms.intern_term(name)
 
     def term_id(self, name: str) -> int:
-        return self._names[name]
+        return self.terms.term_ids[name]
 
     def mark_possibly_equal(self, terms: Iterable[int]) -> None:
-        terms = list(terms)
-        if self.equalities or any(s.ksets for s in self.sessions.values()):
-            raise ValueError("the distinctness partition is fixed once facts exist")
-        group = {self.class_of[t] for t in terms}
-        target = min(group)
-        for t, c in self.class_of.items():
-            if c in group:
-                self.class_of[t] = target
-        for session in self.sessions.values():
-            session.mark_possibly_equal(terms)
+        self.terms.mark_possibly_equal(terms)
 
     # ------------------------------------------------------------------
     # assertions
 
     def assert_atom(self, relation: str, xs: Iterable[int]) -> int:
         """Assert a relation atom; terms are canonicalized before merging."""
-        session = self._session(relation)
-        xs = tuple(xs)
-        i = session.log_hypothesis(xs)
-        nid = session.new_kset(frozenset(xs), Asserted(i))
-        steps = self._canonical_steps(set(xs))
-        if steps:
-            rid = session.rewrite_kset(nid, steps)
-            self._link_apps(relation, nid, rid)
-            nid = rid
-        else:
-            self._ensure_app(relation, nid)
-        session.find_merges(nid)
-        session.check_counter_bounds()
-        return i
+        return self._session(relation).assert_renamed(xs, self._canonical_steps)
 
     def assert_eq(self, a: int, b: int) -> None:
         """Assert that two terms are equal.
@@ -163,38 +86,19 @@ class CongruenceState:
                 f"terms {self.term_names[a]!r} and {self.term_names[b]!r} "
                 "are known distinct"
             )
+        self.terms.fixed = True
         e = len(self.equalities)
         self.equalities.append((a, b))
-        ra, rb = self.uf.find(a), self.uf.find(b)
-        if ra == rb:
+        union = self.uf.union(a, b)
+        if union is None:
             return
         self._edges.setdefault(a, []).append((b, e))
         self._edges.setdefault(b, []).append((a, e))
-        union = self.uf.union(ra, rb)
-        assert union is not None
         _, moved = union
-        for relation, session in self.sessions.items():
-            affected = sorted(
-                {
-                    pid
-                    for t in moved
-                    for pid in session.term2parents.get(t, ())
-                }
-            )
-            rewritten: list[int] = []
-            for kid in affected:
-                if not session.ksets[kid].active:
-                    continue
-                steps = self._canonical_steps(session.ksets[kid].terms)
-                rid = session.rewrite_kset(kid, steps)
-                self._link_apps(relation, kid, rid)
-                rewritten.append(rid)
-            for rid in rewritten:
-                if session.ksets[rid].active:
-                    session.find_merges(rid)
-            session.check_counter_bounds()
+        for session in self.sessions.values():
+            session.rename_terms(moved, self._canonical_steps)
 
-    def _canonical_steps(self, terms: Iterable[int]) -> tuple[tuple[int, int, int], ...]:
+    def _canonical_steps(self, terms: Iterable[int]) -> Steps:
         steps: list[tuple[int, int, int]] = []
         for t in sorted(terms):
             r = self.uf.find(t)
@@ -217,7 +121,8 @@ class CongruenceState:
                     seen.add(v)
                     prev[v] = (u, e)
                     queue.append(v)
-        assert to in seen, "no equality path between equated terms"
+        if to not in seen:
+            raise EngineInvariantError("no equality path between equated terms")
         path: list[tuple[int, int, int]] = []
         node = to
         while node != frm:
@@ -254,66 +159,10 @@ class CongruenceState:
         a, b = frozenset(x1), frozenset(x2)
         if len(a) != session.k or len(b) != session.k:
             raise ValueError(f"anchor sets must have exactly {session.k} terms")
-        canon = frozenset(self.uf.find(t) for t in a | b)
-        return session.resolve_query(canon) is not None
-
-    # ------------------------------------------------------------------
-    # function applications
+        return self.query_atom(relation, a | b) is not None
 
     def _session(self, relation: str) -> Session:
         try:
             return self.sessions[relation]
         except KeyError:
             raise ValueError(f"unknown relation {relation!r}") from None
-
-    def _merge_hook(self, relation: str):
-        def hook(i1: int, i2: int, new_id: int) -> None:
-            self._ensure_app(relation, new_id)
-            self._link_apps(relation, i1, new_id)
-            self._link_apps(relation, i2, new_id)
-
-        return hook
-
-    def _ensure_app(self, relation: str, kid: int) -> int | None:
-        """Register the canonical application named by k-set `kid`.
-
-        Any k terms of the k-set name the same object, so the k smallest
-        ids are the canonical choice.  K-sets with fewer than k terms name
-        nothing.
-        """
-        session = self.sessions[relation]
-        terms = session.ksets[kid].terms
-        if len(terms) < session.k:
-            return None
-        known = self._kset_app[relation].get(kid)
-        if known is not None:
-            return known
-        args = frozenset(sorted(terms)[: session.k])
-        apps = self._apps[relation]
-        app = apps.get(args)
-        if app is None:
-            app = len(apps)
-            apps[args] = app
-            self._app_uf[relation].add(app)
-        self._kset_app[relation][kid] = app
-        return app
-
-    def _link_apps(self, relation: str, old_kid: int, new_kid: int) -> None:
-        a = self._ensure_app(relation, old_kid)
-        b = self._ensure_app(relation, new_kid)
-        if a is not None and b is not None:
-            self._app_uf[relation].union(a, b)
-
-    def same_app_class(
-        self, relation: str, args1: Iterable[int], args2: Iterable[int]
-    ) -> bool:
-        """Whether two registered applications ended up in one class."""
-        apps = self._apps[relation]
-        uf = self._app_uf[relation]
-        a = apps[frozenset(args1)]
-        b = apps[frozenset(args2)]
-        return uf.find(a) == uf.find(b)
-
-    def app_class_count(self, relation: str) -> int:
-        uf = self._app_uf[relation]
-        return len({uf.find(a) for a in self._apps[relation].values()})

@@ -13,8 +13,8 @@ history afterwards.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .proofs import Assume, ProofTerm, Project, SubRefl, Subst, Trans
@@ -25,10 +25,14 @@ __all__ = [
     "Rewritten",
     "HistoryNode",
     "KSet",
-    "Counters",
     "Stats",
+    "EngineInvariantError",
+    "UnionFind",
+    "TermTable",
     "Session",
 ]
+
+Steps = tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,11 @@ class KSet:
 
 
 @dataclass
-class Counters:
+class Stats:
+    """A session's instrumentation counters; `Session.stats()` returns a copy."""
+
+    hypotheses: int = 0
+    active: int = 0
     merges: int = 0
     find_merges_calls: int = 0
     rewrites: int = 0
@@ -79,18 +87,108 @@ class Counters:
     max_parents: int = 0
 
 
-@dataclass(frozen=True)
-class Stats:
-    """Read-only snapshot of a session's instrumentation counters."""
+class EngineInvariantError(AssertionError):
+    """An engine bug; raised rather than asserted, so `python -O` keeps it."""
 
-    hypotheses: int
-    active: int
-    merges: int
-    find_merges_calls: int
-    rewrites: int
-    max_active: int
-    max_kset_size: int
-    max_parents: int
+
+class UnionFind:
+    """Union-find with size-based merging and per-root member lists."""
+
+    def __init__(self) -> None:
+        self.parent: dict[int, int] = {}
+        self.members: dict[int, list[int]] = {}
+
+    def add(self, x: int) -> None:
+        if x not in self.parent:
+            self.parent[x] = x
+            self.members[x] = [x]
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        if x not in p:  # never added: a singleton
+            return x
+        while p[x] != x:
+            p[x] = p[p[x]]  # path halving
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int) -> tuple[int, list[int]] | None:
+        """Merge the classes of a and b; smaller class moves.
+
+        Returns (surviving root, members that changed representative), or
+        None when already together.
+        """
+        self.add(a)
+        self.add(b)
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return None
+        if len(self.members[ra]) < len(self.members[rb]):
+            ra, rb = rb, ra
+        moved = self.members.pop(rb)
+        self.parent[rb] = ra
+        self.members[ra].extend(moved)
+        return ra, moved
+
+    def class_members(self, x: int) -> list[int]:
+        return list(self.members[self.find(x)])
+
+
+class TermTable:
+    """Term names to dense ids and back, plus the distinctness partition.
+
+    `class_of` maps each term id to a class label: terms in one class are
+    possibly equal, terms in different classes are known distinct.  One
+    table may be shared by several sessions (see `CongruenceState`); the
+    partition is fixed once any of them has logged a fact.
+    """
+
+    def __init__(self, partition: Mapping[int, int] | None = None):
+        self.term_ids: dict[str, int] = {}
+        self.term_names: list[str] = []
+        self.class_of: dict[int, int] = dict(partition or {})
+        self._next_class = max(self.class_of.values(), default=-1) + 1
+        # holds only terms that ever shared a class
+        self._classes = UnionFind()
+        # every class a singleton: find_merges may skip per-class grouping
+        self.uniform = True
+        self.fixed = False
+        first: dict[int, int] = {}
+        for t, c in (partition or {}).items():
+            self.mark_possibly_equal((first.setdefault(c, t), t))
+
+    def intern_term(self, name: str) -> int:
+        """Map a name to a dense term id, idempotently."""
+        tid = self.term_ids.get(name)
+        if tid is None:
+            tid = len(self.term_names)
+            self.term_ids[name] = tid
+            self.term_names.append(name)
+            if tid not in self.class_of:
+                self.class_of[tid] = self._next_class
+                self._next_class += 1
+        return tid
+
+    def mark_possibly_equal(self, terms: Iterable[int]) -> None:
+        """Collapse the distinctness classes of `terms` into one.
+
+        Terms in one class are treated as possibly equal, so they never
+        count as distinct anchors.  Only the members of the smaller class
+        of each union are relabelled.
+        """
+        if self.fixed:
+            raise ValueError("the distinctness partition is fixed once facts exist")
+        terms = list(terms)
+        for t in terms:
+            if t not in self.class_of:
+                raise ValueError(f"unknown term id {t}")
+        for t in terms[1:]:
+            union = self._classes.union(terms[0], t)
+            if union is not None:
+                root, moved = union
+                for m in moved:
+                    self.class_of[m] = self.class_of[root]
+                self.uniform = False
 
 
 class Session:
@@ -105,72 +203,36 @@ class Session:
         if k < 1:
             raise ValueError("k must be a positive integer")
         self.k = k
-        self._names: dict[str, int] = {}
-        self.term_names: list[str] = []
-        self.class_of: dict[int, int] = dict(partition) if partition else {}
-        self._next_class = max(self.class_of.values(), default=-1) + 1
-        self._uniform_classes = len(set(self.class_of.values())) == len(self.class_of)
         self.hypotheses: list[tuple[int, ...]] = []
         self.ksets: list[KSet] = []
-        self.term2parents: dict[int, set[int]] = {}
+        self.term2parents: defaultdict[int, set[int]] = defaultdict(set)
         # shared with a congruence layer when one manages this session
+        self.terms = TermTable(partition)
         self.equalities: list[tuple[int, int]] = []
-        self.counters = Counters()
-        self._active_count = 0
-        self.on_merge: Callable[[int, int, int], None] | None = None
+        self.counters = Stats()
 
     # ------------------------------------------------------------------
     # terms and the distinctness partition
 
+    @property
+    def term_names(self) -> list[str]:
+        return self.terms.term_names
+
+    @property
+    def class_of(self) -> dict[int, int]:
+        return self.terms.class_of
+
     def intern_term(self, name: str) -> int:
-        """Map a name to a dense term id, idempotently."""
-        tid = self._names.get(name)
-        if tid is None:
-            tid = len(self.term_names)
-            self._names[name] = tid
-            self.term_names.append(name)
-            self.term2parents[tid] = set()
-            if tid not in self.class_of:
-                self.class_of[tid] = self._next_class
-                self._next_class += 1
-        return tid
+        return self.terms.intern_term(name)
 
     def term_id(self, name: str) -> int:
-        return self._names[name]
+        return self.terms.term_ids[name]
 
     def mark_possibly_equal(self, terms: Iterable[int]) -> None:
-        """Collapse the distinctness classes of `terms` into one.
-
-        Terms in one class are treated as possibly equal, so they never
-        count as distinct anchors.  The partition is fixed once facts have
-        been asserted.
-        """
-        if self.ksets:
-            raise ValueError("the distinctness partition is fixed once facts exist")
-        group = {self.class_of[t] for t in terms}
-        if len(group) <= 1:
-            return
-        target = min(group)
-        for t, c in self.class_of.items():
-            if c in group:
-                self.class_of[t] = target
-        self._uniform_classes = False
+        self.terms.mark_possibly_equal(terms)
 
     # ------------------------------------------------------------------
     # assertion and saturation
-
-    def log_hypothesis(self, xs: Sequence[int]) -> int:
-        """Record a hypothesis tuple (exactly k+1 terms) and return its index."""
-        xs = tuple(xs)
-        if len(xs) != self.k + 1:
-            raise ValueError(
-                f"hypothesis needs exactly {self.k + 1} terms, got {len(xs)}"
-            )
-        for x in xs:
-            if x not in self.term2parents:
-                raise ValueError(f"unknown term id {x}")
-        self.hypotheses.append(xs)
-        return len(self.hypotheses) - 1
 
     def assert_hypothesis(self, xs: Sequence[int]) -> int:
         """Assert that the k+1 terms `xs` stand in the relation.
@@ -179,11 +241,56 @@ class Session:
         Returns the hypothesis index.  On return all active k-sets again
         overlap pairwise on fewer than k distinctness classes.
         """
-        i = self.log_hypothesis(xs)
-        n = self.new_kset(frozenset(xs), Asserted(i))
+        return self.assert_renamed(xs, lambda terms: ())
+
+    def assert_renamed(
+        self, xs: Sequence[int], steps_for: Callable[[frozenset[int]], Steps]
+    ) -> int:
+        """Assert the k+1 terms `xs`, renamed by `steps_for` before merging.
+
+        `steps_for(terms)` returns the (old, new, equality index) steps that
+        take the hypothesis' term set to representative terms; when there
+        are any, the asserted k-set is rewritten by them first.  Returns
+        the hypothesis index.
+        """
+        xs = tuple(xs)
+        if len(xs) != self.k + 1:
+            raise ValueError(
+                f"hypothesis needs exactly {self.k + 1} terms, got {len(xs)}"
+            )
+        for x in xs:
+            if not 0 <= x < len(self.term_names):
+                raise ValueError(f"unknown term id {x}")
+        self.terms.fixed = True
+        self.hypotheses.append(xs)
+        self.counters.hypotheses += 1
+        i = len(self.hypotheses) - 1
+        n = self.new_kset(xs, Asserted(i))
+        steps = steps_for(self.ksets[n].terms)
+        if steps:
+            n = self.rewrite_kset(n, steps)
         self.find_merges(n)
         self.check_counter_bounds()
         return i
+
+    def rename_terms(
+        self, renamed: Iterable[int], steps_for: Callable[[frozenset[int]], Steps]
+    ) -> None:
+        """The terms `renamed` got new representatives: update the k-sets.
+
+        Every active k-set containing one of them is rewritten by
+        `steps_for(its terms)`, in ascending id order, and each result
+        still active afterwards is then re-merged.
+        """
+        affected = sorted({i for t in renamed for i in self.term2parents.get(t, ())})
+        rewritten = [
+            self.rewrite_kset(kid, steps_for(self.ksets[kid].terms))
+            for kid in affected
+        ]
+        for n in rewritten:
+            if self.ksets[n].active:
+                self.find_merges(n)
+        self.check_counter_bounds()
 
     def new_kset(self, terms: Iterable[int], history: HistoryNode) -> int:
         """Append an active k-set record and register it with its terms."""
@@ -198,9 +305,9 @@ class Session:
             ps.add(n)
             if len(ps) > c.max_parents:
                 c.max_parents = len(ps)
-        self._active_count += 1
-        if self._active_count > c.max_active:
-            c.max_active = self._active_count
+        c.active += 1
+        if c.active > c.max_active:
+            c.max_active = c.active
         if len(terms) > c.max_kset_size:
             c.max_kset_size = len(terms)
         return n
@@ -210,7 +317,7 @@ class Session:
         rec.active = False
         for x in rec.terms:
             self.term2parents[x].remove(n)
-        self._active_count -= 1
+        self.counters.active -= 1
 
     def find_merges(self, n: int) -> None:
         """Fuse k-set `n` with every active k-set it overlaps on >= k classes.
@@ -223,17 +330,18 @@ class Session:
         """
         if not self.ksets[n].active:
             raise ValueError(f"k-set {n} is not active")
+        class_of = self.terms.class_of
         while True:
             self.counters.find_merges_calls += 1
             rec = self.ksets[n]
             counts: Counter[int] = Counter()
-            if self._uniform_classes:
+            if self.terms.uniform:
                 for x in rec.terms:
                     counts.update(self.term2parents[x])
             else:
                 class_parents: dict[int, set[int]] = {}
                 for x in rec.terms:
-                    c = self.class_of[x]
+                    c = class_of[x]
                     s = class_parents.get(c)
                     if s is None:
                         class_parents[c] = set(self.term2parents[x])
@@ -269,8 +377,6 @@ class Session:
         self._deactivate(i2)
         n = self.new_kset(a.terms | b.terms, Merged(i1, i2))
         self.counters.merges += 1
-        if self.on_merge is not None:
-            self.on_merge(i1, i2, n)
         return n
 
     def rewrite_kset(self, kid: int, steps: Sequence[tuple[int, int, int]]) -> int:
@@ -449,36 +555,26 @@ class Session:
 
     @property
     def active_count(self) -> int:
-        return self._active_count
+        return self.counters.active
 
     def active_ids(self) -> list[int]:
         return [rec.id for rec in self.ksets if rec.active]
 
     def stats(self) -> Stats:
-        c = self.counters
-        return Stats(
-            hypotheses=len(self.hypotheses),
-            active=self._active_count,
-            merges=c.merges,
-            find_merges_calls=c.find_merges_calls,
-            rewrites=c.rewrites,
-            max_active=c.max_active,
-            max_kset_size=c.max_kset_size,
-            max_parents=c.max_parents,
-        )
+        return replace(self.counters)
 
     def check_counter_bounds(self) -> None:
         """Cheap structural bounds; a violation means an engine bug."""
         c = self.counters
-        n = len(self.hypotheses)
-        roots = n + c.rewrites
-        assert self._active_count <= n, "more active k-sets than hypotheses"
-        assert c.merges <= max(0, n - 1), "merge count exceeded n-1"
-        assert c.find_merges_calls <= 2 * roots, "find_merges call bound exceeded"
-        if n:
-            assert c.max_kset_size <= self.k + n, "k-set size bound exceeded"
-        else:
-            assert c.max_kset_size == 0
+        n = c.hypotheses
+        if c.active > n:
+            raise EngineInvariantError("more active k-sets than hypotheses")
+        if c.merges > max(0, n - 1):
+            raise EngineInvariantError("merge count exceeded n-1")
+        if c.find_merges_calls > 2 * (n + c.rewrites):
+            raise EngineInvariantError("find_merges call bound exceeded")
+        if c.max_kset_size > (self.k + n if n else 0):
+            raise EngineInvariantError("k-set size bound exceeded")
 
     def validate(self) -> None:
         """Deep structural check, intended for tests (quadratic in actives).
@@ -499,7 +595,7 @@ class Session:
             }
             assert ps == expected, f"parent map out of sync for term {x}"
         active = [rec for rec in self.ksets if rec.active]
-        assert len(active) == self._active_count
+        assert len(active) == self.counters.active
         for i, a in enumerate(active):
             for b in active[i + 1 :]:
                 shared = a.terms & b.terms

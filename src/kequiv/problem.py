@@ -18,6 +18,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+
+from .engine import TermTable
+
 __all__ = [
     "Atom",
     "Equality",
@@ -188,15 +191,12 @@ class InternedProblem:
 
 
 def intern_problem(problem: Problem) -> InternedProblem:
-    term_ids = {name: i for i, name in enumerate(problem.term_order)}
-    class_of = {i: i for i in range(len(problem.term_order))}
+    table = TermTable()
+    for name in problem.term_order:
+        table.intern_term(name)
     for group in problem.classes:
-        ids = {term_ids[t] for t in group}
-        target = min(class_of[t] for t in ids)
-        group_classes = {class_of[t] for t in ids}
-        for t, c in class_of.items():
-            if c in group_classes:
-                class_of[t] = target
+        table.mark_possibly_equal([table.term_ids[t] for t in group])
+    term_ids = table.term_ids
     atoms = []
     equalities = []
     for st in problem.statements:
@@ -209,9 +209,9 @@ def intern_problem(problem: Problem) -> InternedProblem:
     ]
     return InternedProblem(
         relations=dict(problem.relations),
-        term_names=list(problem.term_order),
+        term_names=table.term_names,
         term_ids=term_ids,
-        class_of=class_of,
+        class_of=table.class_of,
         atoms=atoms,
         equalities=equalities,
         queries=queries,

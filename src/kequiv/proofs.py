@@ -138,11 +138,13 @@ def check(
       conclusion; concludes S.
     * ``subst(p, a, b, e)`` requires equality e of the log to relate a and
       b (either orientation); concludes p's conclusion with a rewritten
-      to b.
+      to b.  An equality between two terms of different partition classes
+      makes the log inconsistent and is rejected.
 
     `partition` maps term ids to distinctness-class ids; terms absent from
     it (or the whole argument being None) are treated as singleton classes,
-    i.e. pairwise distinct.  Raises ProofCheckError with the path to the
+    i.e. pairwise distinct, by ``trans``; an equality citing such a term is
+    not rejected.  Raises ProofCheckError with the path to the
     offending node on any violation.
     """
     if k < 1:
@@ -223,6 +225,12 @@ def check(
                     _flatten(path),
                     f"equality {node.eq_index} does not relate the "
                     "substituted terms",
+                )
+            known = partition is not None and a in partition and b in partition
+            if known and partition[a] != partition[b]:
+                raise ProofCheckError(
+                    _flatten(path),
+                    f"equality {node.eq_index} equates known-distinct terms",
                 )
             if node.frm in x:
                 x = (x - {node.frm}) | {node.to}

@@ -70,6 +70,14 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "/nonexistent.kq")
         assert code == 1
 
+    def test_non_utf8_problem_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.kq"
+        path.write_bytes(b"rel coll 2\nhyp coll a b \xff\n")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "utf-8" in err
+
     def test_naive_rejects_equalities(self, tmp_path, capsys):
         path = tmp_path / "c.kq"
         path.write_text(CONGRUENCE)
@@ -187,6 +195,14 @@ class TestCheck:
         proofs.write_text("entailed (assume 0)\n")
         code, _, err = run(capsys, "check", example, str(proofs))
         assert code == 1
+
+    def test_non_utf8_proofs_exit_one(self, example, tmp_path, capsys):
+        proofs = tmp_path / "proofs.txt"
+        proofs.write_bytes(b"entailed (assume \xff)\nnot-entailed\nnot-entailed\n")
+        code, out, err = run(capsys, "check", example, str(proofs))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "utf-8" in err
 
     def test_not_entailed_lines_pass(self, tmp_path, capsys):
         path = tmp_path / "p.kq"

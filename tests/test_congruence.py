@@ -138,16 +138,24 @@ class TestApplications:
 
     def test_table_collapses_to_one_class(self):
         state, ids = self.table_state()
-        assert state.app_class_count("coll") == 1
-        assert state.same_app_class(
-            "coll", [ids["a"], ids["b"]], [ids["c"], ids["d"]]
+        # "ab" and "cd" included: every anchor pair names the one line
+        anchors = list(itertools.combinations(ids.values(), 2))
+        assert all(
+            state.query_kfun_eq("coll", x1, x2) for x1 in anchors for x2 in anchors
         )
 
     def test_disjoint_facts_stay_apart(self):
         state, ids = state_with("abcdef")
         state.assert_atom("coll", [ids[c] for c in "abc"])
         state.assert_atom("coll", [ids[c] for c in "def"])
-        assert state.app_class_count("coll") == 2
+        lines = [
+            list(itertools.combinations([ids[c] for c in line], 2))
+            for line in ("abc", "def")
+        ]
+        for i, j in itertools.product(range(2), repeat=2):
+            for x1 in lines[i]:
+                for x2 in lines[j]:
+                    assert state.query_kfun_eq("coll", x1, x2) == (i == j)
 
     def test_kfun_eq_agreement(self):
         state, ids = self.table_state()
@@ -185,6 +193,14 @@ class TestMultiRelation:
         state.assert_eq(ids["e"], ids["x"])
         assert state.query_atom("coll", [ids[c] for c in "abx"]) is not None
         assert state.query_atom("cycl", [ids[c] for c in "abcx"]) is not None
+
+    def test_sessions_share_one_term_table(self):
+        state = CongruenceState({"coll": 2, "cycl": 3})
+        a, b = state.intern_term("a"), state.intern_term("b")
+        c = state.sessions["coll"].intern_term("c")
+        assert state.sessions["cycl"].term_id("c") == state.term_id("c") == c
+        state.assert_atom("coll", [a, b, c])
+        assert state.query_atom("coll", [a, b, c]) is not None
 
     def test_unknown_relation(self):
         state = CongruenceState({"coll": 2})

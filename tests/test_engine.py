@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kequiv
 from kequiv import (
     Asserted,
+    EngineInvariantError,
     Merged,
     Session,
     SubRefl,
@@ -340,3 +345,27 @@ class TestInvariants:
         s.counters.merges = 99
         with pytest.raises(AssertionError):
             s.check_counter_bounds()
+
+    def test_counter_bounds_survive_optimize_flag(self):
+        script = (
+            "from kequiv import EngineInvariantError, Session\n"
+            "s = Session(2)\n"
+            "s.assert_hypothesis([s.intern_term(c) for c in 'abc'])\n"
+            "s.counters.merges = 99\n"
+            "try:\n"
+            "    s.check_counter_bounds()\n"
+            "except EngineInvariantError as e:\n"
+            "    print(__debug__, e)\n"
+        )
+        src = os.path.dirname(os.path.dirname(kequiv.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout == "False merge count exceeded n-1\n"
+        assert issubclass(EngineInvariantError, AssertionError)

@@ -1,8 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kequiv import ParseError, generate, intern_problem, oracle_entailed, parse_text
+from kequiv import (
+    CongruenceState,
+    ParseError,
+    Session,
+    generate,
+    intern_problem,
+    oracle_entailed,
+    parse_text,
+)
+from helpers import DisjointSet
 
 EXAMPLE = """\
 # five collinearity facts over seven points
@@ -44,6 +54,52 @@ def test_interning_collapses_classes():
     a, b, c, d = (interned.term_ids[t] for t in "abcd")
     assert cls[a] == cls[b] == cls[c]
     assert cls[d] != cls[a]
+
+
+def blocks(class_of):
+    by_class = {}
+    for t, c in class_of.items():
+        by_class.setdefault(c, set()).add(t)
+    return sorted(sorted(b) for b in by_class.values())
+
+
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.integers(0, n - 1), min_size=2, max_size=4),
+                max_size=8,
+            ),
+        )
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_one_partition_three_readers(case):
+    n, groups = case
+    # the query lines come first, so term ti gets id i
+    text = "rel coll 2\nrel cycl 3\n"
+    text += "".join(f"query coll t{i}\n" for i in range(n))
+    text += "".join("class " + " ".join(f"t{i}" for i in g) + "\n" for g in groups)
+    problem = parse_text(text)
+    interned = intern_problem(problem)
+
+    state = CongruenceState(problem.relations)
+    for name in problem.term_order:
+        state.intern_term(name)
+    for group in problem.classes:
+        state.mark_possibly_equal([state.term_id(t) for t in group])
+
+    reference = DisjointSet(n)
+    for g in groups:
+        for t in g[1:]:
+            reference.union(g[0], t)
+    want = blocks({i: reference.find(i) for i in range(n)})
+    assert blocks(interned.class_of) == want
+    assert blocks(state.class_of) == want
+    for session in state.sessions.values():
+        assert blocks(session.class_of) == want
+    assert blocks(Session(2, interned.class_of).class_of) == want
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,17 @@ def test_subst_rules():
         check(Subst(Assume(0), 1, 9, 0), 2, HYPS, equalities=eqs)
 
 
+def test_subst_rejects_equality_across_classes():
+    # 2 and 3 are known distinct, so the log entry (2, 3) is inconsistent
+    partition = {0: 0, 1: 1, 2: 2, 3: 3}
+    proof = Project(Subst(Assume(0), 2, 3, 0), frozenset({0, 3}))
+    with pytest.raises(ProofCheckError, match="known-distinct") as e:
+        check(proof, 2, [(0, 1, 2)], partition, [(2, 3)])
+    assert e.value.path == (0,)
+    partition[3] = 2
+    assert check(proof, 2, [(0, 1, 2)], partition, [(2, 3)]) == {0, 3}
+
+
 def test_subst_absent_term_is_identity():
     eqs = [(5, 9)]
     assert check(Subst(Assume(0), 5, 9, 0), 2, HYPS, equalities=eqs) == {0, 1, 2}
