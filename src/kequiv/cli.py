@@ -244,8 +244,11 @@ def cmd_bench(args) -> int:
             )
     out = "\n".join(rows) + "\n"
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as f:
-            f.write(out)
+        try:
+            with open(args.csv, "w", encoding="utf-8") as f:
+                f.write(out)
+        except OSError as e:
+            return _fail(str(e), EXIT_USAGE)
     else:
         sys.stdout.write(out)
     return EXIT_OK

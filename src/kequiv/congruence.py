@@ -7,13 +7,15 @@ between terms the distinctness partition allows to be equal; equating
 known-distinct terms is an inconsistency.
 
 Proofs survive the rewriting: each renaming step is justified by a chain
-of `subst` nodes over the raw equality log, found by walking the forest of
-asserted equalities.
+of `subst` nodes over the raw equality log.  The equalities that merged two
+classes form a proof forest (Nieuwenhuis & Oliveras, "Proof-producing
+congruence closure", RTA 2005): each equated term keeps one edge to its
+parent, and every tree is rooted at its union-find representative, so a
+term's chain is the walk up to that root.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Mapping
 
 from .engine import EngineInvariantError, Session, Steps, TermTable, UnionFind
@@ -38,7 +40,8 @@ class CongruenceState:
         self.sessions: dict[str, Session] = {}
         self.equalities: list[tuple[int, int]] = []
         self.uf = UnionFind()
-        self._edges: dict[int, list[tuple[int, int]]] = {}
+        # proof forest: term -> (parent, equality index); roots are absent
+        self._proof: dict[int, tuple[int, int]] = {}
         for name, k in relations.items():
             session = Session(k)
             session.terms = self.terms
@@ -81,6 +84,9 @@ class CongruenceState:
         of the smaller equality class is rewritten to the new
         representatives and re-merged.
         """
+        for x in (a, b):
+            if not 0 <= x < len(self.term_names):
+                raise ValueError(f"unknown term id {x}")
         if self.class_of[a] != self.class_of[b]:
             raise InconsistentEqualityError(
                 f"terms {self.term_names[a]!r} and {self.term_names[b]!r} "
@@ -92,9 +98,17 @@ class CongruenceState:
         union = self.uf.union(a, b)
         if union is None:
             return
-        self._edges.setdefault(a, []).append((b, e))
-        self._edges.setdefault(b, []).append((a, e))
         _, moved = union
+        # re-root the moved tree at its endpoint, so the merged tree stays
+        # rooted at the surviving representative
+        child, parent = (a, b) if a in moved else (b, a)
+        edge = self._proof.get(child)
+        self._proof[child] = (parent, e)
+        while edge is not None:
+            parent, i = edge
+            edge = self._proof.get(parent)
+            self._proof[parent] = (child, i)
+            child = parent
         for session in self.sessions.values():
             session.rename_terms(moved, self._canonical_steps)
 
@@ -102,35 +116,13 @@ class CongruenceState:
         steps: list[tuple[int, int, int]] = []
         for t in sorted(terms):
             r = self.uf.find(t)
-            if r != t:
-                steps.extend(self._path_steps(t, r))
+            while t in self._proof:
+                parent, e = self._proof[t]
+                steps.append((t, parent, e))
+                t = parent
+            if t != r:
+                raise EngineInvariantError("no equality path between equated terms")
         return tuple(steps)
-
-    def _path_steps(self, frm: int, to: int) -> list[tuple[int, int, int]]:
-        # BFS through the forest of asserted equalities; the path exists
-        # because frm and to share a union-find class.
-        prev: dict[int, tuple[int, int]] = {}
-        seen = {frm}
-        queue = deque([frm])
-        while queue:
-            u = queue.popleft()
-            if u == to:
-                break
-            for v, e in self._edges.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    prev[v] = (u, e)
-                    queue.append(v)
-        if to not in seen:
-            raise EngineInvariantError("no equality path between equated terms")
-        path: list[tuple[int, int, int]] = []
-        node = to
-        while node != frm:
-            parent, e = prev[node]
-            path.append((parent, node, e))
-            node = parent
-        path.reverse()
-        return path
 
     # ------------------------------------------------------------------
     # queries

@@ -462,13 +462,14 @@ class Session:
                         )
                         break
                     if isinstance(h, Rewritten):
-                        src_terms = self.ksets[h.source].terms
-                        image = {t: t for t in src_terms}
-                        for old, new, _ in h.steps:
-                            image = {
-                                t: (new if v == old else v) for t, v in image.items()
-                            }
-                        wanted = frozenset(t for t, v in image.items() if v in xs)
+                        # pull xs back through the renaming, last step first
+                        wanted = set(xs)
+                        for old, new, _ in reversed(h.steps):
+                            if new in wanted:
+                                wanted.add(old)
+                            else:
+                                wanted.discard(old)
+                        wanted = self.ksets[h.source].terms & wanted
                         tasks.append(("rewrap", h.steps, xs))
                         tasks.append(("explain", h.source, wanted))
                         break

@@ -20,6 +20,7 @@ where terms are rendered by name and N is a log index.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -310,23 +311,11 @@ class ProofSyntaxError(ValueError):
         super().__init__(f"col {column}: {message}")
 
 
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens: list[tuple[str, int]] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, i + 1))
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append((text[i:j], i + 1))
-            i = j
-    return tokens
+    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
 
 
 def parse_proof(

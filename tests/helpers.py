@@ -172,6 +172,35 @@ class DisjointSet:
             self.parent[rb] = ra
 
 
+def equality_path(n_terms, equalities, frm, to):
+    """Reference BFS: the (old, new, index) steps from `frm` to `to`.
+
+    Searches only the equalities that merged two classes when asserted in
+    order, which form a forest, so the path is unique.
+    """
+    ds = DisjointSet(n_terms)
+    adjacent = {}
+    for e, (a, b) in enumerate(equalities):
+        if ds.find(a) != ds.find(b):
+            ds.union(a, b)
+            adjacent.setdefault(a, []).append((b, e))
+            adjacent.setdefault(b, []).append((a, e))
+    prev = {frm: None}
+    queue = [frm]
+    for u in queue:
+        for v, e in adjacent.get(u, ()):
+            if v not in prev:
+                prev[v] = (u, e)
+                queue.append(v)
+    path = []
+    node = to
+    while prev[node] is not None:
+        u, e = prev[node]
+        path.append((u, node, e))
+        node = u
+    return path[::-1]
+
+
 def _paths(proof):
     out = [((), proof)]
     stack = [((), proof)]

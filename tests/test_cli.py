@@ -23,6 +23,21 @@ eq c d
 query coll a b d
 """
 
+# the last `eq` joins two trees of equalities and re-roots one of them, so
+# the `p q 0` hop runs over a reversed edge
+REROOTED = """\
+rel coll 2
+class p q r s t
+hyp coll a b p
+hyp coll b c t
+eq p q
+eq r s
+eq t r
+eq q s
+query coll a b c q
+query coll a c t
+"""
+
 
 @pytest.fixture
 def example(tmp_path):
@@ -98,6 +113,25 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(path))
         assert code == 0
         assert out.startswith("entailed ")
+
+    def test_rerooted_equality_path_golden(self, tmp_path, capsys):
+        path = tmp_path / "r.kq"
+        path.write_text(REROOTED)
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == 0
+        chain = (
+            "(trans (subst (assume 1) t r 2) "
+            "(subst (subst (subst (assume 0) p q 0) q s 3) s r 1))"
+        )
+        assert out.splitlines() == [
+            f"entailed (project {chain} r a b c)",
+            f"entailed (project {chain} r a c)",
+        ]
+        proofs = tmp_path / "proofs.txt"
+        proofs.write_text(out)
+        code, out, _ = run(capsys, "check", str(path), str(proofs))
+        assert code == 0
+        assert out.splitlines() == ["pass", "pass"]
 
     def test_inconsistent_equality_exit_two(self, tmp_path, capsys):
         path = tmp_path / "c.kq"
@@ -267,6 +301,17 @@ class TestBench:
             for l in text.splitlines()
         ]
         assert strip_time(first) == strip_time(second)
+
+    def test_unwritable_csv_exit_one(self, capsys, tmp_path):
+        csv = tmp_path / "missing" / "x.csv"
+        code, out, err = run(
+            capsys,
+            "bench", "--k", "2", "--terms", "12", "--engine", "kset",
+            "--csv", str(csv),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "x.csv" in err
 
     def test_single_line_merge_count(self, capsys, tmp_path):
         csv = tmp_path / "out.csv"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kequiv import CongruenceState, InconsistentEqualityError, UnionFind, check
 from helpers import (
     build_congruence,
+    equality_path,
     random_congruence_instance,
     run_congruence_differential,
 )
@@ -55,6 +56,15 @@ class TestAssertEq:
         assert conclusion == {
             state.canonical(t) for t in (ids["a"], ids["b"], ids["d"])
         }
+
+    def test_unknown_term_id_rejected(self):
+        state, ids = state_with("a")
+        with pytest.raises(ValueError, match="unknown term id 7"):
+            state.assert_eq(ids["a"], 7)
+        with pytest.raises(ValueError, match="unknown term id -1"):
+            state.assert_eq(-1, ids["a"])
+        assert state.equalities == []
+        assert not state.terms.fixed
 
     def test_self_equality_noop(self):
         state, ids = state_with("abc")
@@ -231,3 +241,19 @@ def test_statement_order_insensitive(seed):
         assert (base.query_atom("r", combo) is None) == (
             other.query_atom("r", combo) is None
         )
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_equality_steps_follow_the_unique_forest_path(seed):
+    # many unions re-root earlier trees; every term's steps must still be
+    # the one path to its representative through the merging equalities
+    rng = random.Random(seed)
+    n_terms = 40
+    names = [f"t{i}" for i in range(n_terms)]
+    state, _ = state_with(names, groups=[names])
+    for _ in range(60):
+        state.assert_eq(rng.randrange(n_terms), rng.randrange(n_terms))
+    for t in range(n_terms):
+        expected = equality_path(n_terms, state.equalities, t, state.canonical(t))
+        assert state._canonical_steps({t}) == tuple(expected)

@@ -249,6 +249,21 @@ class TestExplain:
             ids[c] for c in "efg"
         }
 
+    def test_rewritten_pull_back_is_exact(self):
+        # x is renamed away (x -> y) before z takes its name (z -> x), so
+        # {x, w} after the renaming comes from {z, w} alone
+        s = Session(1)
+        x, y, z, w = (s.intern_term(c) for c in "xyzw")
+        s.mark_possibly_equal([x, y, z])
+        s.equalities.extend([(x, y), (z, x)])
+        s.assert_hypothesis([z, w])
+        s.assert_hypothesis([w, x])
+        n = s.rewrite_kset(len(s.ksets) - 1, [(x, y, 0), (z, x, 1)])
+        assert s.ksets[n].terms == {x, y, w}
+        proof = s.explain(n, [x, w])
+        assert format_proof(proof, s.term_names) == "(subst (assume 0) z x 1)"
+        assert check(proof, 1, s.hypotheses, s.class_of, s.equalities) == {x, w}
+
     def test_terms_outside_kset_rejected(self):
         s, ids = table_session()
         with pytest.raises(ValueError):

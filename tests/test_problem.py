@@ -163,3 +163,19 @@ class TestGenerate:
             assert list(problem.relations.values()) == [k]
             for atom in problem.atoms:
                 assert len(atom.terms) == k + 1
+
+
+# pieces of well-formed problem text, so the fuzzer also reaches deep parses
+PROBLEM_PIECES = st.sampled_from(
+    ["rel", "coll", "hyp", "query", "eq", "class", "#", "a", "b", "c(",
+     "0", "2", "-1", " ", "\t", "\n", "\r", "\x0b", "\u3000"]
+)
+
+
+@given(st.one_of(st.text(), st.lists(PROBLEM_PIECES, max_size=60).map("".join)))
+@settings(max_examples=300, deadline=None)
+def test_parse_text_fuzz_raises_only_parse_errors(text):
+    try:
+        parse_text(text)
+    except ParseError:
+        pass

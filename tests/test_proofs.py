@@ -164,6 +164,20 @@ class TestSerialization:
             parse_proof(text, IDS)
         assert e.value.column >= 1
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("(assume\tx)", 9),
+            ("(assume x)", 9),
+            ("(trans (assume 0)\x1c(assume zz))", 27),
+            ("(assume 0)\u3000)", 12),  # unbalanced ')' after a wide space
+        ],
+    )
+    def test_error_columns_are_exact(self, text, column):
+        with pytest.raises(ProofSyntaxError) as e:
+            parse_proof(text, IDS)
+        assert e.value.column == column
+
     def test_deep_proofs_survive_round_trip(self):
         # proofs from long merge chains nest far beyond the recursion limit
         from helpers import build_session
@@ -222,3 +236,24 @@ def test_engine_kernel_agreement(seed):
     n_terms, hyps, class_of = random_instance(rng, k, partitioned=rng.random() < 0.3)
     # run_differential checks each emitted proof's conclusion internally
     assert run_differential(k, n_terms, hyps, class_of) == []
+
+
+# pieces of well-formed proof text, so the fuzzer also reaches deep parses
+PROOF_PIECES = st.sampled_from(
+    ["(", ")", "(assume 0)", "(subrefl a b)", "(trans ", "(project ",
+     "(subst ", "assume", "a", "g", "zz", "0", "7", "-1", "1" * 30,
+     " ", "\t", "\x1c", "\u3000"]
+)
+
+
+@given(st.one_of(st.text(), st.lists(PROOF_PIECES, max_size=40).map("".join)))
+@settings(max_examples=300, deadline=None)
+def test_parse_proof_fuzz_raises_only_syntax_errors(text):
+    def lookup(name):
+        return IDS[name]
+
+    for ids in (IDS, lookup):
+        try:
+            parse_proof(text, ids)
+        except ProofSyntaxError:
+            pass
