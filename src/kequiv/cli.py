@@ -15,6 +15,7 @@ from typing import Sequence
 
 from . import oracle
 from .congruence import CongruenceState, InconsistentEqualityError
+from .engine import UnionFind
 from .problem import (
     Atom,
     ParseError,
@@ -58,7 +59,7 @@ def _build_state(problem: Problem) -> CongruenceState:
     return state
 
 
-def _solve_kset_lines(problem: Problem) -> list[str]:
+def _solve_kset(problem: Problem) -> tuple[CongruenceState, list[str]]:
     state = _build_state(problem)
     lines = []
     for q in problem.queries:
@@ -67,7 +68,7 @@ def _solve_kset_lines(problem: Problem) -> list[str]:
             lines.append("not-entailed")
         else:
             lines.append("entailed " + format_proof(proof, state.term_names))
-    return lines
+    return state, lines
 
 
 def _solve_naive_lines(problem: Problem) -> list[str]:
@@ -86,13 +87,9 @@ def _solve_naive_lines(problem: Problem) -> list[str]:
     lines = []
     for rel, xs in interned.queries:
         k = interned.relations[rel]
+        # a set of at most k terms has no (k+1)-subsets, so it holds
         s = sorted(set(xs))
-        if len(s) <= k:
-            entailed = True
-        else:
-            entailed = all(
-                c in atoms[rel] for c in itertools.combinations(s, k + 1)
-            )
+        entailed = all(c in atoms[rel] for c in itertools.combinations(s, k + 1))
         lines.append("entailed" if entailed else "not-entailed")
     return lines
 
@@ -106,7 +103,7 @@ def cmd_solve(args) -> int:
         if args.engine == "naive":
             lines = _solve_naive_lines(problem)
         else:
-            lines = _solve_kset_lines(problem)
+            _, lines = _solve_kset(problem)
     except (ValueError, InconsistentEqualityError) as e:
         return _fail(str(e), EXIT_GUARD)
     for line in lines:
@@ -127,13 +124,22 @@ def cmd_check(args) -> int:
             f"{len(problem.queries)} queries",
             EXIT_USAGE,
         )
-    try:
-        state = _build_state(problem)
-    except (ValueError, InconsistentEqualityError) as e:
-        return _fail(str(e), EXIT_GUARD)
+    # everything the checker needs comes from the file, not from the engine
+    interned = intern_problem(problem)
+    names, class_of = interned.term_names, interned.class_of
+    uf = UnionFind()
+    for a, b in interned.equalities:
+        if class_of[a] != class_of[b]:
+            return _fail(
+                f"terms {names[a]!r} and {names[b]!r} are known distinct", EXIT_GUARD
+            )
+        uf.union(a, b)
+    hypotheses = {rel: [] for rel in interned.relations}
+    for rel, xs in interned.atoms:
+        hypotheses[rel].append(xs)
     ok = True
-    for lineno, (query, line) in enumerate(
-        zip(problem.queries, proof_lines), start=1
+    for lineno, ((rel, xs), line) in enumerate(
+        zip(interned.queries, proof_lines), start=1
     ):
         line = line.strip()
         if line == "not-entailed":
@@ -148,18 +154,15 @@ def cmd_check(args) -> int:
             print(f"fail: line {lineno}: no proof given")
             ok = False
             continue
-        session = state.sessions[query.relation]
-        expected = frozenset(
-            state.canonical(state.term_id(t)) for t in query.terms
-        )
+        expected = frozenset(uf.find(t) for t in xs)
         try:
-            proof = parse_proof(text, state.term_id)
+            proof = parse_proof(text, interned.term_ids)
             conclusion = check(
                 proof,
-                session.k,
-                session.hypotheses,
-                session.class_of,
-                state.equalities,
+                interned.relations[rel],
+                hypotheses[rel],
+                class_of,
+                interned.equalities,
             )
         except (ProofSyntaxError, ProofCheckError) as e:
             print(f"fail: line {lineno}: {e}")
@@ -186,11 +189,7 @@ def cmd_gen(args) -> int:
 
 def _bench_kset(problem: Problem) -> tuple[float, dict]:
     start = time.perf_counter()
-    state = _build_state(problem)
-    for q in problem.queries:
-        proof = state.query_atom(q.relation, [state.term_id(t) for t in q.terms])
-        if proof is not None:
-            format_proof(proof, state.term_names)
+    state, _ = _solve_kset(problem)
     elapsed = time.perf_counter() - start
     (session,) = state.sessions.values()
     stats = session.stats()
@@ -203,11 +202,10 @@ def _bench_kset(problem: Problem) -> tuple[float, dict]:
 
 
 def _bench_naive(problem: Problem) -> tuple[float, dict]:
-    interned = intern_problem(problem)
     start = time.perf_counter()
     _solve_naive_lines(problem)
     elapsed = time.perf_counter() - start
-    return elapsed, {"n_hyps": len(interned.atoms)}
+    return elapsed, {"n_hyps": len(problem.atoms)}
 
 
 def cmd_bench(args) -> int:

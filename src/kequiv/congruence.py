@@ -73,16 +73,17 @@ class CongruenceState:
 
     def assert_atom(self, relation: str, xs: Iterable[int]) -> int:
         """Assert a relation atom; terms are canonicalized before merging."""
-        return self._session(relation).assert_renamed(xs, self._canonical_steps)
+        xs = tuple(xs)
+        return self._session(relation).assert_renamed(xs, self._canonical_steps(xs))
 
     def assert_eq(self, a: int, b: int) -> None:
         """Assert that two terms are equal.
 
         The terms must share a distinctness class (cross-class terms are
         known distinct, so equating them raises
-        InconsistentEqualityError).  Every active k-set containing a member
-        of the smaller equality class is rewritten to the new
-        representatives and re-merged.
+        InconsistentEqualityError).  Every active k-set containing the
+        representative that the union retires is rewritten to the new
+        representative and re-merged.
         """
         for x in (a, b):
             if not 0 <= x < len(self.term_names):
@@ -95,13 +96,14 @@ class CongruenceState:
         self.terms.fixed = True
         e = len(self.equalities)
         self.equalities.append((a, b))
+        ra, rb = self.uf.find(a), self.uf.find(b)
         union = self.uf.union(a, b)
         if union is None:
             return
-        _, moved = union
+        root, _ = union
         # re-root the moved tree at its endpoint, so the merged tree stays
         # rooted at the surviving representative
-        child, parent = (a, b) if a in moved else (b, a)
+        child, parent, old = (b, a, rb) if root == ra else (a, b, ra)
         edge = self._proof.get(child)
         self._proof[child] = (parent, e)
         while edge is not None:
@@ -109,12 +111,13 @@ class CongruenceState:
             edge = self._proof.get(parent)
             self._proof[parent] = (child, i)
             child = parent
+        steps = self._canonical_steps((old,))
         for session in self.sessions.values():
-            session.rename_terms(moved, self._canonical_steps)
+            session.rename_term(old, steps)
 
     def _canonical_steps(self, terms: Iterable[int]) -> Steps:
         steps: list[tuple[int, int, int]] = []
-        for t in sorted(terms):
+        for t in sorted(set(terms)):
             r = self.uf.find(t)
             while t in self._proof:
                 parent, e = self._proof[t]

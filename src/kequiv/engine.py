@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .proofs import Assume, ProofTerm, Project, SubRefl, Subst, Trans
 
@@ -82,7 +82,6 @@ class Stats:
     merges: int = 0
     find_merges_calls: int = 0
     rewrites: int = 0
-    max_active: int = 0
     max_kset_size: int = 0
     max_parents: int = 0
 
@@ -241,17 +240,13 @@ class Session:
         Returns the hypothesis index.  On return all active k-sets again
         overlap pairwise on fewer than k distinctness classes.
         """
-        return self.assert_renamed(xs, lambda terms: ())
+        return self.assert_renamed(xs, ())
 
-    def assert_renamed(
-        self, xs: Sequence[int], steps_for: Callable[[frozenset[int]], Steps]
-    ) -> int:
-        """Assert the k+1 terms `xs`, renamed by `steps_for` before merging.
+    def assert_renamed(self, xs: Sequence[int], steps: Steps) -> int:
+        """Assert the k+1 terms `xs`, rewritten by `steps` before merging.
 
-        `steps_for(terms)` returns the (old, new, equality index) steps that
-        take the hypothesis' term set to representative terms; when there
-        are any, the asserted k-set is rewritten by them first.  Returns
-        the hypothesis index.
+        `steps` are the (old, new, equality index) renamings that take the
+        term set to representatives.  Returns the hypothesis index.
         """
         xs = tuple(xs)
         if len(xs) != self.k + 1:
@@ -266,26 +261,22 @@ class Session:
         self.counters.hypotheses += 1
         i = len(self.hypotheses) - 1
         n = self.new_kset(xs, Asserted(i))
-        steps = steps_for(self.ksets[n].terms)
         if steps:
             n = self.rewrite_kset(n, steps)
         self.find_merges(n)
         self.check_counter_bounds()
         return i
 
-    def rename_terms(
-        self, renamed: Iterable[int], steps_for: Callable[[frozenset[int]], Steps]
-    ) -> None:
-        """The terms `renamed` got new representatives: update the k-sets.
+    def rename_term(self, old: int, steps: Steps) -> None:
+        """`old` stopped being a representative: rewrite its k-sets by `steps`.
 
-        Every active k-set containing one of them is rewritten by
-        `steps_for(its terms)`, in ascending id order, and each result
-        still active afterwards is then re-merged.
+        Active k-sets hold only representatives, so `old` is their one
+        renamed term.  They are rewritten in ascending id order, then each
+        result still active is re-merged.
         """
-        affected = sorted({i for t in renamed for i in self.term2parents.get(t, ())})
         rewritten = [
-            self.rewrite_kset(kid, steps_for(self.ksets[kid].terms))
-            for kid in affected
+            self.rewrite_kset(kid, steps)
+            for kid in sorted(self.term2parents.get(old, ()))
         ]
         for n in rewritten:
             if self.ksets[n].active:
@@ -306,8 +297,6 @@ class Session:
             if len(ps) > c.max_parents:
                 c.max_parents = len(ps)
         c.active += 1
-        if c.active > c.max_active:
-            c.max_active = c.active
         if len(terms) > c.max_kset_size:
             c.max_kset_size = len(terms)
         return n

@@ -22,10 +22,12 @@ anchors must span k distinct classes.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "MAX_UNIVERSE",
+    "MAX_ATOM_TERMS",
     "closure_sets",
     "covered",
     "saturate",
@@ -34,6 +36,9 @@ __all__ = [
 ]
 
 MAX_UNIVERSE = 12
+# `saturate` enumerates C(|universe| + k, k + 1) candidate (k+1)-tuples;
+# this bounds the term ids they hold in all, so a huge k alone is refused too
+MAX_ATOM_TERMS = 10**6
 
 
 def _class_fn(partition: Mapping[int, int] | None):
@@ -99,6 +104,8 @@ def saturate(
     universe = sorted(set(universe))
     if len(universe) > MAX_UNIVERSE:
         raise ValueError(f"universe larger than {MAX_UNIVERSE} terms")
+    if math.comb(len(universe) + k, k + 1) * (k + 1) > MAX_ATOM_TERMS:
+        raise ValueError(f"candidate atoms would hold over {MAX_ATOM_TERMS} terms")
     members = set(universe)
     for h in hypotheses:
         if not set(h) <= members:

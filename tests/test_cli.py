@@ -1,6 +1,8 @@
 import pytest
 
 from kequiv.cli import main
+from kequiv.congruence import CongruenceState
+from kequiv.engine import Session
 from kequiv.problem import generate
 
 EXAMPLE = """\
@@ -21,6 +23,17 @@ class c d
 hyp coll a b c
 eq c d
 query coll a b d
+"""
+
+MULTI = """\
+rel coll 2
+rel cycl 3
+class e x
+hyp coll a b e
+hyp cycl a b c e
+eq e x
+query coll a b x
+query cycl a b c x
 """
 
 # the last `eq` joins two trees of equalities and re-roots one of them, so
@@ -100,6 +113,19 @@ class TestSolve:
         assert code == 2
         assert "eq" in err
 
+    # five terms at k=100 would enumerate C(105, 101) tuples of 101 ints,
+    # one term at k=10**9 a single tuple of 10**9 + 1 ints
+    @pytest.mark.parametrize(
+        "text", ["rel r 100\nquery r a b c d e\n", "rel r 1000000000\nquery r a\n"]
+    )
+    def test_naive_rejects_large_arity(self, tmp_path, capsys, text):
+        path = tmp_path / "wide.kq"
+        path.write_text(text)
+        code, out, err = run(capsys, "solve", str(path), "--engine", "naive")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "candidate atoms" in err
+
     def test_naive_rejects_large_universe(self, tmp_path, capsys):
         text = generate(2, 20, 1, seed=0)
         path = tmp_path / "big.kq"
@@ -169,16 +195,7 @@ class TestSolve:
 
     def test_multiple_relations_share_equalities(self, tmp_path, capsys):
         path = tmp_path / "multi.kq"
-        path.write_text(
-            "rel coll 2\n"
-            "rel cycl 3\n"
-            "class e x\n"
-            "hyp coll a b e\n"
-            "hyp cycl a b c e\n"
-            "eq e x\n"
-            "query coll a b x\n"
-            "query cycl a b c x\n"
-        )
+        path.write_text(MULTI)
         code, out, _ = run(capsys, "solve", str(path))
         assert code == 0
         assert [l.split()[0] for l in out.splitlines()] == ["entailed"] * 2
@@ -253,6 +270,37 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path), proofs)
         assert code == 0
         assert out == "pass\n"
+
+    def test_multiple_relations_round_trip(self, tmp_path, capsys):
+        path = tmp_path / "multi.kq"
+        path.write_text(MULTI)
+        proofs = self.solve_to_file(capsys, tmp_path, str(path))
+        code, out, _ = run(capsys, "check", str(path), proofs)
+        assert code == 0
+        assert out.splitlines() == ["pass"] * 2
+
+    def test_check_runs_no_closure_engine(self, example, tmp_path, capsys, monkeypatch):
+        proofs = self.solve_to_file(capsys, tmp_path, example)
+
+        def engine_called(*args, **kwargs):
+            raise AssertionError("check ran the closure engine")
+
+        monkeypatch.setattr(Session, "find_merges", engine_called)
+        monkeypatch.setattr(CongruenceState, "assert_atom", engine_called)
+        code, out, _ = run(capsys, "check", example, proofs)
+        assert code == 0
+        assert out.splitlines() == ["pass"] * 3
+
+    def test_inconsistent_equality_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "c.kq"
+        path.write_text("rel coll 2\nhyp coll a b c\neq a b\nquery coll a b c\n")
+        proofs = tmp_path / "proofs.txt"
+        proofs.write_text("entailed (assume 0)\n")
+        code, out, err = run(capsys, "check", str(path), str(proofs))
+        assert code == 2
+        assert out == ""
+        assert err == "error: terms 'a' and 'b' are known distinct\n"
+        assert run(capsys, "solve", str(path))[1:] == ("", err)
 
     def test_deep_chain_round_trip(self, tmp_path, capsys):
         n = 300

@@ -54,6 +54,14 @@ def test_universe_guard():
         oracle_entailed(2, [], (0, 1, 2), range(13))
 
 
+def test_enumeration_guard():
+    with pytest.raises(ValueError):
+        saturate(100, [], range(5))
+    with pytest.raises(ValueError):
+        saturate(10**9, [], range(1))
+    saturate(3, [], range(12))  # the C7 growth table stays within the guard
+
+
 def test_hypothesis_outside_universe_rejected():
     with pytest.raises(ValueError):
         saturate(2, [(0, 1, 9)], range(3))
