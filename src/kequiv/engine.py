@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
 from .proofs import Assume, ProofTerm, Project, SubRefl, Subst, Trans
@@ -149,8 +150,6 @@ class TermTable:
         self._next_class = max(self.class_of.values(), default=-1) + 1
         # holds only terms that ever shared a class
         self._classes = UnionFind()
-        # every class a singleton: find_merges may skip per-class grouping
-        self.uniform = True
         self.fixed = False
         first: dict[int, int] = {}
         for t, c in (partition or {}).items():
@@ -187,7 +186,6 @@ class TermTable:
                 root, moved = union
                 for m in moved:
                     self.class_of[m] = self.class_of[root]
-                self.uniform = False
 
 
 class Session:
@@ -320,35 +318,21 @@ class Session:
         if not self.ksets[n].active:
             raise ValueError(f"k-set {n} is not active")
         class_of = self.terms.class_of
+        parents = self.term2parents
         while True:
             self.counters.find_merges_calls += 1
-            rec = self.ksets[n]
-            counts: Counter[int] = Counter()
-            if self.terms.uniform:
-                for x in rec.terms:
-                    counts.update(self.term2parents[x])
-            else:
-                class_parents: dict[int, set[int]] = {}
-                for x in rec.terms:
-                    c = class_of[x]
-                    s = class_parents.get(c)
-                    if s is None:
-                        class_parents[c] = set(self.term2parents[x])
-                    else:
-                        s |= self.term2parents[x]
-                for s in class_parents.values():
-                    counts.update(s)
-            matches = sorted(i for i, c in counts.items() if c >= self.k)
-            if len(matches) < 2:
+            groups: dict[int, set[int]] = {}
+            for x in self.ksets[n].terms:
+                c = class_of[x]
+                g = groups.get(c)
+                # a class's second term gets a new set: never grow the index's own
+                groups[c] = parents[x] if g is None else g | parents[x]
+            counts = Counter(chain.from_iterable(groups.values()))
+            matches = sorted(i for i, c in counts.items() if c >= self.k and i != n)
+            if not matches:
                 return
-            # n itself always matches (it has >= k classes if anything does)
-            # and anchors the fold, so every merge overlaps the accumulated
-            # set on at least k distinctness classes.
-            acc = n
             for m in matches:
-                if m != n:
-                    acc = self.merge(m, acc)
-            n = acc
+                n = self.merge(m, n)
 
     def merge(self, i1: int, i2: int) -> int:
         """Replace two active k-sets by their union; returns the new id."""

@@ -104,7 +104,8 @@ def saturate(
     universe = sorted(set(universe))
     if len(universe) > MAX_UNIVERSE:
         raise ValueError(f"universe larger than {MAX_UNIVERSE} terms")
-    if math.comb(len(universe) + k, k + 1) * (k + 1) > MAX_ATOM_TERMS:
+    # combinations_with_replacement allocates k+1 indices even for no terms
+    if (k + 1) * max(1, math.comb(len(universe) + k, k + 1)) > MAX_ATOM_TERMS:
         raise ValueError(f"candidate atoms would hold over {MAX_ATOM_TERMS} terms")
     members = set(universe)
     for h in hypotheses:

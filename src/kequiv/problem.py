@@ -33,9 +33,13 @@ __all__ = [
     "intern_problem",
     "generate",
     "relation_name_for",
+    "MAX_TERM_SLOTS",
 ]
 
 _NAME = re.compile(r"^[^()#\s]+$")
+# bounds the term names a generated file holds in its hyp and query lines
+# plus the name list, so a large --terms or k is refused before allocating
+MAX_TERM_SLOTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -244,12 +248,20 @@ def generate(
         )
     if not 0.0 <= partition_rate <= 1.0:
         raise ValueError("partition_rate must be within [0, 1]")
+    base, extra = divmod(terms, lines)
+    hyp_slots = (
+        extra * max(0, base + 1 - k) + (lines - extra) * max(0, base - k)
+    ) * (k + 1)
+    slots = hyp_slots + max(4, 2 * lines) * (k + 1) + terms
+    if slots > MAX_TERM_SLOTS:
+        raise ValueError(
+            f"the file would hold {slots} term names, over {MAX_TERM_SLOTS}"
+        )
     rng = random.Random(seed)
     names = [f"t{i}" for i in range(terms)]
     shuffled = names[:]
     rng.shuffle(shuffled)
 
-    base, extra = divmod(terms, lines)
     chunks: list[list[str]] = []
     start = 0
     for i in range(lines):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kequiv.cli import main
 from kequiv.congruence import CongruenceState
@@ -114,9 +115,15 @@ class TestSolve:
         assert "eq" in err
 
     # five terms at k=100 would enumerate C(105, 101) tuples of 101 ints,
-    # one term at k=10**9 a single tuple of 10**9 + 1 ints
+    # one term at k=10**9 a single tuple of 10**9 + 1 ints, and no terms at
+    # all still k + 1 indices
     @pytest.mark.parametrize(
-        "text", ["rel r 100\nquery r a b c d e\n", "rel r 1000000000\nquery r a\n"]
+        "text",
+        [
+            "rel r 100\nquery r a b c d e\n",
+            "rel r 1000000000\nquery r a\n",
+            "rel r 99999999999999\n",
+        ],
     )
     def test_naive_rejects_large_arity(self, tmp_path, capsys, text):
         path = tmp_path / "wide.kq"
@@ -329,6 +336,19 @@ class TestGen:
         )
         assert code == 2
 
+    # refused before any name is built: 3e8 and 1e8 term names in the file
+    @pytest.mark.parametrize(
+        "k,terms", [("1", "100000000"), ("10000", "20002")]
+    )
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_oversized_file_exit_two(self, capsys, command, k, terms):
+        code, out, err = run(
+            capsys, command, "--k", k, "--terms", terms, "--lines", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "term names" in err
+
 
 class TestBench:
     def test_csv_shape_and_determinism(self, capsys):
@@ -373,3 +393,62 @@ class TestBench:
         assert row[0] == "kset"
         assert row[2] == "1000"  # hypotheses
         assert row[6] == "999"  # merges
+
+
+# Lines of problem and proof files, and stray bytes to break them with.  The
+# one declared arity that no hypothesis can meet is at least 10**12, so an
+# engine that tries to enumerate it fails at once instead of allocating
+# gigabytes first.
+RELATIONS = st.lists(
+    st.sampled_from([b"rel r 2\n", b"rel s 1\n", b"rel t 99999999999999\n"]),
+    max_size=3,
+    unique=True,
+).map(b"".join)
+PROBLEM_LINES = st.sampled_from(
+    [
+        b"class a b\n", b"class b c d\n", b"eq a b\n", b"eq c d\n",
+        b"hyp r a b c\n", b"hyp r b c d\n", b"hyp r a c d\n", b"hyp s a c\n",
+        b"query r a b d\n", b"query s a d\n", b"query t a\n",
+    ]
+)
+PROOF_LINES = st.sampled_from(
+    [
+        b"not-entailed\n", b"entailed (assume 0)\n", b"entailed (subrefl a b)\n",
+        b"entailed (trans (assume 0) (assume 1))\n",
+        b"entailed (project (assume 0) a b)\n",
+        b"entailed (subst (assume 0) a b 0)\n", b"entailed ((\n",
+    ]
+)
+STRAY_BYTES = st.one_of(
+    st.sampled_from([b"\x00", b"\xff", b"#", b" ", b"\n", b"a", b"0", b"("]),
+    st.binary(max_size=4),
+)
+
+
+def file_bytes(lines):
+    return st.one_of(
+        st.binary(max_size=40),
+        st.lists(lines, max_size=10).map(b"".join),
+        st.lists(st.one_of(lines, STRAY_BYTES), max_size=12).map(b"".join),
+    )
+
+
+# tmp_path and capsys are shared by all examples: each rewrites the files and
+# reads the captured output of every command
+@given(RELATIONS, file_bytes(PROBLEM_LINES), file_bytes(PROOF_LINES))
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_arbitrary_files_end_in_an_exit_code(tmp_path, capsys, relations, body, proofs):
+    problem, given, own = (tmp_path / n for n in ("p.kq", "given.proofs", "own.proofs"))
+    problem.write_bytes(relations + body)
+    given.write_bytes(proofs)
+    code, out, _ = run(capsys, "solve", str(problem))
+    assert code in (0, 1, 2)
+    own.write_text(out)
+    assert run(capsys, "solve", str(problem), "--engine", "naive")[0] in (0, 1, 2)
+    assert run(capsys, "check", str(problem), str(given))[0] in (0, 1, 2, 3)
+    if code == 0:  # every proof the engine emits checks
+        assert run(capsys, "check", str(problem), str(own))[0] == 0

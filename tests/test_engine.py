@@ -14,6 +14,8 @@ from kequiv import (
     Session,
     SubRefl,
     check,
+    closure_sets,
+    covered,
     format_proof,
     used_hypotheses,
 )
@@ -384,3 +386,60 @@ class TestInvariants:
         )
         assert done.stdout == "False merge count exceeded n-1\n"
         assert issubclass(EngineInvariantError, AssertionError)
+
+
+def mid_scale_instance(rng, k, partitioned):
+    """(n_terms, hypotheses, class_of) with 300 facts over 120 terms.
+
+    292 facts lie inside one of 15 disjoint groups of 8 terms, 8 cross
+    them.  Partitioned instances put three terms of every group, and of
+    five random triples, into one class, so k-sets hold several terms of a
+    class.
+    """
+    n_terms = 120
+    order = rng.sample(range(n_terms), n_terms)
+    groups = [order[i : i + 8] for i in range(0, n_terms, 8)]
+    class_of = {t: t for t in range(n_terms)}
+    if partitioned:
+        for g in groups + [rng.sample(range(n_terms), 3) for _ in range(5)]:
+            first, *mates = rng.sample(g, 3)
+            for t in mates:
+                old = class_of[t]
+                for u, c in class_of.items():
+                    if c == old:
+                        class_of[u] = class_of[first]
+    hyps = [tuple(rng.sample(rng.choice(groups), k + 1)) for _ in range(292)]
+    hyps += [tuple(rng.sample(range(n_terms), k + 1)) for _ in range(8)]
+    rng.shuffle(hyps)
+    return n_terms, hyps, class_of
+
+
+@pytest.mark.parametrize("partitioned", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_mid_scale_oracle_differential(k, partitioned):
+    for seed in range(3):
+        rng = random.Random(100 * k + 10 * partitioned + seed)
+        n_terms, hyps, class_of = mid_scale_instance(rng, k, partitioned)
+        s = build_session(k, n_terms, hyps, class_of)
+        family = closure_sets(k, hyps, class_of)
+        active = [rec.terms for rec in s.ksets if rec.active]
+        assert {terms for terms in active if len(terms) > k} == family
+        if partitioned:
+            assert any(len({class_of[t] for t in ts}) < len(ts) for ts in active)
+        queries = [tuple(rng.sample(range(n_terms), k + 1)) for _ in range(200)]
+        sets = sorted(family, key=sorted)
+        for f in sets:
+            other = rng.choice(sets)
+            outside = rng.choice([t for t in range(n_terms) if t not in f])
+            queries += [
+                tuple(f),
+                tuple(rng.sample(sorted(f), k + 1)),
+                tuple(f | {outside}),
+                tuple(rng.sample(sorted(f), k)) + (rng.choice(sorted(other)),),
+            ]
+        for q in queries:
+            proof = s.resolve_query(q)
+            assert (proof is not None) == covered(k, q, family), q
+            if proof is not None:
+                assert check(proof, k, s.hypotheses, s.class_of) == frozenset(q)
+        s.validate()

@@ -59,6 +59,8 @@ def test_enumeration_guard():
         saturate(100, [], range(5))
     with pytest.raises(ValueError):
         saturate(10**9, [], range(1))
+    with pytest.raises(ValueError):
+        saturate(10**13, [], [])
     saturate(3, [], range(12))  # the C7 growth table stays within the guard
 
 
