@@ -1,5 +1,4 @@
-"""Batch front end: solve problem files, check proofs, generate instances,
-and benchmark the closure engine against the naive saturation baseline.
+"""Batch front end: solve problem files, check proofs, generate instances.
 
 Exit codes: 0 success, 1 usage or parse error, 2 guard violation,
 3 proof-check failure.
@@ -10,7 +9,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-import time
 from typing import Sequence
 
 from . import oracle
@@ -23,7 +21,6 @@ from .problem import (
     generate,
     intern_problem,
     parse_path,
-    parse_text,
 )
 from .proofs import ProofCheckError, ProofSyntaxError, check, format_proof, parse_proof
 
@@ -59,7 +56,7 @@ def _build_state(problem: Problem) -> CongruenceState:
     return state
 
 
-def _solve_kset(problem: Problem) -> tuple[CongruenceState, list[str]]:
+def _solve_kset(problem: Problem) -> list[str]:
     state = _build_state(problem)
     lines = []
     for q in problem.queries:
@@ -68,7 +65,7 @@ def _solve_kset(problem: Problem) -> tuple[CongruenceState, list[str]]:
             lines.append("not-entailed")
         else:
             lines.append("entailed " + format_proof(proof, state.term_names))
-    return state, lines
+    return lines
 
 
 def _solve_naive_lines(problem: Problem) -> list[str]:
@@ -103,7 +100,7 @@ def cmd_solve(args) -> int:
         if args.engine == "naive":
             lines = _solve_naive_lines(problem)
         else:
-            _, lines = _solve_kset(problem)
+            lines = _solve_kset(problem)
     except (ValueError, InconsistentEqualityError) as e:
         return _fail(str(e), EXIT_GUARD)
     for line in lines:
@@ -187,71 +184,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _bench_kset(problem: Problem) -> tuple[float, dict]:
-    start = time.perf_counter()
-    state, _ = _solve_kset(problem)
-    elapsed = time.perf_counter() - start
-    (session,) = state.sessions.values()
-    stats = session.stats()
-    return elapsed, {
-        "n_hyps": stats.hypotheses,
-        "merges": stats.merges,
-        "max_kset": stats.max_kset_size,
-        "find_merges_calls": stats.find_merges_calls,
-    }
-
-
-def _bench_naive(problem: Problem) -> tuple[float, dict]:
-    start = time.perf_counter()
-    _solve_naive_lines(problem)
-    elapsed = time.perf_counter() - start
-    return elapsed, {"n_hyps": len(problem.atoms)}
-
-
-def cmd_bench(args) -> int:
-    engines = ["kset", "naive"] if args.engine == "both" else [args.engine]
-    rows = ["engine,k,n_hyps,n_terms,seed,wall_time,merges,max_kset,find_merges_calls"]
-    for k in args.k:
-        try:
-            text = generate(k, args.terms, args.lines, args.seed)
-        except ValueError as e:
-            return _fail(str(e), EXIT_GUARD)
-        problem = parse_text(text)
-        for engine in engines:
-            try:
-                if engine == "kset":
-                    elapsed, info = _bench_kset(problem)
-                else:
-                    elapsed, info = _bench_naive(problem)
-            except ValueError as e:
-                return _fail(str(e), EXIT_GUARD)
-            rows.append(
-                ",".join(
-                    [
-                        engine,
-                        str(k),
-                        str(info["n_hyps"]),
-                        str(args.terms),
-                        str(args.seed),
-                        f"{elapsed:.6f}",
-                        str(info.get("merges", "")),
-                        str(info.get("max_kset", "")),
-                        str(info.get("find_merges_calls", "")),
-                    ]
-                )
-            )
-    out = "\n".join(rows) + "\n"
-    if args.csv:
-        try:
-            with open(args.csv, "w", encoding="utf-8") as f:
-                f.write(out)
-        except OSError as e:
-            return _fail(str(e), EXIT_USAGE)
-    else:
-        sys.stdout.write(out)
-    return EXIT_OK
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _Parser(
         prog="kequiv",
@@ -278,17 +210,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--partition-rate", type=float, default=0.0)
     p_gen.set_defaults(func=cmd_gen)
-
-    p_bench = sub.add_parser("bench", help="time engines on generated instances")
-    p_bench.add_argument("--k", type=int, nargs="+", required=True)
-    p_bench.add_argument("--terms", type=int, required=True)
-    p_bench.add_argument("--lines", type=int, default=1)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument(
-        "--engine", choices=["kset", "naive", "both"], default="both"
-    )
-    p_bench.add_argument("--csv", default=None, help="write CSV here instead of stdout")
-    p_bench.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)
     return args.func(args)

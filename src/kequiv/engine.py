@@ -130,9 +130,6 @@ class UnionFind:
         self.members[ra].extend(moved)
         return ra, moved
 
-    def class_members(self, x: int) -> list[int]:
-        return list(self.members[self.find(x)])
-
 
 class TermTable:
     """Term names to dense ids and back, plus the distinctness partition.
@@ -407,6 +404,8 @@ class Session:
         The conclusion is a superset of `xs` when the walk bottoms out in a
         single hypothesis, and exactly `xs` otherwise.
         """
+        if not 0 <= n < len(self.ksets):
+            raise ValueError(f"unknown k-set id {n}")
         s = frozenset(xs)
         if not s:
             raise ValueError("empty term set")
@@ -479,39 +478,6 @@ class Session:
         (out,) = results
         return out
 
-    def history_proof(self, n: int) -> ProofTerm:
-        """Fully expand k-set `n`'s history into a (possibly large) proof.
-
-        The compact alternative is `explain`; this one cites every
-        hypothesis that ever flowed into the k-set.
-        """
-        tasks: list[tuple] = [("expand", n)]
-        results: list[ProofTerm] = []
-        while tasks:
-            task = tasks.pop()
-            if task[0] == "expand":
-                h = self.ksets[task[1]].history
-                if isinstance(h, Asserted):
-                    results.append(Assume(h.hyp_index))
-                elif isinstance(h, Merged):
-                    tasks.append(("trans",))
-                    tasks.append(("expand", h.right))
-                    tasks.append(("expand", h.left))
-                else:
-                    tasks.append(("subst", h.steps))
-                    tasks.append(("expand", h.source))
-            elif task[0] == "trans":
-                p2 = results.pop()
-                p1 = results.pop()
-                results.append(Trans(p1, p2))
-            else:
-                proof = results.pop()
-                for old, new, e in task[1]:
-                    proof = Subst(proof, old, new, e)
-                results.append(proof)
-        (out,) = results
-        return out
-
     def kfun_eq(self, x1: Iterable[int], x2: Iterable[int]) -> ProofTerm | None:
         """Decide whether two k-element anchor sets name the same object.
 
@@ -530,9 +496,6 @@ class Session:
     @property
     def active_count(self) -> int:
         return self.counters.active
-
-    def active_ids(self) -> list[int]:
-        return [rec.id for rec in self.ksets if rec.active]
 
     def stats(self) -> Stats:
         return replace(self.counters)
@@ -555,26 +518,35 @@ class Session:
 
         Verifies record well-formedness, parent-map conservation, the
         pairwise overlap invariant of active k-sets, and counter bounds.
+        Raises EngineInvariantError on the first violation.
         """
         for rec in self.ksets:
-            assert rec.terms, f"k-set {rec.id} is empty"
+            if not rec.terms:
+                raise EngineInvariantError(f"k-set {rec.id} is empty")
             h = rec.history
             if isinstance(h, Merged):
-                assert h.left < rec.id and h.right < rec.id
+                sources = (h.left, h.right)
             elif isinstance(h, Rewritten):
-                assert h.source < rec.id
+                sources = (h.source,)
+            else:
+                sources = ()
+            if any(src >= rec.id for src in sources):
+                raise EngineInvariantError(f"k-set {rec.id} cites a later k-set")
         for x, ps in self.term2parents.items():
             expected = {
                 rec.id for rec in self.ksets if rec.active and x in rec.terms
             }
-            assert ps == expected, f"parent map out of sync for term {x}"
+            if ps != expected:
+                raise EngineInvariantError(f"parent map out of sync for term {x}")
         active = [rec for rec in self.ksets if rec.active]
-        assert len(active) == self.counters.active
+        if len(active) != self.counters.active:
+            raise EngineInvariantError("active counter out of sync")
         for i, a in enumerate(active):
             for b in active[i + 1 :]:
                 shared = a.terms & b.terms
                 n_classes = len({self.class_of[t] for t in shared})
-                assert n_classes < self.k, (
-                    f"active k-sets {a.id} and {b.id} share {n_classes} classes"
-                )
+                if n_classes >= self.k:
+                    raise EngineInvariantError(
+                        f"active k-sets {a.id} and {b.id} share {n_classes} classes"
+                    )
         self.check_counter_bounds()

@@ -75,10 +75,6 @@ class Problem:
     def atoms(self) -> list[Atom]:
         return [s for s in self.statements if isinstance(s, Atom)]
 
-    @property
-    def equalities(self) -> list[Equality]:
-        return [s for s in self.statements if isinstance(s, Equality)]
-
 
 class ParseError(Exception):
     def __init__(self, line: int, column: int, message: str):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -340,7 +343,7 @@ class TestGen:
     @pytest.mark.parametrize(
         "k,terms", [("1", "100000000"), ("10000", "20002")]
     )
-    @pytest.mark.parametrize("command", ["gen", "bench"])
+    @pytest.mark.parametrize("command", ["gen"])
     def test_oversized_file_exit_two(self, capsys, command, k, terms):
         code, out, err = run(
             capsys, command, "--k", k, "--terms", terms, "--lines", "1"
@@ -350,49 +353,15 @@ class TestGen:
         assert err.startswith("error:") and "term names" in err
 
 
-class TestBench:
-    def test_csv_shape_and_determinism(self, capsys):
-        args = [
-            "bench", "--k", "1", "2", "--terms", "8", "--lines", "1",
-            "--seed", "3", "--engine", "both",
-        ]
-        _, first, _ = run(capsys, *args)
-        _, second, _ = run(capsys, *args)
-        lines = first.splitlines()
-        assert lines[0] == (
-            "engine,k,n_hyps,n_terms,seed,wall_time,merges,max_kset,"
-            "find_merges_calls"
-        )
-        assert len(lines) == 5
-        strip_time = lambda text: [
-            ",".join(f for i, f in enumerate(l.split(",")) if i != 5)
-            for l in text.splitlines()
-        ]
-        assert strip_time(first) == strip_time(second)
-
-    def test_unwritable_csv_exit_one(self, capsys, tmp_path):
-        csv = tmp_path / "missing" / "x.csv"
-        code, out, err = run(
-            capsys,
-            "bench", "--k", "2", "--terms", "12", "--engine", "kset",
-            "--csv", str(csv),
-        )
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and "x.csv" in err
-
-    def test_single_line_merge_count(self, capsys, tmp_path):
-        csv = tmp_path / "out.csv"
-        code, out, _ = run(
-            capsys,
-            "bench", "--k", "2", "--terms", "1002", "--lines", "1",
-            "--engine", "kset", "--csv", str(csv),
-        )
-        assert code == 0
-        row = csv.read_text().splitlines()[1].split(",")
-        assert row[0] == "kset"
-        assert row[2] == "1000"  # hypotheses
-        assert row[6] == "999"  # merges
+def test_readme_cli_block_lists_the_parser_subcommands(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    documented = [line.split()[1] for line in block.splitlines() if line.strip()]
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0
+    (choices,) = re.findall(r"\{([^}]*)\}", capsys.readouterr().out.splitlines()[0])
+    assert documented == choices.split(",")
 
 
 # Lines of problem and proof files, and stray bytes to break them with.  The

@@ -39,7 +39,7 @@ class TestUnionFind:
         uf.union(0, 2)
         root, moved = uf.union(0, 3)
         assert moved == [3]
-        assert set(uf.class_members(3)) == {0, 1, 2, 3}
+        assert {uf.find(i) for i in range(4)} == {root}
 
 
 class TestAssertEq:

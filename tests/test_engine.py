@@ -76,7 +76,7 @@ class TestAssert:
 
     def test_table_run_single_active(self):
         s, _ = table_session()
-        assert s.active_ids() == [8]
+        assert [r.id for r in s.ksets if r.active] == [8]
         assert names(s, s.ksets[8].terms) == "abcdefg"
 
     def test_shared_point_does_not_collapse(self):
@@ -270,10 +270,15 @@ class TestExplain:
         s, ids = table_session()
         with pytest.raises(ValueError):
             s.explain(0, [ids["a"], ids["e"]])
+        with pytest.raises(ValueError):
+            s.explain(-1, [ids["a"]])
+        one = build_session(2, 3, [(0, 1, 2)])
+        with pytest.raises(ValueError):
+            one.explain(5, [0])
 
-    def test_history_proof_cites_everything(self):
+    def test_whole_kset_explain_cites_everything(self):
         s, _ = table_session()
-        proof = s.history_proof(8)
+        proof = s.explain(8, range(7))
         assert used_hypotheses(proof) == {0, 1, 2, 3, 4}
         assert check(proof, 2, s.hypotheses, s.class_of) == set(range(7))
 
@@ -373,6 +378,17 @@ class TestInvariants:
             "    s.check_counter_bounds()\n"
             "except EngineInvariantError as e:\n"
             "    print(__debug__, e)\n"
+            "for corrupt in ('parents', 'empty'):\n"
+            "    s = Session(2)\n"
+            "    s.assert_hypothesis([s.intern_term(c) for c in 'abc'])\n"
+            "    if corrupt == 'parents':\n"
+            "        s.term2parents[0].add(7)\n"
+            "    else:\n"
+            "        s.ksets[0].terms = frozenset()\n"
+            "    try:\n"
+            "        s.validate()\n"
+            "    except EngineInvariantError as e:\n"
+            "        print(__debug__, e)\n"
         )
         src = os.path.dirname(os.path.dirname(kequiv.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -384,7 +400,11 @@ class TestInvariants:
             timeout=60,
             check=True,
         )
-        assert done.stdout == "False merge count exceeded n-1\n"
+        assert done.stdout == (
+            "False merge count exceeded n-1\n"
+            "False parent map out of sync for term 0\n"
+            "False k-set 0 is empty\n"
+        )
         assert issubclass(EngineInvariantError, AssertionError)
 
 

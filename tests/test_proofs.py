@@ -116,10 +116,10 @@ class TestUsedHypotheses:
         assert used_hypotheses(SubRefl(frozenset({0}))) == frozenset()
 
     def test_full_expansion(self):
-        from helpers import build_session
-
-        s = build_session(2, 7, HYPS)
-        assert used_hypotheses(s.history_proof(8)) == {0, 1, 2, 3, 4}
+        line = Trans(Trans(Trans(Assume(0), Assume(4)), Assume(1)), Assume(3))
+        proof = Project(Trans(line, Subst(Assume(2), 5, 9, 0)), frozenset({0, 1, 9}))
+        assert used_hypotheses(proof) == {0, 1, 2, 3, 4}
+        assert check(proof, 2, HYPS, equalities=[(5, 9)]) == {0, 1, 9}
 
 
 class TestSerialization:
