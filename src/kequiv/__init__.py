@@ -12,6 +12,7 @@ from .congruence import CongruenceState, InconsistentEqualityError, UnionFind
 from .engine import (
     Asserted,
     EngineInvariantError,
+    Equalities,
     HistoryNode,
     KSet,
     Merged,
@@ -47,6 +48,7 @@ __all__ = [
     "HistoryNode",
     "Stats",
     "EngineInvariantError",
+    "Equalities",
     "Assume",
     "SubRefl",
     "Trans",

@@ -1,13 +1,14 @@
 """Batch front end: solve problem files, check proofs, generate instances.
 
-Exit codes: 0 success, 1 usage or parse error, 2 guard violation,
-3 proof-check failure.
+Exit codes: 0 success, 1 usage or parse error or closed stdout, 2 guard
+violation, 3 proof-check failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from typing import Sequence
 
@@ -212,7 +213,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_gen.set_defaults(func=cmd_gen)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # the reader left early; send the rest, and the flush at exit, nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -2,23 +2,18 @@
 
 Terms may be asserted equal; every affected k-set is then rewritten to
 representative terms and re-submitted.  All sessions share one term table
-(names, ids and the distinctness partition).  Equalities are only accepted
-between terms the distinctness partition allows to be equal; equating
-known-distinct terms is an inconsistency.
-
-Proofs survive the rewriting: each renaming step is justified by a chain
-of `subst` nodes over the raw equality log.  The equalities that merged two
-classes form a proof forest (Nieuwenhuis & Oliveras, "Proof-producing
-congruence closure", RTA 2005): each equated term keeps one edge to its
-parent, and every tree is rooted at its union-find representative, so a
-term's chain is the walk up to that root.
+(names, ids and the distinctness partition) and one `Equalities` (log,
+union-find and proof forest), so each session canonicalizes its own terms
+and explains renamings as `subst` chains over the raw log.  Equalities
+are only accepted between terms the distinctness partition allows to be
+equal; equating known-distinct terms is an inconsistency.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .engine import EngineInvariantError, Session, Steps, TermTable, UnionFind
+from .engine import Equalities, Session, TermTable, UnionFind
 from .proofs import ProofTerm
 
 __all__ = ["UnionFind", "InconsistentEqualityError", "CongruenceState"]
@@ -32,16 +27,13 @@ class CongruenceState:
     """Shared term universe plus one closure session per relation.
 
     One writer, like the sessions it owns.  Every session reads the
-    state's term table, so ids agree across relations.
+    state's term table and equalities, so ids agree across relations.
     """
 
     def __init__(self, relations: Mapping[str, int]):
         self.terms = TermTable()
+        self.equalities = Equalities()
         self.sessions: dict[str, Session] = {}
-        self.equalities: list[tuple[int, int]] = []
-        self.uf = UnionFind()
-        # proof forest: term -> (parent, equality index); roots are absent
-        self._proof: dict[int, tuple[int, int]] = {}
         for name, k in relations.items():
             session = Session(k)
             session.terms = self.terms
@@ -73,8 +65,7 @@ class CongruenceState:
 
     def assert_atom(self, relation: str, xs: Iterable[int]) -> int:
         """Assert a relation atom; terms are canonicalized before merging."""
-        xs = tuple(xs)
-        return self._session(relation).assert_renamed(xs, self._canonical_steps(xs))
+        return self._session(relation).assert_hypothesis(xs)
 
     def assert_eq(self, a: int, b: int) -> None:
         """Assert that two terms are equal.
@@ -94,47 +85,13 @@ class CongruenceState:
                 "are known distinct"
             )
         self.terms.fixed = True
-        e = len(self.equalities)
-        self.equalities.append((a, b))
-        ra, rb = self.uf.find(a), self.uf.find(b)
-        union = self.uf.union(a, b)
-        if union is None:
-            return
-        root, _ = union
-        # re-root the moved tree at its endpoint, so the merged tree stays
-        # rooted at the surviving representative
-        child, parent, old = (b, a, rb) if root == ra else (a, b, ra)
-        edge = self._proof.get(child)
-        self._proof[child] = (parent, e)
-        while edge is not None:
-            parent, i = edge
-            edge = self._proof.get(parent)
-            self._proof[parent] = (child, i)
-            child = parent
-        steps = self._canonical_steps((old,))
-        for session in self.sessions.values():
-            session.rename_term(old, steps)
-
-    def _canonical_steps(self, terms: Iterable[int]) -> Steps:
-        steps: list[tuple[int, int, int]] = []
-        for t in sorted(set(terms)):
-            r = self.uf.find(t)
-            while t in self._proof:
-                parent, e = self._proof[t]
-                steps.append((t, parent, e))
-                t = parent
-            if t != r:
-                raise EngineInvariantError("no equality path between equated terms")
-        return tuple(steps)
+        old = self.equalities.union(a, b)
+        if old is not None:
+            for session in self.sessions.values():
+                session.rename_term(old)
 
     # ------------------------------------------------------------------
     # queries
-
-    def canonical(self, t: int) -> int:
-        return self.uf.find(t)
-
-    def query_term_eq(self, a: int, b: int) -> bool:
-        return self.uf.find(a) == self.uf.find(b)
 
     def query_atom(self, relation: str, xs: Iterable[int]) -> ProofTerm | None:
         """Decide an atom modulo the asserted equalities.
@@ -142,19 +99,13 @@ class CongruenceState:
         The query terms are canonicalized first; a returned proof concludes
         the canonicalized term set.
         """
-        session = self._session(relation)
-        canon = frozenset(self.uf.find(t) for t in xs)
-        return session.resolve_query(canon)
+        return self._session(relation).resolve_query(xs)
 
     def query_kfun_eq(
         self, relation: str, x1: Iterable[int], x2: Iterable[int]
     ) -> bool:
         """Whether two k-term anchor sets name the same object, modulo equality."""
-        session = self._session(relation)
-        a, b = frozenset(x1), frozenset(x2)
-        if len(a) != session.k or len(b) != session.k:
-            raise ValueError(f"anchor sets must have exactly {session.k} terms")
-        return self.query_atom(relation, a | b) is not None
+        return self._session(relation).kfun_eq(x1, x2) is not None
 
     def _session(self, relation: str) -> Session:
         try:

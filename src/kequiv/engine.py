@@ -8,7 +8,9 @@ k-set and fuses it with any active k-set it overlaps on at least k
 known-distinct terms, so the active k-sets always overlap pairwise on
 fewer than k distinctness classes.  The full arena is kept (inactive
 records included) so compact proofs can be extracted from the merge
-history afterwards.
+history afterwards.  Sessions share one `Equalities` object, as they share
+the `TermTable`; a k-set renamed to representatives records only (old,
+representative) pairs, which `explain` expands along the proof forest.
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ __all__ = [
     "EngineInvariantError",
     "UnionFind",
     "TermTable",
+    "Equalities",
     "Session",
 ]
-
-Steps = tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,11 @@ class Merged:
 class Rewritten:
     """The k-set is an earlier one with terms renamed by logged equalities.
 
-    `steps` is an ordered chain of (old term, new term, equality index)
-    replacements.
+    `renames` holds (old term, representative) pairs, applied in order.
     """
 
     source: int
-    steps: tuple[tuple[int, int, int], ...]
+    renames: tuple[tuple[int, int], ...]
 
 
 HistoryNode = Union[Asserted, Merged, Rewritten]
@@ -185,6 +185,61 @@ class TermTable:
                     self.class_of[m] = self.class_of[root]
 
 
+class Equalities(list):
+    """The equality log of (a, b) pairs, with its union-find and proof forest.
+
+    The equalities that merged two classes form a proof forest (Nieuwenhuis
+    & Oliveras, RTA 2005), each tree rooted at its union-find
+    representative.  Unions only add edges and re-rooting only flips them,
+    so the path between two joined terms never changes.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._uf = UnionFind()
+        self.find = self._uf.find
+        # term -> its step up, (term, parent, equality index); roots are absent
+        self.forest: dict[int, tuple[int, int, int]] = {}
+
+    def union(self, a: int, b: int) -> int | None:
+        """Log a = b; return the representative it retires, or None."""
+        self.append((a, b))
+        ra, rb = self.find(a), self.find(b)
+        union = self._uf.union(a, b)
+        if union is None:
+            return None
+        # re-root the moved tree at its endpoint, so the merged tree stays
+        # rooted at the surviving representative
+        child, parent, old = (b, a, rb) if union[0] == ra else (a, b, ra)
+        edge = self.forest.get(child)
+        self.forest[child] = (child, parent, len(self) - 1)
+        while edge is not None:
+            _, parent, i = edge
+            edge = self.forest.get(parent)
+            self.forest[parent] = (parent, child, i)
+            child = parent
+        return old
+
+    def path(self, a: int, b: int) -> list[tuple[int, int, int]]:
+        """The (old, new, equality index) steps along the forest from a to b."""
+        up, down = self._to_root(a), self._to_root(b)
+        if (up[-1][1] if up else a) != (down[-1][1] if down else b):
+            raise EngineInvariantError("no equality path between renamed terms")
+        # the walks share the stretch from where they meet up to the root
+        while up and down and up[-1] == down[-1]:
+            up.pop()
+            down.pop()
+        return up + [(new, old, e) for old, new, e in reversed(down)]
+
+    def _to_root(self, t: int) -> list[tuple[int, int, int]]:
+        forest, steps = self.forest, []
+        while t in forest:
+            step = forest[t]
+            steps.append(step)
+            t = step[1]
+        return steps
+
+
 class Session:
     """State for one relation.  Single writer; queries are read-only.
 
@@ -200,9 +255,9 @@ class Session:
         self.hypotheses: list[tuple[int, ...]] = []
         self.ksets: list[KSet] = []
         self.term2parents: defaultdict[int, set[int]] = defaultdict(set)
-        # shared with a congruence layer when one manages this session
+        # both shared with a congruence layer when one manages this session
         self.terms = TermTable(partition)
-        self.equalities: list[tuple[int, int]] = []
+        self.equalities = Equalities()
         self.counters = Stats()
 
     # ------------------------------------------------------------------
@@ -231,17 +286,10 @@ class Session:
     def assert_hypothesis(self, xs: Sequence[int]) -> int:
         """Assert that the k+1 terms `xs` stand in the relation.
 
-        Duplicate entries are allowed; the tuple is collapsed to a set.
-        Returns the hypothesis index.  On return all active k-sets again
-        overlap pairwise on fewer than k distinctness classes.
-        """
-        return self.assert_renamed(xs, ())
-
-    def assert_renamed(self, xs: Sequence[int], steps: Steps) -> int:
-        """Assert the k+1 terms `xs`, rewritten by `steps` before merging.
-
-        `steps` are the (old, new, equality index) renamings that take the
-        term set to representatives.  Returns the hypothesis index.
+        Duplicate entries are allowed; the tuple is collapsed to a set, and
+        terms are renamed to their representatives before merging.  Returns
+        the hypothesis index.  On return all active k-sets again overlap
+        pairwise on fewer than k distinctness classes.
         """
         xs = tuple(xs)
         if len(xs) != self.k + 1:
@@ -256,21 +304,24 @@ class Session:
         self.counters.hypotheses += 1
         i = len(self.hypotheses) - 1
         n = self.new_kset(xs, Asserted(i))
-        if steps:
-            n = self.rewrite_kset(n, steps)
+        find = self.equalities.find
+        renames = tuple((t, find(t)) for t in sorted(set(xs)) if find(t) != t)
+        if renames:
+            n = self.rewrite_kset(n, renames)
         self.find_merges(n)
         self.check_counter_bounds()
         return i
 
-    def rename_term(self, old: int, steps: Steps) -> None:
-        """`old` stopped being a representative: rewrite its k-sets by `steps`.
+    def rename_term(self, old: int) -> None:
+        """`old` stopped being a representative: rename it in its k-sets.
 
         Active k-sets hold only representatives, so `old` is their one
         renamed term.  They are rewritten in ascending id order, then each
         result still active is re-merged.
         """
+        renames = ((old, self.equalities.find(old)),)
         rewritten = [
-            self.rewrite_kset(kid, steps)
+            self.rewrite_kset(kid, renames)
             for kid in sorted(self.term2parents.get(old, ()))
         ]
         for n in rewritten:
@@ -349,23 +400,23 @@ class Session:
         self.counters.merges += 1
         return n
 
-    def rewrite_kset(self, kid: int, steps: Sequence[tuple[int, int, int]]) -> int:
-        """Replace an active k-set by a copy with terms renamed per `steps`.
+    def rewrite_kset(self, kid: int, renames: Sequence[tuple[int, int]]) -> int:
+        """Replace an active k-set by a copy with terms renamed per `renames`.
 
-        Each step (old, new, eq_index) replaces `old` by `new`, justified
-        by the given entry of the equality log.  The caller is responsible
-        for running find_merges on the result.
+        Each (old, new) pair replaces `old` by `new`; the two terms must be
+        joined in the equality forest.  The caller is responsible for
+        running find_merges on the result.
         """
         rec = self.ksets[kid]
         if not rec.active:
             raise ValueError(f"k-set {kid} is not active")
         terms = set(rec.terms)
-        for old, new, _ in steps:
+        for old, new in renames:
             if old in terms:
                 terms.discard(old)
                 terms.add(new)
         self._deactivate(kid)
-        n = self.new_kset(frozenset(terms), Rewritten(kid, tuple(steps)))
+        n = self.new_kset(frozenset(terms), Rewritten(kid, tuple(renames)))
         self.counters.rewrites += 1
         return n
 
@@ -375,12 +426,13 @@ class Session:
     def resolve_query(self, xs: Iterable[int]) -> ProofTerm | None:
         """Decide whether the terms `xs` are jointly related.
 
-        Returns a checkable proof when they are, None when they are not.
-        Any number of terms is accepted; duplicates collapse.  Terms that
-        were never interned simply make the query fail (a query is a
-        question, not an assertion).  The session is left untouched.
+        Returns a checkable proof of the terms' representatives when they
+        are, None when they are not.  Any number of terms is accepted;
+        duplicates collapse.  Terms that were never interned simply make
+        the query fail (a query is a question, not an assertion).  The
+        session is left untouched.
         """
-        s = frozenset(xs)
+        s = frozenset(map(self.equalities.find, xs))
         if not s:
             raise ValueError("empty query")
         if len(s) <= self.k:
@@ -434,15 +486,18 @@ class Session:
                         )
                         break
                     if isinstance(h, Rewritten):
+                        steps = []
+                        for r in h.renames:
+                            steps += self.equalities.path(*r)
                         # pull xs back through the renaming, last step first
                         wanted = set(xs)
-                        for old, new, _ in reversed(h.steps):
+                        for old, new, _ in reversed(steps):
                             if new in wanted:
                                 wanted.add(old)
                             else:
                                 wanted.discard(old)
                         wanted = self.ksets[h.source].terms & wanted
-                        tasks.append(("rewrap", h.steps, xs))
+                        tasks.append(("rewrap", steps, xs))
                         tasks.append(("explain", h.source, wanted))
                         break
                     s1 = self.ksets[h.left].terms
@@ -492,10 +547,6 @@ class Session:
 
     # ------------------------------------------------------------------
     # introspection
-
-    @property
-    def active_count(self) -> int:
-        return self.counters.active
 
     def stats(self) -> Stats:
         return replace(self.counters)

@@ -71,10 +71,6 @@ class Problem:
     queries: list[Query] = field(default_factory=list)
     term_order: list[str] = field(default_factory=list)
 
-    @property
-    def atoms(self) -> list[Atom]:
-        return [s for s in self.statements if isinstance(s, Atom)]
-
 
 class ParseError(Exception):
     def __init__(self, line: int, column: int, message: str):

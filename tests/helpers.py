@@ -129,7 +129,7 @@ def run_congruence_differential(k, n_terms, class_of, statements, proof_sink=Non
     """
     state = build_congruence(k, n_terms, class_of, statements)
     session = state.sessions["r"]
-    find = state.uf.find
+    find = state.equalities.find
     rewritten_hyps = [
         tuple(find(t) for t in payload)
         for kind, payload in statements

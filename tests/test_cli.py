@@ -1,9 +1,13 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import kequiv
 from kequiv.cli import main
 from kequiv.congruence import CongruenceState
 from kequiv.engine import Session
@@ -362,6 +366,29 @@ def test_readme_cli_block_lists_the_parser_subcommands(capsys):
     assert e.value.code == 0
     (choices,) = re.findall(r"\{([^}]*)\}", capsys.readouterr().out.splitlines()[0])
     assert documented == choices.split(",")
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_closed_stdout_exits_one_without_traceback(tmp_path, command):
+    # 20,000 answer lines overflow the pipe buffer, so the command is still
+    # writing when the reader goes away
+    problem, proofs = tmp_path / "p.kq", tmp_path / "p.proofs"
+    problem.write_text("rel r 2\n" + "query r a b\n" * 20_000)
+    proofs.write_text("entailed (subrefl a b)\n" * 20_000)
+    files = [problem] if command == "solve" else [problem, proofs]
+    src = os.path.dirname(os.path.dirname(kequiv.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-m", "kequiv.cli", command, *map(str, files)],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # Lines of problem and proof files, and stray bytes to break them with.  The

@@ -4,7 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kequiv import CongruenceState, InconsistentEqualityError, UnionFind, check
+from kequiv import (
+    CongruenceState,
+    InconsistentEqualityError,
+    Rewritten,
+    UnionFind,
+    check,
+)
 from helpers import (
     build_congruence,
     equality_path,
@@ -54,7 +60,7 @@ class TestAssertEq:
             proof, 2, session.hypotheses, session.class_of, state.equalities
         )
         assert conclusion == {
-            state.canonical(t) for t in (ids["a"], ids["b"], ids["d"])
+            state.equalities.find(t) for t in (ids["a"], ids["b"], ids["d"])
         }
 
     def test_unknown_term_id_rejected(self):
@@ -72,7 +78,7 @@ class TestAssertEq:
         before = len(state.sessions["coll"].ksets)
         state.assert_eq(ids["a"], ids["a"])
         assert len(state.sessions["coll"].ksets) == before
-        assert state.query_term_eq(ids["a"], ids["a"])
+        assert state.equalities.find(ids["a"]) == ids["a"]
 
     def test_two_lines_glued_by_two_equalities(self):
         state, ids = state_with("abcdef", groups=["ad", "be"])
@@ -127,16 +133,18 @@ class TestAssertEq:
 class TestTermQueries:
     def test_reflexive(self):
         state, ids = state_with("ab")
-        assert state.query_term_eq(ids["a"], ids["a"])
+        assert state.equalities.find(ids["a"]) == ids["a"]
 
     def test_after_assert(self):
         state, ids = state_with("ab", groups=["ab"])
         state.assert_eq(ids["a"], ids["b"])
-        assert state.query_term_eq(ids["a"], ids["b"])
+        find = state.equalities.find
+        assert find(ids["a"]) == find(ids["b"])
 
     def test_unrelated(self):
         state, ids = state_with("ab", groups=["ab"])
-        assert not state.query_term_eq(ids["a"], ids["b"])
+        find = state.equalities.find
+        assert find(ids["a"]) != find(ids["b"])
 
 
 class TestApplications:
@@ -246,14 +254,47 @@ def test_statement_order_insensitive(seed):
 @given(st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_equality_steps_follow_the_unique_forest_path(seed):
-    # many unions re-root earlier trees; every term's steps must still be
-    # the one path to its representative through the merging equalities
+    # many unions re-root earlier trees; the steps between two joined terms
+    # must still be the one path through the merging equalities
     rng = random.Random(seed)
     n_terms = 40
     names = [f"t{i}" for i in range(n_terms)]
     state, _ = state_with(names, groups=[names])
     for _ in range(60):
         state.assert_eq(rng.randrange(n_terms), rng.randrange(n_terms))
+    eqs = state.equalities
     for t in range(n_terms):
-        expected = equality_path(n_terms, state.equalities, t, state.canonical(t))
-        assert state._canonical_steps({t}) == tuple(expected)
+        expected = equality_path(n_terms, eqs, t, eqs.find(t))
+        assert eqs.path(t, eqs.find(t)) == expected
+    for _ in range(40):
+        a, b = rng.randrange(n_terms), rng.randrange(n_terms)
+        if eqs.find(a) == eqs.find(b):
+            assert eqs.path(a, b) == equality_path(n_terms, eqs, a, b)
+            assert eqs.path(b, a) == equality_path(n_terms, eqs, b, a)
+
+
+def test_eq_chain_stores_one_rename_per_step():
+    # the eq-chain shape: q_i joins q_0's tree one edge deeper each time, so
+    # the i-th rename spans i subst steps, yet stores a single pair
+    n = 400
+    state = CongruenceState({"coll": 2})
+    q = [state.intern_term(f"q{i}") for i in range(n)]
+    x = [state.intern_term(f"x{i}") for i in range(n)]
+    z = state.intern_term("z")
+    state.mark_possibly_equal(q)
+    for i in range(n):
+        state.assert_atom("coll", [q[i], z, x[i]])
+        if i:
+            state.assert_eq(q[i - 1], q[i])
+    session = state.sessions["coll"]
+    stored = sum(
+        len(r.history.renames)
+        for r in session.ksets
+        if isinstance(r.history, Rewritten)
+    )
+    assert 0 < stored <= 2 * n
+    proof = state.query_atom("coll", [q[n - 1], x[n - 1], x[n - 2]])
+    conclusion = check(
+        proof, 2, session.hypotheses, session.class_of, state.equalities
+    )
+    assert conclusion == {q[0], x[n - 1], x[n - 2]}

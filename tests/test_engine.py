@@ -72,7 +72,7 @@ class TestAssert:
         ids = {c: s.intern_term(c) for c in "abcde"}
         s.assert_hypothesis([ids[c] for c in "abc"])
         s.assert_hypothesis([ids[c] for c in "cde"])
-        assert s.active_count == 2  # overlap {c} is below k
+        assert s.stats().active == 2  # overlap {c} is below k
 
     def test_table_run_single_active(self):
         s, _ = table_session()
@@ -84,7 +84,7 @@ class TestAssert:
         ids = {c: s.intern_term(c) for c in "abcde"}
         s.assert_hypothesis([ids[c] for c in "abc"])
         s.assert_hypothesis([ids[c] for c in "ade"])
-        assert s.active_count == 2
+        assert s.stats().active == 2
         assert s.resolve_query([ids[c] for c in "bcd"]) is None
 
     def test_wrong_arity_rejected(self):
@@ -130,10 +130,10 @@ class TestArena:
         s = Session(2)
         ids = {c: s.intern_term(c) for c in "abcd"}
         s.assert_hypothesis([ids[c] for c in "abc"])
-        before = s.active_count
+        before = s.stats().active
         s.assert_hypothesis([ids[c] for c in "abd"])
         # one new k-set entered, two were retired, one union created
-        assert s.active_count == before
+        assert s.stats().active == before
         assert names(s, s.ksets[-1].terms) == "abcd"
 
     def test_merge_contract_violations(self):
@@ -152,7 +152,7 @@ class TestFindMergesWithPartition:
         s.mark_possibly_equal([ids["b"], ids["c"]])
         s.assert_hypothesis([ids[c] for c in "abc"])
         s.assert_hypothesis([ids[c] for c in "bcd"])
-        assert s.active_count == 2
+        assert s.stats().active == 2
         assert s.resolve_query([ids[c] for c in "abd"]) is None
 
     def test_cross_class_pair_merges(self):
@@ -164,7 +164,7 @@ class TestFindMergesWithPartition:
         s.mark_possibly_equal([a1, a2])
         s.assert_hypothesis([a1, b, c])
         s.assert_hypothesis([a2, b, c])
-        assert s.active_count == 1
+        assert s.stats().active == 1
         assert s.ksets[-1].terms == {a1, a2, b, c}
         proof = s.resolve_query([a1, a2, b])
         assert proof is not None
@@ -257,10 +257,11 @@ class TestExplain:
         s = Session(1)
         x, y, z, w = (s.intern_term(c) for c in "xyzw")
         s.mark_possibly_equal([x, y, z])
-        s.equalities.extend([(x, y), (z, x)])
         s.assert_hypothesis([z, w])
         s.assert_hypothesis([w, x])
-        n = s.rewrite_kset(len(s.ksets) - 1, [(x, y, 0), (z, x, 1)])
+        s.equalities.union(x, y)
+        s.equalities.union(z, x)
+        n = s.rewrite_kset(len(s.ksets) - 1, [(x, y), (z, x)])
         assert s.ksets[n].terms == {x, y, w}
         proof = s.explain(n, [x, w])
         assert format_proof(proof, s.term_names) == "(subst (assume 0) z x 1)"
@@ -330,7 +331,7 @@ class TestStats:
         for i in range(n):
             s.assert_hypothesis(ids[i : i + 3])
         assert s.stats().merges == n - 1
-        assert s.active_count == 1
+        assert s.stats().active == 1
 
 
 class TestInvariants:
@@ -389,6 +390,17 @@ class TestInvariants:
             "        s.validate()\n"
             "    except EngineInvariantError as e:\n"
             "        print(__debug__, e)\n"
+            "s = Session(1)\n"
+            "a, b, c = (s.intern_term(t) for t in 'abc')\n"
+            "s.mark_possibly_equal([a, b])\n"
+            "s.assert_hypothesis([a, c])\n"
+            "s.equalities.union(b, a)\n"
+            "s.rename_term(a)\n"
+            "del s.equalities.forest[a]\n"
+            "try:\n"
+            "    s.explain(len(s.ksets) - 1, [b, c])\n"
+            "except EngineInvariantError as e:\n"
+            "    print(__debug__, e)\n"
         )
         src = os.path.dirname(os.path.dirname(kequiv.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -404,6 +416,7 @@ class TestInvariants:
             "False merge count exceeded n-1\n"
             "False parent map out of sync for term 0\n"
             "False k-set 0 is empty\n"
+            "False no equality path between renamed terms\n"
         )
         assert issubclass(EngineInvariantError, AssertionError)
 

@@ -12,6 +12,7 @@ from kequiv import (
     oracle_entailed,
     parse_text,
 )
+from kequiv.problem import Atom
 from helpers import DisjointSet
 
 EXAMPLE = """\
@@ -29,7 +30,7 @@ query coll a b d
 def test_example_file_parses():
     problem = parse_text(EXAMPLE)
     assert problem.relations == {"coll": 2}
-    assert len(problem.atoms) == 5
+    assert sum(isinstance(s, Atom) for s in problem.statements) == 5
     assert len(problem.queries) == 1
     assert problem.term_order == list("abcdefg")
 
@@ -161,7 +162,8 @@ class TestGenerate:
         for k in (1, 2, 3):
             problem = parse_text(generate(k, 4 * (k + 1), 2, seed=k))
             assert list(problem.relations.values()) == [k]
-            for atom in problem.atoms:
+            atoms = [s for s in problem.statements if isinstance(s, Atom)]
+            for atom in atoms:
                 assert len(atom.terms) == k + 1
 
 
