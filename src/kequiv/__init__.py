@@ -8,7 +8,7 @@ checker, a brute-force saturation oracle for differential testing, a
 congruence layer for term equalities, and a batch CLI.
 """
 
-from .congruence import CongruenceState, InconsistentEqualityError, UnionFind
+from .congruence import CongruenceState, InconsistentEqualityError
 from .engine import (
     Asserted,
     EngineInvariantError,
@@ -19,6 +19,7 @@ from .engine import (
     Rewritten,
     Session,
     Stats,
+    UnionFind,
 )
 from .oracle import closure_sets, covered, minimal_supports, oracle_entailed, saturate
 from .problem import ParseError, Problem, generate, intern_problem, parse_path, parse_text

@@ -7,12 +7,10 @@ violation, 3 proof-check failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from typing import Sequence
 
-from . import oracle
 from .congruence import CongruenceState, InconsistentEqualityError
 from .engine import UnionFind
 from .problem import (
@@ -69,39 +67,13 @@ def _solve_kset(problem: Problem) -> list[str]:
     return lines
 
 
-def _solve_naive_lines(problem: Problem) -> list[str]:
-    interned = intern_problem(problem)
-    if interned.equalities:
-        raise ValueError("the naive engine does not support eq statements")
-    universe = range(len(interned.term_names))
-    if len(interned.term_names) > oracle.MAX_UNIVERSE:
-        raise ValueError(
-            f"the naive engine is limited to {oracle.MAX_UNIVERSE} terms"
-        )
-    atoms = {}
-    for rel, k in interned.relations.items():
-        hyps = [xs for r, xs in interned.atoms if r == rel]
-        atoms[rel] = oracle.saturate(k, hyps, universe, interned.class_of)
-    lines = []
-    for rel, xs in interned.queries:
-        k = interned.relations[rel]
-        # a set of at most k terms has no (k+1)-subsets, so it holds
-        s = sorted(set(xs))
-        entailed = all(c in atoms[rel] for c in itertools.combinations(s, k + 1))
-        lines.append("entailed" if entailed else "not-entailed")
-    return lines
-
-
 def cmd_solve(args) -> int:
     try:
         problem = parse_path(args.problem)
     except (ParseError, OSError, UnicodeDecodeError) as e:
         return _fail(str(e), EXIT_USAGE)
     try:
-        if args.engine == "naive":
-            lines = _solve_naive_lines(problem)
-        else:
-            lines = _solve_kset(problem)
+        lines = _solve_kset(problem)
     except (ValueError, InconsistentEqualityError) as e:
         return _fail(str(e), EXIT_GUARD)
     for line in lines:
@@ -194,9 +166,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_solve = sub.add_parser("solve", help="answer the queries of a problem file")
     p_solve.add_argument("problem")
-    p_solve.add_argument(
-        "--engine", choices=["kset", "naive"], default="kset"
-    )
     p_solve.set_defaults(func=cmd_solve)
 
     p_check = sub.add_parser("check", help="check a proofs file against a problem")

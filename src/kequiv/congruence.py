@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .engine import Equalities, Session, TermTable, UnionFind
+from .engine import Equalities, Session, TermTable
 from .proofs import ProofTerm
 
-__all__ = ["UnionFind", "InconsistentEqualityError", "CongruenceState"]
+__all__ = ["InconsistentEqualityError", "CongruenceState"]
 
 
 class InconsistentEqualityError(Exception):

@@ -185,17 +185,19 @@ class TermTable:
                     self.class_of[m] = self.class_of[root]
 
 
-class Equalities(list):
+class Equalities(Sequence[tuple[int, int]]):
     """The equality log of (a, b) pairs, with its union-find and proof forest.
 
     The equalities that merged two classes form a proof forest (Nieuwenhuis
     & Oliveras, RTA 2005), each tree rooted at its union-find
     representative.  Unions only add edges and re-rooting only flips them,
-    so the path between two joined terms never changes.
+    so the path between two joined terms never changes.  The log is
+    read-only from outside: `union` is the one way in, so the log, the
+    union-find and the forest stay in step.
     """
 
     def __init__(self) -> None:
-        super().__init__()
+        self._log: list[tuple[int, int]] = []
         self._uf = UnionFind()
         self.find = self._uf.find
         # term -> its step up, (term, parent, equality index); roots are absent
@@ -203,7 +205,7 @@ class Equalities(list):
 
     def union(self, a: int, b: int) -> int | None:
         """Log a = b; return the representative it retires, or None."""
-        self.append((a, b))
+        self._log.append((a, b))
         ra, rb = self.find(a), self.find(b)
         union = self._uf.union(a, b)
         if union is None:
@@ -219,6 +221,12 @@ class Equalities(list):
             self.forest[parent] = (parent, child, i)
             child = parent
         return old
+
+    def __len__(self) -> int:
+        return len(self._log)
+
+    def __getitem__(self, i):
+        return self._log[i]
 
     def path(self, a: int, b: int) -> list[tuple[int, int, int]]:
         """The (old, new, equality index) steps along the forest from a to b."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "Assume",
@@ -269,8 +269,12 @@ def format_proof(proof: ProofTerm, names: Sequence[str]) -> str:
         except (IndexError, TypeError):
             raise ValueError(f"no name for term id {t}") from None
 
+    # names[-1] would not raise, so negative ids are refused before lookup
     def termlist(terms: frozenset[int]) -> str:
-        return " ".join(name(t) for t in sorted(terms))
+        ids = sorted(terms)
+        if ids and ids[0] < 0:  # the smallest id comes first
+            raise ValueError(f"no name for term id {ids[0]}")
+        return " ".join(name(t) for t in ids)
 
     out: list[str] = []
     stack: list[ProofTerm | str] = [proof]
@@ -293,9 +297,10 @@ def format_proof(proof: ProofTerm, names: Sequence[str]) -> str:
             stack.append(node.inner)
             stack.append("(project ")
         elif isinstance(node, Subst):
-            stack.append(
-                f" {name(node.frm)} {name(node.to)} {node.eq_index})"
-            )
+            frm, to = node.frm, node.to
+            if frm < 0 or to < 0:
+                raise ValueError(f"no name for term id {frm if frm < 0 else to}")
+            stack.append(f" {name(frm)} {name(to)} {node.eq_index})")
             stack.append(node.inner)
             stack.append("(subst ")
         else:
@@ -318,15 +323,12 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
 
 
-def parse_proof(
-    text: str, ids: Mapping[str, int] | Callable[[str], int]
-) -> ProofTerm:
+def parse_proof(text: str, ids: Mapping[str, int]) -> ProofTerm:
     """Parse the canonical text form back into a proof term.
 
-    `ids` resolves term names to ids (a mapping or a callable); unknown
-    names raise ProofSyntaxError with the offending column.
+    `ids` maps term names to ids; unknown names raise ProofSyntaxError
+    with the offending column.
     """
-    lookup = ids.__getitem__ if isinstance(ids, Mapping) else ids
     tokens = _tokenize(text)
 
     def as_int(part, what: str) -> int:
@@ -343,7 +345,7 @@ def parse_proof(
         if tag != "atom":
             raise ProofSyntaxError(col, "expected a term name")
         try:
-            return lookup(value)
+            return ids[value]
         except KeyError:
             raise ProofSyntaxError(col, f"unknown term {value!r}") from None
 

@@ -69,7 +69,7 @@ class TestAssertEq:
             state.assert_eq(ids["a"], 7)
         with pytest.raises(ValueError, match="unknown term id -1"):
             state.assert_eq(-1, ids["a"])
-        assert state.equalities == []
+        assert len(state.equalities) == 0
         assert not state.terms.fixed
 
     def test_self_equality_noop(self):

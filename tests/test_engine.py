@@ -267,6 +267,29 @@ class TestExplain:
         assert format_proof(proof, s.term_names) == "(subst (assume 0) z x 1)"
         assert check(proof, 1, s.hypotheses, s.class_of, s.equalities) == {x, w}
 
+    def test_equality_log_is_written_only_through_union(self):
+        # a pair logged past the union-find and the forest would leave the
+        # renamed k-set below without an equality path to explain it
+        s = Session(1)
+        x, y, w = (s.intern_term(c) for c in "xyw")
+        s.mark_possibly_equal([x, y])
+        s.assert_hypothesis([w, x])
+        eqs = s.equalities
+        with pytest.raises(AttributeError):
+            eqs.append((x, y))
+        with pytest.raises(AttributeError):
+            eqs.extend([(x, y)])
+        with pytest.raises(TypeError):
+            s.equalities += [(x, y)]
+        with pytest.raises(TypeError):
+            eqs[0] = (x, y)
+        assert len(eqs) == 0 and s.equalities is eqs
+        eqs.union(x, y)
+        assert list(eqs) == [(x, y)] and eqs[0] == (x, y)
+        n = s.rewrite_kset(0, [(x, y)])
+        proof = s.explain(n, [y, w])
+        assert check(proof, 1, s.hypotheses, s.class_of, s.equalities) == {y, w}
+
     def test_terms_outside_kset_rejected(self):
         s, ids = table_session()
         with pytest.raises(ValueError):

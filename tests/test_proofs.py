@@ -137,6 +137,22 @@ class TestSerialization:
         for p in proofs:
             assert parse_proof(format_proof(p, NAMES), IDS) == p
 
+    @pytest.mark.parametrize("bad", [-1, len(NAMES)])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda t: SubRefl(frozenset({t, 1})),
+            lambda t: Project(Assume(0), frozenset({0, t})),
+            lambda t: Subst(Assume(0), t, 1, 0),
+            lambda t: Subst(Assume(0), 1, t, 0),
+        ],
+        ids=["subrefl", "project", "subst-from", "subst-to"],
+    )
+    def test_format_rejects_ids_without_a_name(self, make, bad):
+        # names[-1] is a valid Python index, so -1 must be refused explicitly
+        with pytest.raises(ValueError, match=f"no name for term id {bad}"):
+            format_proof(make(bad), NAMES)
+
     def test_parse_whitespace_insensitive(self):
         got = parse_proof("( project ( assume 0 )  a b )", IDS)
         assert got == Project(Assume(0), frozenset({0, 1}))
@@ -249,11 +265,7 @@ PROOF_PIECES = st.sampled_from(
 @given(st.one_of(st.text(), st.lists(PROOF_PIECES, max_size=40).map("".join)))
 @settings(max_examples=300, deadline=None)
 def test_parse_proof_fuzz_raises_only_syntax_errors(text):
-    def lookup(name):
-        return IDS[name]
-
-    for ids in (IDS, lookup):
-        try:
-            parse_proof(text, ids)
-        except ProofSyntaxError:
-            pass
+    try:
+        parse_proof(text, IDS)
+    except ProofSyntaxError:
+        pass
