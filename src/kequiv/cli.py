@@ -84,7 +84,7 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     try:
         problem = parse_path(args.problem)
-        with open(args.proofs, encoding="utf-8") as f:
+        with open(args.proofs, encoding="utf-8-sig") as f:
             proof_lines = f.read().splitlines()
     except (ParseError, OSError, UnicodeDecodeError) as e:
         return _fail(str(e), EXIT_USAGE)

@@ -436,13 +436,16 @@ class Session:
 
         Returns a checkable proof of the terms' representatives when they
         are, None when they are not.  Any number of terms is accepted;
-        duplicates collapse.  Terms that were never interned simply make
-        the query fail (a query is a question, not an assertion).  The
-        session is left untouched.
+        duplicates collapse.  A term id that was never interned raises
+        ValueError, as in `assert_hypothesis`.  The session is left
+        untouched.
         """
         s = frozenset(map(self.equalities.find, xs))
         if not s:
             raise ValueError("empty query")
+        lo, hi = min(s), max(s)
+        if lo < 0 or hi >= len(self.term_names):
+            raise ValueError(f"unknown term id {lo if lo < 0 else hi}")
         if len(s) <= self.k:
             return SubRefl(s)
         parents: set[int] | None = None

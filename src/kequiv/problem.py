@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .engine import TermTable
 
@@ -46,21 +47,18 @@ MAX_TERM_SLOTS = 10**7
 class Atom:
     relation: str
     terms: tuple[str, ...]
-    line: int
 
 
 @dataclass(frozen=True)
 class Equality:
     a: str
     b: str
-    line: int
 
 
 @dataclass(frozen=True)
 class Query:
     relation: str
     terms: tuple[str, ...]
-    line: int
 
 
 @dataclass
@@ -80,96 +78,82 @@ class ParseError(Exception):
         super().__init__(f"line {line}, col {column}: {message}")
 
 
-def _line_tokens(line: str) -> list[tuple[str, int]]:
-    code = line.split("#", 1)[0]
-    tokens = []
-    for m in re.finditer(r"\S+", code):
-        tokens.append((m.group(), m.start() + 1))
-    return tokens
-
-
 def parse_text(text: str) -> Problem:
     problem = Problem()
-    seen_terms: set[str] = set()
+    seen: dict[str, None] = {}  # term names in first-seen order
 
-    def term(tok: str, lineno: int, col: int) -> str:
-        if not _NAME.match(tok):
-            raise ParseError(lineno, col, f"invalid term name {tok!r}")
-        if tok not in seen_terms:
-            seen_terms.add(tok)
-            problem.term_order.append(tok)
-        return tok
+    # Both helpers read the line being parsed (`lineno`, `code`, `tokens`).
+    # Tokens are referred to by index; a column is found only to raise.
+    def error(j: int, message: str) -> ParseError:
+        m = next(islice(re.finditer(r"\S+", code), j, None))
+        return ParseError(lineno, m.start() + 1, message)
+
+    def terms(first: int) -> tuple[str, ...]:
+        """tokens[first:], each name checked the first time it is seen."""
+        names = tuple(tokens[first:])
+        for j, name in enumerate(names, first):
+            if name not in seen:
+                if not _NAME.match(name):
+                    raise error(j, f"invalid term name {name!r}")
+                seen[name] = None
+        return names
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _line_tokens(raw)
+        code = raw.split("#", 1)[0]
+        tokens = code.split()
         if not tokens:
             continue
-        head, head_col = tokens[0]
-        args = tokens[1:]
+        head, nargs = tokens[0], len(tokens) - 1
         if head == "rel":
-            if len(args) != 2:
-                raise ParseError(lineno, head_col, "rel needs a name and an arity")
-            (name, ncol), (kstr, kcol) = args
+            if nargs != 2:
+                raise error(0, "rel needs a name and an arity")
+            _, name, kstr = tokens
             if not _NAME.match(name):
-                raise ParseError(lineno, ncol, f"invalid relation name {name!r}")
+                raise error(1, f"invalid relation name {name!r}")
             if name in problem.relations:
-                raise ParseError(lineno, ncol, f"relation {name!r} already declared")
+                raise error(1, f"relation {name!r} already declared")
             try:
                 k = int(kstr)
             except ValueError:
                 k = 0
             if k < 1:
-                raise ParseError(lineno, kcol, f"k must be a positive integer, got {kstr!r}")
+                raise error(2, f"k must be a positive integer, got {kstr!r}")
             problem.relations[name] = k
         elif head == "class":
-            if len(args) < 2:
-                raise ParseError(lineno, head_col, "class needs at least two terms")
-            problem.classes.append(
-                tuple(term(t, lineno, c) for t, c in args)
-            )
+            if nargs < 2:
+                raise error(0, "class needs at least two terms")
+            problem.classes.append(terms(1))
         elif head == "hyp":
-            if not args:
-                raise ParseError(lineno, head_col, "hyp needs a relation name")
-            rel, rcol = args[0]
+            if not nargs:
+                raise error(0, "hyp needs a relation name")
+            rel = tokens[1]
             k = problem.relations.get(rel)
             if k is None:
-                raise ParseError(lineno, rcol, f"unknown relation {rel!r}")
-            terms = args[1:]
-            if len(terms) != k + 1:
-                raise ParseError(
-                    lineno,
-                    rcol,
-                    f"relation {rel!r} takes {k + 1} terms, got {len(terms)}",
-                )
-            problem.statements.append(
-                Atom(rel, tuple(term(t, lineno, c) for t, c in terms), lineno)
-            )
+                raise error(1, f"unknown relation {rel!r}")
+            if nargs - 1 != k + 1:
+                raise error(1, f"relation {rel!r} takes {k + 1} terms, got {nargs - 1}")
+            problem.statements.append(Atom(rel, terms(2)))
         elif head == "eq":
-            if len(args) != 2:
-                raise ParseError(lineno, head_col, "eq needs exactly two terms")
-            (a, acol), (b, bcol) = args
-            problem.statements.append(
-                Equality(term(a, lineno, acol), term(b, lineno, bcol), lineno)
-            )
+            if nargs != 2:
+                raise error(0, "eq needs exactly two terms")
+            problem.statements.append(Equality(*terms(1)))
         elif head == "query":
-            if not args:
-                raise ParseError(lineno, head_col, "query needs a relation name")
-            rel, rcol = args[0]
+            if not nargs:
+                raise error(0, "query needs a relation name")
+            rel = tokens[1]
             if rel not in problem.relations:
-                raise ParseError(lineno, rcol, f"unknown relation {rel!r}")
-            terms = args[1:]
-            if not terms:
-                raise ParseError(lineno, rcol, "query needs at least one term")
-            problem.queries.append(
-                Query(rel, tuple(term(t, lineno, c) for t, c in terms), lineno)
-            )
+                raise error(1, f"unknown relation {rel!r}")
+            if nargs == 1:
+                raise error(1, "query needs at least one term")
+            problem.queries.append(Query(rel, terms(2)))
         else:
-            raise ParseError(lineno, head_col, f"unknown statement {head!r}")
+            raise error(0, f"unknown statement {head!r}")
+    problem.term_order = list(seen)
     return problem
 
 
 def parse_path(path: str) -> Problem:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         return parse_text(f.read())
 
 

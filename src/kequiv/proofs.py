@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
@@ -319,67 +320,68 @@ class ProofSyntaxError(ValueError):
 _TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
-
-
 def parse_proof(text: str, ids: Mapping[str, int]) -> ProofTerm:
     """Parse the canonical text form back into a proof term.
 
     `ids` maps term names to ids; unknown names raise ProofSyntaxError
     with the offending column.
     """
-    tokens = _tokenize(text)
+    # tokens are referred to by index; a column is found only to raise
+    tokens = _TOKEN.findall(text)
 
-    def as_int(part, what: str) -> int:
-        tag, value, col = part
-        if tag != "atom":
-            raise ProofSyntaxError(col, f"expected {what}")
+    def error(i: int, message: str) -> ProofSyntaxError:
+        # the column of token i, or one past the end of the text
+        m = next(islice(_TOKEN.finditer(text), i, None), None)
+        return ProofSyntaxError(len(text) + 1 if m is None else m.start() + 1, message)
+
+    # a part is the index of an atom, or of the ')' closing a sub-proof
+    subproofs: dict[int, ProofTerm] = {}
+
+    def as_int(i: int, what: str) -> int:
+        if tokens[i] == ")":
+            raise error(i, f"expected {what}")
         try:
-            return int(value)
+            return int(tokens[i])
         except ValueError:
-            raise ProofSyntaxError(col, f"expected {what}, got {value!r}") from None
+            raise error(i, f"expected {what}, got {tokens[i]!r}") from None
 
-    def as_term(part) -> int:
-        tag, value, col = part
-        if tag != "atom":
-            raise ProofSyntaxError(col, "expected a term name")
+    def as_term(i: int) -> int:
+        if tokens[i] == ")":
+            raise error(i, "expected a term name")
         try:
-            return ids[value]
+            return ids[tokens[i]]
         except KeyError:
-            raise ProofSyntaxError(col, f"unknown term {value!r}") from None
+            raise error(i, f"unknown term {tokens[i]!r}") from None
 
-    def as_proof(part) -> ProofTerm:
-        tag, value, col = part
-        if tag != "proof":
-            raise ProofSyntaxError(col, "expected a sub-proof")
-        return value
+    def as_proof(i: int) -> ProofTerm:
+        if tokens[i] != ")":
+            raise error(i, "expected a sub-proof")
+        return subproofs.pop(i)
 
-    def reduce(head: str, col: int, parts: list) -> ProofTerm:
+    def reduce(h: int, parts: list[int]) -> ProofTerm:
+        head = tokens[h]
         if head == "assume":
             if len(parts) != 1:
-                raise ProofSyntaxError(col, "assume takes one hypothesis index")
+                raise error(h, "assume takes one hypothesis index")
             return Assume(as_int(parts[0], "a hypothesis index"))
         if head == "subrefl":
             if not parts:
-                raise ProofSyntaxError(col, "subrefl needs at least one term")
+                raise error(h, "subrefl needs at least one term")
             return SubRefl(frozenset(as_term(p) for p in parts))
         if head == "trans":
             if len(parts) != 2:
-                raise ProofSyntaxError(col, "trans takes two sub-proofs")
+                raise error(h, "trans takes two sub-proofs")
             return Trans(as_proof(parts[0]), as_proof(parts[1]))
         if head == "project":
             if len(parts) < 2:
-                raise ProofSyntaxError(
-                    col, "project takes a sub-proof and at least one term"
-                )
+                raise error(h, "project takes a sub-proof and at least one term")
             return Project(
                 as_proof(parts[0]), frozenset(as_term(p) for p in parts[1:])
             )
         if head == "subst":
             if len(parts) != 4:
-                raise ProofSyntaxError(
-                    col, "subst takes a sub-proof, two terms, and an equality index"
+                raise error(
+                    h, "subst takes a sub-proof, two terms, and an equality index"
                 )
             return Subst(
                 as_proof(parts[0]),
@@ -387,41 +389,39 @@ def parse_proof(text: str, ids: Mapping[str, int]) -> ProofTerm:
                 as_term(parts[2]),
                 as_int(parts[3], "an equality index"),
             )
-        raise ProofSyntaxError(col, f"unknown proof constructor {head!r}")
+        raise error(h, f"unknown proof constructor {head!r}")
 
-    # Shift-reduce over the token stream; frames are (head, col, parts).
-    frames: list[tuple[str | None, int, list]] = []
+    # Shift-reduce over the tokens; a frame is (h, parts), where h is the
+    # index of its head, or of its '(' while it has no head yet.
+    frames: list[tuple[int, list[int]]] = []
     done: ProofTerm | None = None
-
-    def attach(node: ProofTerm, col: int) -> None:
-        nonlocal done
-        if frames:
-            frames[-1][2].append(("proof", node, col))
-        elif done is None:
-            done = node
-        else:
-            raise ProofSyntaxError(col, "trailing input after proof")
-
-    for tok, col in tokens:
+    for i, tok in enumerate(tokens):
         if tok == "(":
-            frames.append((None, col, []))
+            frames.append((i, []))
         elif tok == ")":
             if not frames:
-                raise ProofSyntaxError(col, "unbalanced ')'")
-            head, hcol, parts = frames.pop()
-            if head is None:
-                raise ProofSyntaxError(hcol, "empty proof node")
-            attach(reduce(head, hcol, parts), col)
+                raise error(i, "unbalanced ')'")
+            h, parts = frames.pop()
+            if tokens[h] == "(":
+                raise error(h, "empty proof node")
+            node = reduce(h, parts)
+            if frames:
+                frames[-1][1].append(i)
+                subproofs[i] = node
+            elif done is None:
+                done = node
+            else:
+                raise error(i, "trailing input after proof")
         else:
             if not frames:
-                raise ProofSyntaxError(col, "proof must start with '('")
-            head, hcol, parts = frames[-1]
-            if head is None:
-                frames[-1] = (tok, col, parts)
+                raise error(i, "proof must start with '('")
+            h, parts = frames[-1]
+            if tokens[h] == "(":
+                frames[-1] = (i, parts)
             else:
-                parts.append(("atom", tok, col))
+                parts.append(i)
     if frames:
-        raise ProofSyntaxError(frames[-1][1], "unclosed '('")
+        raise error(frames[-1][0], "unclosed '('")
     if done is None:
-        raise ProofSyntaxError(len(text) + 1, "empty proof")
+        raise error(len(tokens), "empty proof")
     return done

@@ -110,6 +110,11 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error:") and "utf-8" in err
 
+    def test_byte_order_mark_is_ignored(self, example, tmp_path, capsys):
+        path = tmp_path / "bom.kq"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(example).read_bytes())
+        assert run(capsys, "solve", str(path)) == run(capsys, "solve", example)
+
     def test_congruence_file(self, tmp_path, capsys):
         path = tmp_path / "c.kq"
         path.write_text(CONGRUENCE)
@@ -246,6 +251,17 @@ class TestCheck:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "utf-8" in err
+
+    @pytest.mark.parametrize("bom_in", ["problem", "proofs"])
+    def test_byte_order_mark_is_ignored(self, example, tmp_path, capsys, bom_in):
+        proofs = self.solve_to_file(capsys, tmp_path, example)
+        files = {"problem": example, "proofs": proofs}
+        plain = run(capsys, "check", *files.values())
+        path = tmp_path / f"bom-{bom_in}"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(files[bom_in]).read_bytes())
+        files[bom_in] = str(path)
+        assert run(capsys, "check", *files.values()) == plain
+        assert plain == (0, "pass\n" * 3, "")
 
     def test_not_entailed_lines_pass(self, tmp_path, capsys):
         path = tmp_path / "p.kq"

@@ -146,6 +146,15 @@ class TestTermQueries:
         find = state.equalities.find
         assert find(ids["a"]) != find(ids["b"])
 
+    def test_query_with_unknown_term_id_raises(self):
+        state, ids = state_with("abc")
+        state.assert_atom("coll", [ids["a"], ids["b"], ids["c"]])
+        # the id out of range is named, the negative one first
+        with pytest.raises(ValueError, match="unknown term id -3"):
+            state.query_atom("coll", [ids["a"], 99, -3])
+        with pytest.raises(ValueError, match="unknown term id 99"):
+            state.query_atom("coll", [ids["a"], 99])
+
 
 class TestApplications:
     def table_state(self):

@@ -194,9 +194,13 @@ class TestQueries:
 
     def test_unknown_terms_not_entailed(self):
         s, ids = table_session()
-        assert s.resolve_query([ids["a"], ids["b"], 99]) is None
-        # still subreflexive when the collapsed set is small enough
-        assert s.resolve_query([99, 99]) is not None
+        with pytest.raises(ValueError, match="unknown term id 99"):
+            s.resolve_query([ids["a"], ids["b"], 99])
+        # also when the collapsed set is small enough to be subreflexive
+        with pytest.raises(ValueError, match="unknown term id 99"):
+            s.resolve_query([99, 99])
+        with pytest.raises(ValueError, match="unknown term id -1"):
+            s.resolve_query([-1])
 
     def test_arbitrary_size_queries(self):
         s, ids = table_session()

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,27 +104,87 @@ def test_one_partition_three_readers(case):
     assert blocks(Session(2, interned.class_of).class_of) == want
 
 
+def located(text, line, column, message, tag):
+    # the id is the text, the line and a short tag for the message
+    return pytest.param(text, line, column, message, id=f"{text}-{line}-{tag}")
+
+
 @pytest.mark.parametrize(
-    "text,line,fragment",
+    "text,line,column,message",
     [
-        ("rel coll 2\nhyp coll a b\n", 2, "takes 3 terms"),
-        ("hyp coll a b c\n", 1, "unknown relation"),
-        ("rel coll 2\nrel coll 2\n", 2, "already declared"),
-        ("rel coll zero\n", 1, "positive integer"),
-        ("rel coll 2\nquery coll\n", 2, "at least one term"),
-        ("bogus a b\n", 1, "unknown statement"),
-        ("rel coll 2\neq a\n", 2, "exactly two"),
-        ("rel co(ll 2\n", 1, "invalid relation name"),
-        ("rel coll 2\nclass a\n", 2, "at least two"),
-        ("rel coll 2\nhyp coll a b (c\n", 2, "invalid term name"),
+        located(
+            "rel coll 2\nhyp coll a b\n",
+            2, 5, "relation 'coll' takes 3 terms, got 2", "takes 3 terms",
+        ),
+        located(
+            "hyp coll a b c\n", 1, 5, "unknown relation 'coll'", "unknown relation"
+        ),
+        located(
+            "rel coll 2\nrel coll 2\n",
+            2, 5, "relation 'coll' already declared", "already declared",
+        ),
+        located(
+            "rel coll zero\n",
+            1, 10, "k must be a positive integer, got 'zero'", "positive integer",
+        ),
+        located(
+            "rel coll 0\n",
+            1, 10, "k must be a positive integer, got '0'", "zero arity",
+        ),
+        located(
+            "rel coll 2\nquery coll\n",
+            2, 7, "query needs at least one term", "at least one term",
+        ),
+        located("bogus a b\n", 1, 1, "unknown statement 'bogus'", "unknown statement"),
+        located("rel coll 2\neq a\n", 2, 1, "eq needs exactly two terms", "exactly two"),
+        located(
+            "rel co(ll 2\n",
+            1, 5, "invalid relation name 'co(ll'", "invalid relation name",
+        ),
+        located(
+            "rel coll 2\nclass a\n", 2, 1, "class needs at least two terms", "at least two"
+        ),
+        located("rel coll\n", 1, 1, "rel needs a name and an arity", "too few"),
+        located("  rel coll 2 3\n", 1, 3, "rel needs a name and an arity", "too many"),
+        located(
+            "rel coll 2\nhyp  # no name\n",
+            2, 1, "hyp needs a relation name", "no relation",
+        ),
+        located(
+            "rel coll 2\n\tquery\n", 2, 2, "query needs a relation name", "no relation"
+        ),
+        located(
+            "rel coll 2\nquery cycl a b\n",
+            2, 7, "unknown relation 'cycl'", "unknown relation",
+        ),
+        located(
+            "rel coll 2\nhyp coll a b (c\n",
+            2, 14, "invalid term name '(c'", "invalid term name",
+        ),
+        located(
+            "rel coll 2\nclass a b(\n", 2, 9, "invalid term name 'b('", "in class"
+        ),
+        located("rel coll 2\neq a )b\n", 2, 6, "invalid term name ')b'", "in eq"),
+        located(
+            "rel coll 2\nquery coll a b c (d\n",
+            2, 18, "invalid term name '(d'", "in query",
+        ),
+        # U+3000 (ideographic space) separates tokens like any whitespace
+        located(
+            "rel\u3000coll\u30002\nhyp\u3000coll\u3000a\u3000b\n",
+            2, 5, "relation 'coll' takes 3 terms, got 2", "wide space",
+        ),
+        located(
+            "rel coll 2\nhyp coll a b c\nclass\u3000a\u3000b(\n",
+            3, 9, "invalid term name 'b('", "wide space",
+        ),
     ],
 )
-def test_located_errors(text, line, fragment):
+def test_located_errors(text, line, column, message):
     with pytest.raises(ParseError) as e:
         parse_text(text)
-    assert e.value.line == line
-    assert fragment in e.value.message
-    assert e.value.column >= 1
+    assert (e.value.line, e.value.column, e.value.message) == (line, column, message)
+    assert str(e.value) == f"line {line}, col {column}: {message}"
 
 
 class TestGenerate:
@@ -179,5 +240,7 @@ PROBLEM_PIECES = st.sampled_from(
 def test_parse_text_fuzz_raises_only_parse_errors(text):
     try:
         parse_text(text)
-    except ParseError:
-        pass
+    except ParseError as e:
+        # every error points at the first character of a token of its line
+        code = text.splitlines()[e.line - 1].split("#", 1)[0]
+        assert e.column in {m.start() + 1 for m in re.finditer(r"\S+", code)}

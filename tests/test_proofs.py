@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,11 @@ class TestUsedHypotheses:
         assert check(proof, 2, HYPS, equalities=[(5, 9)]) == {0, 1, 9}
 
 
+def exact(text, column, message):
+    # the id is the text and the column
+    return pytest.param(text, column, message, id=f"{text}-{column}")
+
+
 class TestSerialization:
     def test_golden_text(self):
         proof = Project(Trans(Assume(0), Assume(4)), frozenset({0, 1, 3}))
@@ -181,18 +187,68 @@ class TestSerialization:
         assert e.value.column >= 1
 
     @pytest.mark.parametrize(
-        "text, column",
+        "text, column, message",
         [
-            ("(assume\tx)", 9),
-            ("(assume x)", 9),
-            ("(trans (assume 0)\x1c(assume zz))", 27),
-            ("(assume 0)\u3000)", 12),  # unbalanced ')' after a wide space
+            exact("(assume\tx)", 9, "expected a hypothesis index, got 'x'"),
+            exact("(assume x)", 9, "expected a hypothesis index, got 'x'"),
+            exact("(assume 1.5)", 9, "expected a hypothesis index, got '1.5'"),
+            exact(
+                "(trans (assume 0)\x1c(assume zz))",
+                27,
+                "expected a hypothesis index, got 'zz'",
+            ),
+            exact(
+                "(subst (assume 0) a b c)", 23, "expected an equality index, got 'c'"
+            ),
+            exact("(assume (assume 0))", 18, "expected a hypothesis index"),
+            exact(
+                "(subst (assume 0) a b (assume 1))", 32, "expected an equality index"
+            ),
+            exact("(subrefl a (assume 0))", 21, "expected a term name"),
+            exact("(project (assume 0) (assume 1))", 30, "expected a term name"),
+            exact("(subrefl zz)", 10, "unknown term 'zz'"),
+            exact("(trans a (assume 0))", 8, "expected a sub-proof"),
+            exact("(project a b)", 10, "expected a sub-proof"),
+            exact("(subst a b c 0)", 8, "expected a sub-proof"),
+            exact("(assume)", 2, "assume takes one hypothesis index"),
+            exact("(assume 0 1)", 2, "assume takes one hypothesis index"),
+            exact("(subrefl)", 2, "subrefl needs at least one term"),
+            exact("(trans (assume 0))", 2, "trans takes two sub-proofs"),
+            exact(
+                "(project (assume 0))",
+                2,
+                "project takes a sub-proof and at least one term",
+            ),
+            exact(
+                "(subst (assume 0) a b)",
+                2,
+                "subst takes a sub-proof, two terms, and an equality index",
+            ),
+            exact("(frobnicate 1)", 2, "unknown proof constructor 'frobnicate'"),
+            exact("(assume 0) (assume 1)", 21, "trailing input after proof"),
+            exact("(assume 0))", 11, "unbalanced ')'"),
+            exact(")", 1, "unbalanced ')'"),
+            # unbalanced ')' after a wide space
+            exact("(assume 0)\u3000)", 12, "unbalanced ')'"),
+            exact("()", 1, "empty proof node"),
+            exact("( \t)", 1, "empty proof node"),
+            exact("assume 0)", 1, "proof must start with '('"),
+            exact("(assume 0) x", 12, "proof must start with '('"),
+            # an unclosed node is located at its head once it has one
+            exact("(assume 0", 2, "unclosed '('"),
+            exact("(trans (assume 0)", 2, "unclosed '('"),
+            exact("  (", 3, "unclosed '('"),
+            # an empty proof is located one past the end of the text
+            exact("", 1, "empty proof"),
+            exact("  \t", 4, "empty proof"),
+            exact("\u3000", 2, "empty proof"),
         ],
     )
-    def test_error_columns_are_exact(self, text, column):
+    def test_error_columns_are_exact(self, text, column, message):
         with pytest.raises(ProofSyntaxError) as e:
             parse_proof(text, IDS)
         assert e.value.column == column
+        assert str(e.value) == f"col {column}: {message}"
 
     def test_deep_proofs_survive_round_trip(self):
         # proofs from long merge chains nest far beyond the recursion limit
@@ -267,5 +323,10 @@ PROOF_PIECES = st.sampled_from(
 def test_parse_proof_fuzz_raises_only_syntax_errors(text):
     try:
         parse_proof(text, IDS)
-    except ProofSyntaxError:
-        pass
+    except ProofSyntaxError as e:
+        # every error points at the first character of a token, except an
+        # empty proof, which points one past the end of the text
+        starts = {m.start() + 1 for m in re.finditer(r"[()]|[^\s()]+", text)}
+        assert e.column in starts or (
+            e.column == len(text) + 1 and str(e).endswith(": empty proof")
+        )
