@@ -6,19 +6,50 @@ k=3 cocyclicity).  Facts are stored as *k-sets*: term sets whose
 (k+1)-subsets all stand in the relation.  Asserting a hypothesis adds a
 k-set and fuses it with any active k-set it overlaps on at least k
 known-distinct terms, so the active k-sets always overlap pairwise on
-fewer than k distinctness classes.  The full arena is kept (inactive
-records included) so compact proofs can be extracted from the merge
-history afterwards.  Sessions share one `Equalities` object, as they share
-the `TermTable`; a k-set renamed to representatives records only (old,
-representative) pairs, which `explain` expands along the proof forest.
+fewer than k distinctness classes.  Sessions share one `Equalities`
+object, as they share the `TermTable`; a k-set renamed to representatives
+records only (old, representative) pairs, which `explain` expands along
+the proof forest.
+
+Storage.  Every record of the merge history stays in `ksets`, so proofs
+can be extracted later, but only active k-sets hold a term set: one
+mutable *live set* per lineage, named by a handle.  `term2parents` maps
+each term to the handles of the live sets holding it, and `owner` maps a
+handle to its active record.  A merge absorbs the smaller side into the
+larger side's live set (union by size, Tarjan-style; a tie absorbs the
+newer side) and re-registers only the absorbed terms; its `Merged` record
+keeps those terms and the anchor the two sides share.  A rename edits the
+live set in place; its `Rewritten` record keeps whether the new term was
+already there.  `explain` reads only these stored pieces, the proof-forest
+reading of the history (Nieuwenhuis & Oliveras, RTA 2005), and
+`KSet.terms` of an inactive record rebuilds the set on demand.
+
+Cost.  Let M be the number of terms registered by hypotheses and renames
+(at most k+1 per hypothesis plus one per rename).  An absorbed term
+moves into a set at least twice the size of the one it left, so it is
+re-registered O(log M) times; a rename that collapses two terms shrinks
+its set by one, which gives the s members back at most s*log2(s/(s-1))
+<= 2 doublings in all.  So merges re-register O(M log M) terms in total,
+and that bounds their time and the terms the records store.  Candidate
+matches are searched only where one can be: for a new hypothesis, among
+the parents of the |classes|-k+1 classes with the fewest parent entries
+(pigeonhole); after a rename, among the new term's parents; after a
+merge, among the parents of the fused set minus the merged piece with
+the fewest parent entries; each candidate is verified in
+min(|candidate|, |fused|).  The chain, the pencil and the equality chain
+thus assert in O(M log M).  Worst case, a term on many lines is still
+read whole: a hypothesis all of whose classes hold such hubs, or a
+rename into one, reads their parent lists, and a candidate that shares
+fewer than k classes costs its full size, so a sequence of such asserts
+can take quadratic time.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Iterable, Mapping, Sequence, Union
+import weakref
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
+from typing import AbstractSet, Iterable, Mapping, Sequence, Union
 
 from .proofs import Assume, ProofTerm, Project, SubRefl, Subst, Trans
 
@@ -37,41 +68,69 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Asserted:
     """The k-set came straight from hypothesis `hyp_index`."""
 
     hyp_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Merged:
-    """The k-set is the union of two earlier k-sets (both ids smaller)."""
+    """The k-set is the union of two earlier k-sets (both ids smaller).
+
+    The other fields record storage, not the proof, and stay out of `==`
+    and `repr`: the side whose terms were absorbed into the other's live
+    set, those terms, and the `anchor` the two sides share.
+    """
 
     left: int
     right: int
+    absorbed: int = field(default=-1, compare=False, repr=False)
+    absorbed_terms: frozenset[int] = field(
+        default=frozenset(), compare=False, repr=False
+    )
+    anchor: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rewritten:
     """The k-set is an earlier one with terms renamed by logged equalities.
 
     `renames` holds (old term, representative) pairs, applied in order.
+    For the one-pair renames `rename_term` makes, `already` (outside `==`
+    and `repr`) records whether the new term was in the set before; it is
+    None for other rewrites.
     """
 
     source: int
     renames: tuple[tuple[int, int], ...]
+    already: bool | None = field(default=None, compare=False, repr=False)
 
 
 HistoryNode = Union[Asserted, Merged, Rewritten]
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class KSet:
+    """One arena record.
+
+    An active record owns the live term set named by `handle`; `terms` is
+    a read-only copy of it, or, once the record is inactive, its terms
+    rebuilt from the history (see `Session.terms_of`).  The session is
+    held by a weak reference, so a dropped session is freed at once rather
+    than left for the cycle collector.
+    """
+
     id: int
-    terms: frozenset[int]
     history: HistoryNode
+    handle: int
+    session: weakref.ReferenceType[Session] = field(repr=False)
     active: bool = True
+
+    @property
+    def terms(self) -> frozenset[int]:
+        return frozenset(self.session().terms_of(self.id))
 
 
 @dataclass
@@ -85,6 +144,8 @@ class Stats:
     rewrites: int = 0
     max_kset_size: int = 0
     max_parents: int = 0
+    # additions of a (term, live set) pair to `term2parents`
+    registrations: int = 0
 
 
 class EngineInvariantError(AssertionError):
@@ -262,7 +323,12 @@ class Session:
         self.k = k
         self.hypotheses: list[tuple[int, ...]] = []
         self.ksets: list[KSet] = []
+        # term -> handles of the live sets holding it
         self.term2parents: defaultdict[int, set[int]] = defaultdict(set)
+        # handle -> live term set, and handle -> the active record owning it
+        self.live: dict[int, set[int]] = {}
+        self.owner: dict[int, int] = {}
+        self._ref = weakref.ref(self)
         # both shared with a congruence layer when one manages this session
         self.terms = TermTable(partition)
         self.equalities = Equalities()
@@ -323,113 +389,260 @@ class Session:
     def rename_term(self, old: int) -> None:
         """`old` stopped being a representative: rename it in its k-sets.
 
-        Active k-sets hold only representatives, so `old` is their one
-        renamed term.  They are rewritten in ascending id order, then each
-        result still active is re-merged.
+        Active k-sets hold only representatives, and `old` was one until
+        the last union, so it is their one renamed term.  Each is renamed
+        in place, in ascending id order, then each result still active is
+        re-merged.
         """
-        renames = ((old, self.equalities.find(old)),)
+        new = self.equalities.find(old)
         rewritten = [
-            self.rewrite_kset(kid, renames)
-            for kid in sorted(self.term2parents.get(old, ()))
+            self._rewrite(kid, ((old, new),), new in self.terms_of(kid))
+            for kid in sorted(self.owner[h] for h in self.term2parents.get(old, ()))
         ]
         for n in rewritten:
             if self.ksets[n].active:
-                self.find_merges(n)
+                self.find_merges(n, new)
         self.check_counter_bounds()
 
     def new_kset(self, terms: Iterable[int], history: HistoryNode) -> int:
-        """Append an active k-set record and register it with its terms."""
-        terms = frozenset(terms)
+        """Append an active k-set record with a new live set of `terms`."""
+        terms = set(terms)
         if not terms:
             raise ValueError("a k-set needs at least one term")
         n = len(self.ksets)
-        self.ksets.append(KSet(n, terms, history))
+        self.ksets.append(KSet(n, history, n, self._ref))
+        self.live[n] = terms
+        self.owner[n] = n
+        self._register(n, terms)
         c = self.counters
-        for x in terms:
-            ps = self.term2parents[x]
-            ps.add(n)
-            if len(ps) > c.max_parents:
-                c.max_parents = len(ps)
         c.active += 1
         if len(terms) > c.max_kset_size:
             c.max_kset_size = len(terms)
         return n
 
-    def _deactivate(self, n: int) -> None:
-        rec = self.ksets[n]
-        rec.active = False
-        for x in rec.terms:
-            self.term2parents[x].remove(n)
-        self.counters.active -= 1
+    def _register(self, handle: int, terms: Iterable[int]) -> None:
+        c = self.counters
+        for x in terms:
+            ps = self.term2parents[x]
+            ps.add(handle)
+            c.registrations += 1
+            if len(ps) > c.max_parents:
+                c.max_parents = len(ps)
 
-    def find_merges(self, n: int) -> None:
+    def _succeed(self, rec: KSet, history: HistoryNode) -> int:
+        """Retire `rec` in favour of a new record that takes over its live set."""
+        rec.active = False
+        n = len(self.ksets)
+        self.ksets.append(KSet(n, history, rec.handle, self._ref))
+        self.owner[rec.handle] = n
+        return n
+
+    def _active(self, n: int) -> KSet:
+        rec = self.ksets[n]
+        if not rec.active:
+            raise ValueError(f"k-set {n} is not active")
+        return rec
+
+    def find_merges(self, n: int, renamed: int | None = None) -> None:
         """Fuse k-set `n` with every active k-set it overlaps on >= k classes.
 
-        Repeats on the fused result until no overlap remains.  Overlaps are
-        counted per distinctness class: parents are set-unioned within each
-        class of n's terms, then tallied across classes, so an id's count
-        is the number of classes represented in its literal intersection
-        with n.
+        Repeats on the fused result until no overlap remains, merging each
+        round's matches in ascending id order.  Candidates come only from
+        where a match can be (see the module docstring): when `renamed`
+        just replaced a term of `n`, from its parents, in every round, as
+        other k-sets renamed alongside may now overlap on it; otherwise by
+        pigeonhole over n's classes, then from the fused set.
         """
-        if not self.ksets[n].active:
-            raise ValueError(f"k-set {n} is not active")
-        class_of = self.terms.class_of
+        h = self._active(n).handle
+        fused = self.live[h]
         parents = self.term2parents
+        candidates = self._pigeonhole(fused) if renamed is None else parents[renamed]
         while True:
             self.counters.find_merges_calls += 1
-            groups: dict[int, set[int]] = {}
-            for x in self.ksets[n].terms:
-                c = class_of[x]
-                g = groups.get(c)
-                # a class's second term gets a new set: never grow the index's own
-                groups[c] = parents[x] if g is None else g | parents[x]
-            counts = Counter(chain.from_iterable(groups.values()))
-            matches = sorted(i for i, c in counts.items() if c >= self.k and i != n)
+            matches = sorted(
+                self.owner[m]
+                for m in candidates
+                if m != h and self._overlaps(self.live[m], fused)
+            )
             if not matches:
                 return
-            for m in matches:
+            added: list[int] = []
+            pieces: list[frozenset[int]] = []
+            for i, m in enumerate(matches):
                 n = self.merge(m, n)
+                rec = self.ksets[n]
+                merged = rec.history
+                if rec.handle != h:  # the fused set was absorbed by a larger match
+                    h, fused, added = rec.handle, self.live[rec.handle], []
+                added += merged.absorbed_terms - merged.anchor
+                if i == 0 or merged.absorbed == m:
+                    pieces.append(merged.absorbed_terms)
+            candidates = self._fused_candidates(fused, added, pieces)
+            if renamed is not None:
+                candidates |= parents[renamed]
+
+    def _overlaps(self, a: AbstractSet[int], b: AbstractSet[int]) -> bool:
+        """Whether a and b share terms from at least k classes."""
+        if len(a) > len(b):
+            a, b = b, a
+        class_of = self.terms.class_of
+        shared: set[int] = set()
+        for t in a:
+            if t in b:
+                shared.add(class_of[t])
+                if len(shared) >= self.k:
+                    return True
+        return False
+
+    def _pigeonhole(self, terms: AbstractSet[int]) -> set[int]:
+        """Handles of the live sets that may share k classes with `terms`.
+
+        A match shares k of the c classes of `terms`, so it touches any
+        c-k+1 of them: take those with the fewest parent entries.
+        """
+        class_of = self.terms.class_of
+        parents = self.term2parents
+        load: dict[int, int] = {}
+        for t in terms:
+            c = class_of[t]
+            load[c] = load.get(c, 0) + len(parents[t])
+        spare = len(load) - self.k + 1
+        if spare <= 0:
+            return set()
+        chosen = set(sorted(load, key=load.__getitem__)[:spare])
+        out: set[int] = set()
+        for t in terms:
+            if class_of[t] in chosen:
+                out |= parents[t]
+        return out
+
+    def _fused_candidates(
+        self,
+        fused: AbstractSet[int],
+        added: list[int],
+        pieces: list[frozenset[int]],
+    ) -> set[int]:
+        """Handles of the live sets that may share k classes with `fused`.
+
+        Every other active k-set shares fewer than k classes with each
+        merged piece, so a match touches fused minus any one piece.  The
+        pieces are the live set the round added to (`added` is fused minus
+        it) and each one absorbed whole; take the difference with the
+        fewest parent entries, counting each lazily past the best so far.
+        """
+        parents = self.term2parents
+        best_terms: list[int] = added
+        best = sum(len(parents[t]) for t in added)
+        for piece in pieces:
+            total = 0
+            terms = []
+            for t in fused:
+                if t not in piece:
+                    total += len(parents[t])
+                    if total >= best:
+                        break
+                    terms.append(t)
+            else:
+                best_terms, best = terms, total
+        out: set[int] = set()
+        for t in best_terms:
+            out |= parents[t]
+        return out
 
     def merge(self, i1: int, i2: int) -> int:
-        """Replace two active k-sets by their union; returns the new id."""
+        """Replace two active k-sets by their union; returns the new id.
+
+        The smaller side's terms are absorbed into the larger side's live
+        set (on a tie, the newer side's), so only they are re-registered.
+        """
         if i1 == i2:
             raise ValueError("cannot merge a k-set with itself")
         a, b = self.ksets[i1], self.ksets[i2]
         if not (a.active and b.active):
             raise ValueError("merge needs two active k-sets")
-        shared = a.terms & b.terms
-        if len({self.class_of[t] for t in shared}) < self.k:
+        ta, tb = self.live[a.handle], self.live[b.handle]
+        if (len(ta), -i1) < (len(tb), -i2):
+            small, big, absorbed, into = a, b, ta, tb
+        else:
+            small, big, absorbed, into = b, a, tb, ta
+        anchor = frozenset(absorbed & into)
+        if len({self.class_of[t] for t in anchor}) < self.k:
             raise ValueError(
                 f"merge needs {self.k} distinctness classes in the overlap"
             )
-        self._deactivate(i1)
-        self._deactivate(i2)
-        n = self.new_kset(a.terms | b.terms, Merged(i1, i2))
-        self.counters.merges += 1
+        del self.live[small.handle], self.owner[small.handle]
+        small.active = False
+        for x in absorbed:
+            self.term2parents[x].discard(small.handle)
+        added = absorbed - anchor
+        self._register(big.handle, added)
+        into |= added
+        n = self._succeed(big, Merged(i1, i2, small.id, frozenset(absorbed), anchor))
+        c = self.counters
+        c.merges += 1
+        c.active -= 1
+        if len(into) > c.max_kset_size:
+            c.max_kset_size = len(into)
         return n
 
     def rewrite_kset(self, kid: int, renames: Sequence[tuple[int, int]]) -> int:
-        """Replace an active k-set by a copy with terms renamed per `renames`.
+        """Rename terms of an active k-set in place; returns the new id.
 
         Each (old, new) pair replaces `old` by `new`; the two terms must be
         joined in the equality forest.  The caller is responsible for
         running find_merges on the result.
         """
-        rec = self.ksets[kid]
-        if not rec.active:
-            raise ValueError(f"k-set {kid} is not active")
-        terms = set(rec.terms)
+        return self._rewrite(kid, tuple(renames), None)
+
+    def _rewrite(
+        self, kid: int, renames: tuple[tuple[int, int], ...], already: bool | None
+    ) -> int:
+        rec = self._active(kid)
+        live = self.live[rec.handle]
         for old, new in renames:
-            if old in terms:
-                terms.discard(old)
-                terms.add(new)
-        self._deactivate(kid)
-        n = self.new_kset(frozenset(terms), Rewritten(kid, tuple(renames)))
+            if old in live:
+                live.discard(old)
+                self.term2parents[old].discard(rec.handle)
+                if new not in live:
+                    live.add(new)
+                    self._register(rec.handle, (new,))
         self.counters.rewrites += 1
-        return n
+        return self._succeed(rec, Rewritten(kid, renames, already))
 
     # ------------------------------------------------------------------
     # queries
+
+    def terms_of(self, n: int) -> AbstractSet[int]:
+        """The terms of k-set `n`.
+
+        For an active record this is its live set itself, which callers
+        must not modify.  An inactive one is rebuilt from the history: down
+        renames and the larger side of each merge to a hypothesis, then
+        adding back the absorbed sides and renames on the way up.
+        """
+        rec = self.ksets[n]
+        if rec.active:
+            return self.live[rec.handle]
+        layers: list[HistoryNode] = []
+        while True:
+            h = self.ksets[n].history
+            if isinstance(h, Asserted):
+                terms = set(self.hypotheses[h.hyp_index])
+                break
+            layers.append(h)
+            if isinstance(h, Rewritten):
+                n = h.source
+            else:
+                n = h.right if h.absorbed == h.left else h.left
+        for h in reversed(layers):
+            if isinstance(h, Merged):
+                terms |= h.absorbed_terms
+                continue
+            for old, new in h.renames:
+                if old in terms:
+                    terms.discard(old)
+                    terms.add(new)
+        return frozenset(terms)
 
     def resolve_query(self, xs: Iterable[int]) -> ProofTerm | None:
         """Decide whether the terms `xs` are jointly related.
@@ -456,7 +669,7 @@ class Session:
             parents = set(ps) if parents is None else parents & ps
             if not parents:
                 return None
-        proof, conclusion = self._explain(min(parents), s)
+        proof, conclusion = self._explain(min(self.owner[h] for h in parents), s)
         if conclusion != s:
             proof = Project(proof, s)
         return proof
@@ -472,13 +685,14 @@ class Session:
         s = frozenset(xs)
         if not s:
             raise ValueError("empty term set")
-        if not s <= self.ksets[n].terms:
+        if not s <= self.terms_of(n):
             raise ValueError(f"terms are not covered by k-set {n}")
         return self._explain(n, s)[0]
 
     def _explain(self, n: int, xs: frozenset[int]) -> tuple[ProofTerm, frozenset[int]]:
         # Explicit work stack: merge chains (and hence proofs) can be far
-        # deeper than the interpreter's recursion limit.
+        # deeper than the interpreter's recursion limit.  Each level reads
+        # only the small sets a record stores, never a rebuilt k-set.
         tasks: list[tuple] = [("explain", n, xs)]
         results: list[tuple[ProofTerm, frozenset[int]]] = []
         while tasks:
@@ -507,22 +721,34 @@ class Session:
                                 wanted.add(old)
                             else:
                                 wanted.discard(old)
-                        wanted = self.ksets[h.source].terms & wanted
+                        if h.already is None:
+                            source = self.terms_of(h.source)
+                        else:
+                            # xs lies in the renamed set, which differs from
+                            # the source only by the pair
+                            ((old, new),) = h.renames
+                            source = xs | {old} if h.already else (xs - {new}) | {old}
                         tasks.append(("rewrap", steps, xs))
-                        tasks.append(("explain", h.source, wanted))
+                        tasks.append(("explain", h.source, source & wanted))
                         break
-                    s1 = self.ksets[h.left].terms
-                    s2 = self.ksets[h.right].terms
-                    if xs <= s1:
+                    # xs lies in the union; the absorbed side S holds the
+                    # part in S, the other side the rest plus the anchor
+                    absorbed, anchor = h.absorbed_terms, h.anchor
+                    inside = xs & absorbed
+                    small = len(inside) == len(xs)
+                    large = inside <= anchor
+                    left_absorbed = h.absorbed == h.left
+                    if small if left_absorbed else large:
                         n = h.left
                         continue
-                    if xs <= s2:
+                    if large if left_absorbed else small:
                         n = h.right
                         continue
-                    anchor = s1 & s2
+                    rest = (xs - absorbed) | (inside & anchor)
+                    s1, s2 = (inside, rest) if left_absorbed else (rest, inside)
                     tasks.append(("fuse", xs))
-                    tasks.append(("explain", h.right, anchor | (s2 & xs)))
-                    tasks.append(("explain", h.left, anchor | (s1 & xs)))
+                    tasks.append(("explain", h.right, anchor | s2))
+                    tasks.append(("explain", h.left, anchor | s1))
                     break
             elif kind == "fuse":
                 _, xs = task
@@ -578,31 +804,69 @@ class Session:
     def validate(self) -> None:
         """Deep structural check, intended for tests (quadratic in actives).
 
-        Verifies record well-formedness, parent-map conservation, the
-        pairwise overlap invariant of active k-sets, and counter bounds.
-        Raises EngineInvariantError on the first violation.
+        Checks the handle map, then replays the history bottom-up, from
+        each hypothesis through every merge and rename, against what each
+        record stores and against its `terms`; then the parent map against
+        the live sets, the pairwise overlap invariant of active k-sets, and
+        the counter bounds.  Raises EngineInvariantError on the first
+        violation.
         """
-        for rec in self.ksets:
-            if not rec.terms:
-                raise EngineInvariantError(f"k-set {rec.id} is empty")
-            h = rec.history
-            if isinstance(h, Merged):
-                sources = (h.left, h.right)
-            elif isinstance(h, Rewritten):
-                sources = (h.source,)
-            else:
-                sources = ()
-            if any(src >= rec.id for src in sources):
-                raise EngineInvariantError(f"k-set {rec.id} cites a later k-set")
-        for x, ps in self.term2parents.items():
-            expected = {
-                rec.id for rec in self.ksets if rec.active and x in rec.terms
-            }
-            if ps != expected:
-                raise EngineInvariantError(f"parent map out of sync for term {x}")
         active = [rec for rec in self.ksets if rec.active]
         if len(active) != self.counters.active:
             raise EngineInvariantError("active counter out of sync")
+        if {rec.handle: rec.id for rec in active} != self.owner or (
+            self.owner.keys() != self.live.keys()
+        ):
+            raise EngineInvariantError("handle map out of sync")
+        replay: list[frozenset[int]] = []
+        for rec in self.ksets:
+            h = rec.history
+            if isinstance(h, Asserted):
+                terms = frozenset(self.hypotheses[h.hyp_index])
+            elif max(h.left, h.right) >= rec.id if isinstance(h, Merged) else (
+                h.source >= rec.id
+            ):
+                raise EngineInvariantError(f"k-set {rec.id} cites a later k-set")
+            elif isinstance(h, Merged):
+                left, right = replay[h.left], replay[h.right]
+                terms = left | right
+                if h.absorbed not in (h.left, h.right) or h.absorbed_terms != (
+                    left if h.absorbed == h.left else right
+                ):
+                    raise EngineInvariantError(
+                        f"k-set {rec.id} stores the wrong absorbed side"
+                    )
+                if h.anchor != left & right:
+                    raise EngineInvariantError(f"k-set {rec.id} stores a wrong anchor")
+            else:
+                source = replay[h.source]
+                if h.already is not None and (
+                    len(h.renames) != 1 or h.already != (h.renames[0][1] in source)
+                ):
+                    raise EngineInvariantError(
+                        f"k-set {rec.id} misrecords its renamed term"
+                    )
+                renamed = set(source)
+                for old, new in h.renames:
+                    if old in renamed:
+                        renamed.discard(old)
+                        renamed.add(new)
+                terms = frozenset(renamed)
+            view = rec.terms
+            if not view:
+                raise EngineInvariantError(f"k-set {rec.id} is empty")
+            if view != terms:
+                raise EngineInvariantError(
+                    f"k-set {rec.id} disagrees with its history"
+                )
+            replay.append(terms)
+        expected: dict[int, set[int]] = {}
+        for handle, terms in self.live.items():
+            for x in terms:
+                expected.setdefault(x, set()).add(handle)
+        for x in self.term2parents.keys() | expected.keys():
+            if self.term2parents.get(x, set()) != expected.get(x, set()):
+                raise EngineInvariantError(f"parent map out of sync for term {x}")
         for i, a in enumerate(active):
             for b in active[i + 1 :]:
                 shared = a.terms & b.terms

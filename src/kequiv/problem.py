@@ -217,7 +217,11 @@ def generate(
     whole universe.  `partition_rate` controls how many term pairs are
     declared possibly equal.  A fixed seed yields identical bytes.
     """
-    if k < 1 or lines < 1 or terms < lines * (k + 1):
+    if k < 1:
+        raise ValueError(f"infeasible parameters: need k >= 1, got k={k}")
+    if lines < 1:
+        raise ValueError(f"infeasible parameters: need lines >= 1, got lines={lines}")
+    if terms < lines * (k + 1):
         raise ValueError(
             f"infeasible parameters: need terms >= lines*(k+1), got "
             f"k={k} terms={terms} lines={lines}"

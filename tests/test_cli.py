@@ -337,6 +337,21 @@ class TestGen:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "k,lines,reason",
+        [
+            ("0", "1", "need k >= 1, got k=0"),
+            ("2", "-1", "need lines >= 1, got lines=-1"),
+            ("2", "2", "need terms >= lines*(k+1), got k=2 terms=5 lines=2"),
+        ],
+    )
+    def test_infeasible_reason_is_the_failing_bound(self, capsys, k, lines, reason):
+        code, out, err = run(
+            capsys, "gen", "--k", k, "--terms", "5", "--lines", lines
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: infeasible parameters: {reason}\n"
+
     # refused before any name is built: 3e8 and 1e8 term names in the file
     @pytest.mark.parametrize(
         "k,terms", [("1", "100000000"), ("10000", "20002")]

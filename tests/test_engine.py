@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import kequiv
 from kequiv import (
     Asserted,
+    CongruenceState,
     EngineInvariantError,
     Merged,
     Session,
@@ -406,13 +407,24 @@ class TestInvariants:
             "    s.check_counter_bounds()\n"
             "except EngineInvariantError as e:\n"
             "    print(__debug__, e)\n"
-            "for corrupt in ('parents', 'empty'):\n"
+            "from dataclasses import replace\n"
+            "corruptions = {\n"
+            "    'parents': lambda s: s.term2parents[0].add(7),\n"
+            "    'empty': lambda s: s.live[0].clear(),\n"
+            "    'anchor': lambda s: setattr(s.ksets[2], 'history',\n"
+            "        replace(s.ksets[2].history, anchor=frozenset({0}))),\n"
+            "    'absorbed': lambda s: setattr(s.ksets[2], 'history',\n"
+            "        replace(s.ksets[2].history, absorbed_terms=frozenset({0, 1, 2}))),\n"
+            "    'handle': lambda s: s.owner.update({s.ksets[2].handle: 1}),\n"
+            "}\n"
+            "for corrupt, apply in corruptions.items():\n"
             "    s = Session(2)\n"
-            "    s.assert_hypothesis([s.intern_term(c) for c in 'abc'])\n"
-            "    if corrupt == 'parents':\n"
-            "        s.term2parents[0].add(7)\n"
-            "    else:\n"
-            "        s.ksets[0].terms = frozenset()\n"
+            "    a, b, c, d = (s.intern_term(t) for t in 'abcd')\n"
+            "    s.assert_hypothesis([a, b, c])\n"
+            "    if corrupt != 'empty':\n"
+            "        s.assert_hypothesis([a, b, d])\n"
+            "    s.validate()\n"
+            "    apply(s)\n"
             "    try:\n"
             "        s.validate()\n"
             "    except EngineInvariantError as e:\n"
@@ -443,6 +455,9 @@ class TestInvariants:
             "False merge count exceeded n-1\n"
             "False parent map out of sync for term 0\n"
             "False k-set 0 is empty\n"
+            "False k-set 2 stores a wrong anchor\n"
+            "False k-set 2 stores the wrong absorbed side\n"
+            "False handle map out of sync\n"
             "False no equality path between renamed terms\n"
         )
         assert issubclass(EngineInvariantError, AssertionError)
@@ -503,3 +518,38 @@ def test_mid_scale_oracle_differential(k, partitioned):
             if proof is not None:
                 assert check(proof, k, s.hypotheses, s.class_of) == frozenset(q)
         s.validate()
+
+
+def shape_registrations(shape, n):
+    """`Stats.registrations` after asserting one workload shape of size n."""
+    if shape == "eq-chain":
+        state = CongruenceState({"coll": 2})
+        q = [state.intern_term(f"q{i}") for i in range(n)]
+        x = [state.intern_term(f"x{i}") for i in range(n)]
+        z = state.intern_term("z")
+        state.mark_possibly_equal(q)
+        for i in range(n):
+            state.assert_atom("coll", [q[i], z, x[i]])
+            if i:
+                state.assert_eq(q[i - 1], q[i])
+        return state.sessions["coll"].stats().registrations
+    s = Session(2)
+    if shape == "chain":
+        p = [s.intern_term(f"p{i}") for i in range(n + 2)]
+        for i in range(n):
+            s.assert_hypothesis(p[i : i + 3])
+    else:  # a pencil of lines (h a_j b_j), each closed by (a_j b_j c_j)
+        h = s.intern_term("h")
+        for j in range(n):
+            a, b, c = (s.intern_term(f"{t}{j}") for t in "abc")
+            s.assert_hypothesis([h, a, b])
+            s.assert_hypothesis([a, b, c])
+    return s.stats().registrations
+
+
+@pytest.mark.parametrize("shape", ["chain", "pencil", "eq-chain"])
+def test_registrations_grow_near_linearly(shape):
+    # each doubling of n must multiply the (term, k-set) registrations by
+    # less than 2.3; copying every fused k-set whole, the chain's quadruple
+    counts = [shape_registrations(shape, n) for n in (1000, 2000, 4000)]
+    assert all(b < 2.3 * a for a, b in zip(counts, counts[1:])), counts
