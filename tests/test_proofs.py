@@ -164,6 +164,29 @@ class TestSerialization:
         assert got == Project(Assume(0), frozenset({0, 1}))
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "(assume)",
+            "(assume 0",
+            "assume 0)",
+            "(assume 0) (assume 1)",
+            "(frobnicate 1)",
+            "(subrefl)",
+            "(trans (assume 0))",
+            "(project (assume 0))",
+            "(subst (assume 0) a b)",
+            "(subrefl zz)",
+            "()",
+            "(assume x)",
+        ],
+    )
+    def test_parse_errors_are_located(self, text):
+        with pytest.raises(ProofSyntaxError) as e:
+            parse_proof(text, IDS)
+        assert e.value.column >= 1
+
+    @pytest.mark.parametrize(
         "text, column, message",
         [
             exact("(assume\tx)", 9, "expected a hypothesis index, got 'x'"),
