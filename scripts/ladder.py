@@ -1,78 +1,34 @@
 """Doubling ladder for the engine's assert path, with growth exponents.
 
-Builds each workload shape at n, 2n and 4n directly through `Session` or
-`CongruenceState`, times the asserts (best of `--repeats`), and prints one
-line per rung plus the growth exponent log(t(4n) / t(n)) / log 4.  An
-exponent near 1 is linear growth, near 2 quadratic.
+Builds each workload shape of `tests/helpers.py` at n, 2n and 4n, times
+its asserts (best of REPEATS, the same for every shape and rung), and
+prints one line per rung plus the growth exponent log(t(4n) / t(n)) / log 4.
+An exponent near 1 is linear growth, near 2 quadratic.
 
-    PYTHONPATH=src python scripts/ladder.py [--repeats 3] [--shape chain]
+    PYTHONPATH=src:tests python scripts/ladder.py
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import time
 
-from kequiv import CongruenceState, Session
+from helpers import chain_shape, eq_chain_shape, pencil_closed_shape, pencil_shape
 
-
-def chain(n):
-    """One line of n overlapping in-order triples."""
-    s = Session(2)
-    p = [s.intern_term(f"p{i}") for i in range(n + 2)]
-    return s, [(s.assert_hypothesis, p[i : i + 3]) for i in range(n)]
-
-
-def pencil(n):
-    """n lines (h, a_j, b_j) through one hub h."""
-    s = Session(2)
-    h = s.intern_term("h")
-    steps = []
-    for j in range(n):
-        a, b = s.intern_term(f"a{j}"), s.intern_term(f"b{j}")
-        steps.append((s.assert_hypothesis, [h, a, b]))
-    return s, steps
-
-
-def pencil_closed(n):
-    """n lines through one hub, each asserted as (h a_j b_j) then (a_j b_j c_j)."""
-    s = Session(2)
-    h = s.intern_term("h")
-    steps = []
-    for j in range(n):
-        a, b, c = (s.intern_term(f"{x}{j}") for x in "abc")
-        steps += [(s.assert_hypothesis, [h, a, b]), (s.assert_hypothesis, [a, b, c])]
-    return s, steps
-
-
-def eq_chain(n):
-    """Lines (q_i z x_i) that become one line through eq q_i-1 q_i."""
-    state = CongruenceState({"coll": 2})
-    q = [state.intern_term(f"q{i}") for i in range(n)]
-    x = [state.intern_term(f"x{i}") for i in range(n)]
-    z = state.intern_term("z")
-    state.mark_possibly_equal(q)
-    steps = []
-    for i in range(n):
-        steps.append((lambda xs: state.assert_atom("coll", xs), [q[i], z, x[i]]))
-        if i:
-            steps.append((lambda pair: state.assert_eq(*pair), (q[i - 1], q[i])))
-    return state, steps
-
+REPEATS = 5
 
 SHAPES = {
-    "chain": (chain, 2000),
-    "pencil": (pencil, 2000),
-    "pencil-closed": (pencil_closed, 2000),
-    "eq-chain": (eq_chain, 1000),
+    "chain": (chain_shape, 2000),
+    "pencil": (pencil_shape, 2000),
+    "pencil-closed": (pencil_closed_shape, 2000),
+    "eq-chain": (eq_chain_shape, 1000),
 }
 
 
-def assert_seconds(build, n, repeats):
+def assert_seconds(build, n):
     best = math.inf
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         _, steps = build(n)
         gc.collect()
         start = time.perf_counter()
@@ -83,15 +39,10 @@ def assert_seconds(build, n, repeats):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--shape", choices=sorted(SHAPES), action="append")
-    args = ap.parse_args()
-    for name in args.shape or SHAPES:
-        build, n = SHAPES[name]
+    for name, (build, n) in SHAPES.items():
         times = []
         for size in (n, 2 * n, 4 * n):
-            t = assert_seconds(build, size, args.repeats)
+            t = assert_seconds(build, size)
             times.append(t)
             print(f"{name:14} n={size:6d} assert {t:8.4f} s")
         print(f"{name:14} growth exponent {math.log(times[2] / times[0], 4):.2f}")

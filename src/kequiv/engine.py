@@ -119,7 +119,8 @@ class KSet:
     a read-only copy of it, or, once the record is inactive, its terms
     rebuilt from the history (see `Session.terms_of`).  The session is
     held by a weak reference, so a dropped session is freed at once rather
-    than left for the cycle collector.
+    than left for the cycle collector; `terms` is therefore readable only
+    while the session is alive, and raises ReferenceError after.
     """
 
     id: int
@@ -130,7 +131,10 @@ class KSet:
 
     @property
     def terms(self) -> frozenset[int]:
-        return frozenset(self.session().terms_of(self.id))
+        session = self.session()
+        if session is None:
+            raise ReferenceError(f"k-set record {self.id} outlived its Session")
+        return frozenset(session.terms_of(self.id))
 
 
 @dataclass

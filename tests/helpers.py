@@ -289,3 +289,53 @@ def mutate_proof(rng, proof, conclusion, session):
             Subst(node.inner, node.frm, node.to, len(session.equalities) + 3),
         )
     return None
+
+
+# Workload shapes for growth checks.  Each builder interns the terms of one
+# shape of size n and returns (session, steps): running every `fn(arg)` of
+# `steps` asserts the shape, and `session` is the engine session it fills.
+# `scripts/ladder.py` times the steps; the engine tests count registrations.
+
+
+def chain_shape(n):
+    """One line of n overlapping in-order triples (p_i p_i+1 p_i+2)."""
+    s = Session(2)
+    p = [s.intern_term(f"p{i}") for i in range(n + 2)]
+    return s, [(s.assert_hypothesis, p[i : i + 3]) for i in range(n)]
+
+
+def pencil_shape(n):
+    """n lines (h a_j b_j) through one hub h."""
+    s = Session(2)
+    h = s.intern_term("h")
+    steps = []
+    for j in range(n):
+        a, b = s.intern_term(f"a{j}"), s.intern_term(f"b{j}")
+        steps.append((s.assert_hypothesis, [h, a, b]))
+    return s, steps
+
+
+def pencil_closed_shape(n):
+    """n lines through one hub, each asserted as (h a_j b_j) then (a_j b_j c_j)."""
+    s = Session(2)
+    h = s.intern_term("h")
+    steps = []
+    for j in range(n):
+        a, b, c = (s.intern_term(f"{x}{j}") for x in "abc")
+        steps += [(s.assert_hypothesis, [h, a, b]), (s.assert_hypothesis, [a, b, c])]
+    return s, steps
+
+
+def eq_chain_shape(n):
+    """Lines (q_i z x_i) that become one line through eq q_i-1 q_i."""
+    state = CongruenceState({"coll": 2})
+    q = [state.intern_term(f"q{i}") for i in range(n)]
+    x = [state.intern_term(f"x{i}") for i in range(n)]
+    z = state.intern_term("z")
+    state.mark_possibly_equal(q)
+    steps = []
+    for i in range(n):
+        steps.append((lambda xs: state.assert_atom("coll", xs), [q[i], z, x[i]]))
+        if i:
+            steps.append((lambda pair: state.assert_eq(*pair), (q[i - 1], q[i])))
+    return state.sessions["coll"], steps

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import kequiv
 from kequiv import (
     Asserted,
-    CongruenceState,
     EngineInvariantError,
     Merged,
     Session,
@@ -20,7 +19,13 @@ from kequiv import (
     format_proof,
     used_hypotheses,
 )
-from helpers import build_session, run_differential
+from helpers import (
+    build_session,
+    chain_shape,
+    eq_chain_shape,
+    pencil_closed_shape,
+    run_differential,
+)
 
 TABLE_HYPS = ["abc", "cde", "efg", "adg", "bcd"]
 
@@ -520,34 +525,31 @@ def test_mid_scale_oracle_differential(k, partitioned):
         s.validate()
 
 
-def shape_registrations(shape, n):
-    """`Stats.registrations` after asserting one workload shape of size n."""
-    if shape == "eq-chain":
-        state = CongruenceState({"coll": 2})
-        q = [state.intern_term(f"q{i}") for i in range(n)]
-        x = [state.intern_term(f"x{i}") for i in range(n)]
-        z = state.intern_term("z")
-        state.mark_possibly_equal(q)
-        for i in range(n):
-            state.assert_atom("coll", [q[i], z, x[i]])
-            if i:
-                state.assert_eq(q[i - 1], q[i])
-        return state.sessions["coll"].stats().registrations
+def test_record_terms_need_a_live_session():
     s = Session(2)
-    if shape == "chain":
-        p = [s.intern_term(f"p{i}") for i in range(n + 2)]
-        for i in range(n):
-            s.assert_hypothesis(p[i : i + 3])
-    else:  # a pencil of lines (h a_j b_j), each closed by (a_j b_j c_j)
-        h = s.intern_term("h")
-        for j in range(n):
-            a, b, c = (s.intern_term(f"{t}{j}") for t in "abc")
-            s.assert_hypothesis([h, a, b])
-            s.assert_hypothesis([a, b, c])
-    return s.stats().registrations
+    x = [s.intern_term(t) for t in "abcd"]
+    s.assert_hypothesis(x[:3])
+    s.assert_hypothesis(x[1:])
+    records = s.ksets
+    assert records[2].terms == frozenset(x) and records[0].terms == frozenset(x[:3])
+    del s
+    with pytest.raises(ReferenceError, match="outlived its Session"):
+        records[0].terms
 
 
-@pytest.mark.parametrize("shape", ["chain", "pencil", "eq-chain"])
+def shape_registrations(build, n):
+    """`Stats.registrations` after asserting one workload shape of size n."""
+    session, steps = build(n)
+    for fn, arg in steps:
+        fn(arg)
+    return session.stats().registrations
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [chain_shape, pencil_closed_shape, eq_chain_shape],
+    ids=["chain", "pencil", "eq-chain"],
+)
 def test_registrations_grow_near_linearly(shape):
     # each doubling of n must multiply the (term, k-set) registrations by
     # less than 2.3; copying every fused k-set whole, the chain's quadruple
