@@ -21,7 +21,7 @@ from .problem import (
     intern_problem,
     parse_path,
 )
-from .proofs import ProofCheckError, ProofSyntaxError, check, format_proof, parse_proof
+from .proofs import ProofCheckError, ProofSyntaxError, check, format_proof
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -115,24 +115,25 @@ def cmd_check(args) -> int:
         if line == "not-entailed":
             print("pass")
             continue
-        if not line.startswith("entailed"):
+        # the word 'entailed', then whitespace and the proof
+        fields = line.split(None, 1)
+        if not fields or fields[0] != "entailed":
             print(f"fail: line {lineno}: expected 'entailed' or 'not-entailed'")
             ok = False
             continue
-        text = line[len("entailed") :].strip()
-        if not text:
+        if len(fields) == 1:
             print(f"fail: line {lineno}: no proof given")
             ok = False
             continue
         expected = frozenset(uf.find(t) for t in xs)
         try:
-            proof = parse_proof(text, interned.term_ids)
             conclusion = check(
-                proof,
+                fields[1],
                 interned.relations[rel],
                 hypotheses[rel],
                 class_of,
                 interned.equalities,
+                ids=interned.term_ids,
             )
         except (ProofSyntaxError, ProofCheckError) as e:
             print(f"fail: line {lineno}: {e}")

@@ -16,6 +16,11 @@ This module also owns the canonical text form of proofs:
     (subst P a b N)
 
 where terms are rendered by name and N is a log index.
+
+`check` also takes proof text.  It judges the text in one pass, each
+node as its ')' is read, and builds no proof term.  Only text that fails
+that pass is parsed into a term and checked again, which locates the
+error: the column of a syntax error, or the path to the failing node.
 """
 
 from __future__ import annotations
@@ -122,13 +127,21 @@ def _flatten(chain: _Path) -> tuple[int, ...]:
 
 
 def check(
-    proof: ProofTerm,
+    proof: ProofTerm | str,
     k: int,
     hypotheses: Sequence[Sequence[int]],
     partition: Mapping[int, int] | None = None,
     equalities: Sequence[tuple[int, int]] = (),
+    ids: Mapping[str, int] | None = None,
 ) -> frozenset[int]:
     """Check `proof` and return the judgment (term set) it establishes.
+
+    `proof` is a proof term, or its canonical text with `ids` mapping term
+    names to ids.  Text is judged in one pass that builds no proof term;
+    only text that pass does not accept is parsed with `parse_proof` and
+    checked as a term, so it raises exactly what
+    ``check(parse_proof(text, ids), ...)`` raises: ProofSyntaxError before
+    ProofCheckError.
 
     Laws enforced per node:
 
@@ -151,6 +164,13 @@ def check(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if isinstance(proof, str):
+        if ids is None:
+            raise TypeError("checking proof text needs the ids of its term names")
+        conclusion = _judge_text(proof, k, hypotheses, partition, equalities, ids)
+        if conclusion is not None:
+            return conclusion
+        proof = parse_proof(proof, ids)
 
     def cls(t: int):
         if partition is not None and t in partition:
@@ -397,6 +417,8 @@ def parse_proof(text: str, ids: Mapping[str, int]) -> ProofTerm:
     done: ProofTerm | None = None
     for i, tok in enumerate(tokens):
         if tok == "(":
+            if frames and tokens[frames[-1][0]] == "(":
+                raise error(i, "expected a proof constructor")
             frames.append((i, []))
         elif tok == ")":
             if not frames:
@@ -425,3 +447,110 @@ def parse_proof(text: str, ids: Mapping[str, int]) -> ProofTerm:
     if done is None:
         raise error(len(tokens), "empty proof")
     return done
+
+
+# a parenthesis and the atoms that follow it, up to the next parenthesis
+_EVENT = re.compile(r"([()])([^()]*)")
+
+
+def _judge_text(
+    text: str,
+    k: int,
+    hypotheses: Sequence[Sequence[int]],
+    partition: Mapping[int, int] | None,
+    equalities: Sequence[tuple[int, int]],
+    ids: Mapping[str, int],
+) -> frozenset[int] | None:
+    """The judgment proof `text` establishes, or None if it is not a proof.
+
+    One pass over the parentheses: a node's judgment is worked out from
+    its children's when its ')' is read, by the laws `check` enforces.  It
+    gives up, returning None, on anything `parse_proof` or `check` would
+    reject, and leaves the error to them.  It also leaves them the rare
+    valid text it does not judge itself: leading whitespace, or a term that
+    `partition` does not map.
+    """
+    if not text.startswith("("):
+        return None
+    name_id = ids.__getitem__
+    # raises KeyError on a term outside the partition, leaving it to `check`
+    class_of = partition.__getitem__ if partition is not None else None
+    n_hyps, n_eqs = len(hypotheses), len(equalities)
+    # an open node is [atoms after its '(', then per child: judgment, atoms
+    # after the child's ')'], so a valid node's length says its shape
+    stack: list[list] = []
+    node: list | None = None
+    root = None
+    try:
+        for paren, stretch in _EVENT.findall(text):
+            atoms = stretch.split()
+            if paren == "(":
+                if not atoms:
+                    return None  # no constructor
+                if node is not None:
+                    stack.append(node)
+                elif root is not None:
+                    return None  # trailing input
+                node = [atoms]
+                continue
+            if node is None:
+                return None  # unbalanced ')'
+            head = node[0]
+            kind = head[0]
+            if kind == "trans":
+                if len(node) != 5 or len(head) != 1 or node[2] or node[4]:
+                    return None
+                x, y = node[1], node[3]
+                shared = x & y
+                if len(shared) < k:
+                    return None
+                if partition is not None and len(set(map(class_of, shared))) < k:
+                    return None
+                judgment = x | y
+            elif kind == "project":
+                if len(node) != 3 or len(head) != 1 or not node[2]:
+                    return None
+                judgment = frozenset(map(name_id, node[2]))
+                if not judgment <= node[1]:
+                    return None
+            elif kind == "assume":
+                if len(node) != 1 or len(head) != 2:
+                    return None
+                i = int(head[1])
+                if not 0 <= i < n_hyps:
+                    return None
+                judgment = frozenset(hypotheses[i])
+            elif kind == "subst":
+                if len(node) != 3 or len(head) != 1 or len(node[2]) != 3:
+                    return None
+                frm_name, to_name, e = node[2]
+                frm, to, e = name_id(frm_name), name_id(to_name), int(e)
+                if not 0 <= e < n_eqs:
+                    return None
+                a, b = equalities[e]
+                if (frm, to) != (a, b) and (to, frm) != (a, b):
+                    return None
+                if partition is not None and class_of(a) != class_of(b):
+                    return None
+                judgment = node[1]
+                if frm in judgment:
+                    judgment = (judgment - {frm}) | {to}
+            elif kind == "subrefl":
+                if len(node) != 1 or len(head) < 2:
+                    return None
+                judgment = frozenset(map(name_id, head[1:]))
+                if len(judgment) > k:
+                    return None
+            else:
+                return None
+            if stack:
+                node = stack.pop()
+                node.append(judgment)
+                node.append(atoms)
+            elif atoms:
+                return None  # trailing input
+            else:
+                node, root = None, judgment
+    except (KeyError, ValueError):
+        return None  # an unknown term name, a malformed index, or see class_of
+    return root if node is None else None

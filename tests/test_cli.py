@@ -8,11 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kequiv
+import kequiv.proofs
 from kequiv.cli import main
 from kequiv.congruence import CongruenceState
 from kequiv.engine import Session
 from kequiv.oracle import closure_sets, covered
 from kequiv.problem import generate, intern_problem, parse_text
+from kequiv.proofs import ProofCheckError, check, parse_proof
 
 EXAMPLE = """\
 rel coll 2
@@ -309,6 +311,84 @@ class TestCheck:
         assert out == ""
         assert err == "error: terms 'a' and 'b' are known distinct\n"
         assert run(capsys, "solve", str(path))[1:] == ("", err)
+
+    def test_passing_lines_build_no_proof_tree(
+        self, example, tmp_path, capsys, monkeypatch
+    ):
+        proofs = self.solve_to_file(capsys, tmp_path, example)
+
+        def tree_built(*args, **kwargs):
+            raise AssertionError("check parsed a passing line into a tree")
+
+        monkeypatch.setattr(kequiv.proofs, "parse_proof", tree_built)
+        assert run(capsys, "check", example, proofs) == (0, "pass\n" * 3, "")
+
+    def test_entailed_must_be_followed_by_whitespace(self, example, tmp_path, capsys):
+        proofs = Path(self.solve_to_file(capsys, tmp_path, example))
+        first, second, third = proofs.read_text().splitlines()
+        proofs.write_text(
+            first.replace("entailed ", "entailed", 1)
+            + "\n"
+            + second.replace("entailed", "entailedX", 1)
+            + "\n"
+            + third.replace("entailed ", "entailed\u3000\t", 1)
+            + "\n"
+        )
+        code, out, _ = run(capsys, "check", example, str(proofs))
+        assert (code, out.splitlines()) == (
+            3,
+            [
+                "fail: line 1: expected 'entailed' or 'not-entailed'",
+                "fail: line 2: expected 'entailed' or 'not-entailed'",
+                "pass",
+            ],
+        )
+
+    def test_constructor_after_a_sub_proof_fails(self, tmp_path, capsys):
+        path = tmp_path / "p.kq"
+        path.write_text(
+            "rel coll 2\nhyp coll a b c\nhyp coll b c d\nquery coll a b c d\n"
+        )
+        proofs = tmp_path / "proofs.txt"
+        proofs.write_text("entailed ((assume 0) trans (assume 1))\n")
+        assert run(capsys, "check", str(path), str(proofs)) == (
+            3,
+            "fail: line 1: col 2: expected a proof constructor\n",
+            "",
+        )
+
+    def test_ten_thousand_step_chain(self, tmp_path, capsys):
+        n = 10_000
+        path = tmp_path / "chain.kq"
+        path.write_text(
+            "rel coll 2\n"
+            + "".join(f"hyp coll p{i} p{i + 1} p{i + 2}\n" for i in range(n))
+            + f"query coll p0 p{n // 2} p{n + 1}\n"
+        )
+        proofs = Path(self.solve_to_file(capsys, tmp_path, str(path)))
+        assert run(capsys, "check", str(path), str(proofs)) == (0, "pass\n", "")
+        # send the first assume at depth 5,000 out of range
+        text = proofs.read_text()[len("entailed ") :].rstrip("\n")
+        depth = 0
+        for i, ch in enumerate(text):
+            depth += {"(": 1, ")": -1}.get(ch, 0)
+            if depth >= 5000 and text.startswith("(assume ", i):
+                break
+        end = text.index(")", i) + 1
+        text = f"{text[:i]}(assume {n}){text[end:]}"
+        proofs.write_text(f"entailed {text}\n")
+        interned = intern_problem(parse_text(path.read_text()))
+        with pytest.raises(ProofCheckError) as e:
+            check(
+                parse_proof(text, interned.term_ids),
+                2,
+                [xs for _, xs in interned.atoms],
+                interned.class_of,
+            )
+        assert str(e.value).startswith("at root.0.0")
+        assert len(e.value.path) >= 4999
+        expected = f"fail: line 1: {e.value}\n"
+        assert run(capsys, "check", str(path), str(proofs)) == (3, expected, "")
 
     def test_deep_chain_round_trip(self, tmp_path, capsys):
         n = 300

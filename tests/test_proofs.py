@@ -1,9 +1,13 @@
+import collections
+import itertools
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kequiv.proofs
 from kequiv import (
     Assume,
     Project,
@@ -17,7 +21,13 @@ from kequiv import (
     parse_proof,
     used_hypotheses,
 )
-from helpers import mutate_proof, random_instance, run_differential
+from helpers import (
+    build_congruence,
+    mutate_proof,
+    random_congruence_instance,
+    random_instance,
+    run_differential,
+)
 
 # seven collinearity facts style context: ids 0..6 stand for a..g
 HYPS = [(0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 3, 6), (1, 2, 3)]
@@ -182,9 +192,12 @@ class TestSerialization:
         ],
     )
     def test_parse_errors_are_located(self, text):
-        with pytest.raises(ProofSyntaxError) as e:
+        # text given to `check` fails exactly as the tree parser does
+        with pytest.raises(ProofSyntaxError) as tree:
             parse_proof(text, IDS)
-        assert e.value.column >= 1
+        with pytest.raises(ProofSyntaxError) as e:
+            check(text, 1, [], ids=IDS)
+        assert (e.value.column, str(e.value)) == (tree.value.column, str(tree.value))
 
     @pytest.mark.parametrize(
         "text, column, message",
@@ -230,6 +243,13 @@ class TestSerialization:
             exact(")", 1, "unbalanced ')'"),
             # unbalanced ')' after a wide space
             exact("(assume 0)\u3000)", 12, "unbalanced ')'"),
+            # a constructor must come first, not after a sub-proof
+            exact(
+                "((assume 0) trans (assume 1))", 2, "expected a proof constructor"
+            ),
+            exact(
+                "( (assume 0) (assume 1) trans)", 3, "expected a proof constructor"
+            ),
             exact("()", 1, "empty proof node"),
             exact("( \t)", 1, "empty proof node"),
             exact("assume 0)", 1, "proof must start with '('"),
@@ -330,3 +350,128 @@ def test_parse_proof_fuzz_raises_only_syntax_errors(text):
         assert e.column in starts or (
             e.column == len(text) + 1 and str(e).endswith(": empty proof")
         )
+
+
+CONSTRUCTORS = ["assume", "subrefl", "trans", "project", "subst"]
+# "" only ever lands next to a parenthesis, where it splits nothing
+SPACES = [" ", "  ", "\t", "\x1c", "\u3000"]
+TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def outcome(fn):
+    """fn()'s conclusion, or the type and message of its proof error."""
+    try:
+        return fn()
+    except (ProofSyntaxError, ProofCheckError) as e:
+        return type(e), str(e)
+
+
+def emitted_proofs(rng):
+    """(context, ids, texts): the engine's proofs on a random congruence
+    instance, with the (k, hypotheses, partition, equalities) they cite."""
+    k = rng.choice([1, 2, 3])
+    n_terms, class_of, statements = random_congruence_instance(rng, k)
+    state = build_congruence(k, n_terms, class_of, statements)
+    names = state.term_names
+    texts = []
+    for combo in itertools.combinations(range(n_terms), k + 1):
+        proof = state.query_atom("r", combo)
+        if proof is not None:
+            texts.append(format_proof(proof, names))
+    session = state.sessions["r"]
+    context = (k, session.hypotheses, session.class_of, state.equalities)
+    return context, {name: i for i, name in enumerate(names)}, texts
+
+
+def mutate_text(rng, tokens, names, n_indices):
+    """Tokens with up to two token-level edits, re-joined by random spaces.
+
+    Indices and names mostly replace their own kind, so that many mutants
+    parse and break a law instead of the syntax.
+    """
+    tokens = list(tokens)
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(tokens))
+        ints = [j for j, tok in enumerate(tokens) if tok.isdigit()] or [i]
+        terms = [j for j, tok in enumerate(tokens) if tok in names] or [i]
+        op = rng.randrange(8)
+        if op == 0 and len(tokens) > 1:
+            del tokens[i]
+        elif op == 1:
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(tokens))
+        elif op == 2:
+            j = rng.randrange(len(tokens))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif op == 3:
+            tokens[rng.choice(ints)] = str(rng.randint(-1, n_indices))
+        elif op == 4:
+            tokens[rng.choice(terms)] = rng.choice(names + ["zz"])
+        elif op == 5:
+            tokens.insert(rng.choice(terms), rng.choice(names))
+        elif op == 6:
+            tokens[i] = rng.choice(CONSTRUCTORS)
+        else:
+            tokens[i] = rng.choice("()")
+    out = [rng.choice(SPACES + [""])]
+    for a, b in zip(tokens, tokens[1:] + [")"]):
+        out.append(a)
+        near_paren = a in "()" or b in "()"
+        out.append(rng.choice(SPACES + [""] * near_paren))
+    return tokens, "".join(out)
+
+
+def perturb(rng, partition, hyps):
+    """The partition with one term t of a hypothesis dropped, given a class
+    of its own, or given the class of another term of that hypothesis; the
+    last can leave a `trans` step short of distinct anchors."""
+    partition = dict(partition)
+    t, u = rng.sample(rng.choice(hyps), 2)
+    op = rng.randrange(3)
+    if op == 0:
+        del partition[t]
+    elif op == 1:
+        partition[t] = max(partition.values()) + 1
+    else:
+        partition[t] = partition[u]
+    return partition
+
+
+def test_text_path_matches_tree_path():
+    # `check` on text must agree with `check(parse_proof(text))`: the same
+    # conclusion, or the same error type and message
+    seen = collections.Counter()
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def differential(seed):
+        rng = random.Random(seed)
+        (k, hyps, partition, eqs), ids, texts = emitted_proofs(rng)
+        names = sorted(ids)
+        if not texts:
+            return
+        # the engine's own proofs are judged in the one pass, with no tree
+        trees = [check(parse_proof(t, ids), k, hyps, partition, eqs) for t in texts]
+        with mock.patch.object(
+            kequiv.proofs, "parse_proof", side_effect=AssertionError("tree built")
+        ):
+            assert [check(t, k, hyps, partition, eqs, ids=ids) for t in texts] == trees
+        n_indices = max(len(hyps), len(eqs))
+        # longer proofs have more nodes to break
+        for text in rng.choices(texts, [len(t) for t in texts], k=8):
+            original = TOKEN.findall(text)
+            for _ in range(6):
+                tokens, mutant = mutate_text(rng, original, names, n_indices)
+                part = partition
+                if hyps and rng.random() < 0.4:
+                    part = perturb(rng, partition, hyps)
+                got = outcome(lambda: check(mutant, k, hyps, part, eqs, ids=ids))
+                want = outcome(
+                    lambda: check(parse_proof(mutant, ids), k, hyps, part, eqs)
+                )
+                assert got == want, mutant
+                if tokens != original:
+                    kind = "pass" if isinstance(want, frozenset) else want[0].__name__
+                    seen[kind] += 1
+
+    differential()
+    assert seen["pass"] and seen["ProofCheckError"] and seen["ProofSyntaxError"], seen
