@@ -110,6 +110,9 @@ class Rewritten:
 
 HistoryNode = Union[Asserted, Merged, Rewritten]
 
+# the kinds of `Session._explain`'s tasks
+_EXPLAIN, _FUSE, _REWRAP = 0, 1, 2
+
 
 @dataclass(eq=False, slots=True)
 class KSet:
@@ -665,16 +668,14 @@ class Session:
             raise ValueError(f"unknown term id {lo if lo < 0 else hi}")
         if len(s) <= self.k:
             return SubRefl(s)
-        parents: set[int] | None = None
-        for x in s:
-            ps = self.term2parents.get(x)
-            if not ps:
-                return None
-            parents = set(ps) if parents is None else parents & ps
-            if not parents:
-                return None
-        proof, conclusion = self._explain(min(self.owner[h] for h in parents), s)
-        if conclusion != s:
+        parents = [self.term2parents.get(x) for x in s]
+        if not all(parents):
+            return None
+        common = min(parents, key=len).intersection(*parents)
+        if not common:
+            return None
+        proof = self._explain(min(self.owner[h] for h in common), s)
+        if type(proof) is Assume and frozenset(self.hypotheses[proof.hyp_index]) != s:
             proof = Project(proof, s)
         return proof
 
@@ -691,88 +692,96 @@ class Session:
             raise ValueError("empty term set")
         if not s <= self.terms_of(n):
             raise ValueError(f"terms are not covered by k-set {n}")
-        return self._explain(n, s)[0]
+        return self._explain(n, s)
 
-    def _explain(self, n: int, xs: frozenset[int]) -> tuple[ProofTerm, frozenset[int]]:
+    def _explain(self, n: int, xs: frozenset[int]) -> ProofTerm:
         # Explicit work stack: merge chains (and hence proofs) can be far
         # deeper than the interpreter's recursion limit.  Each level reads
-        # only the small sets a record stores, never a rebuilt k-set.
-        tasks: list[tuple] = [("explain", n, xs)]
-        results: list[tuple[ProofTerm, frozenset[int]]] = []
-        while tasks:
-            task = tasks.pop()
-            kind = task[0]
-            if kind == "explain":
-                _, n, xs = task
-                while True:
-                    h = self.ksets[n].history
-                    if isinstance(h, Asserted):
-                        results.append(
-                            (
-                                Assume(h.hyp_index),
-                                frozenset(self.hypotheses[h.hyp_index]),
-                            )
-                        )
-                        break
-                    if isinstance(h, Rewritten):
-                        steps = []
-                        for r in h.renames:
-                            steps += self.equalities.path(*r)
-                        # pull xs back through the renaming, last step first
-                        wanted = set(xs)
-                        for old, new, _ in reversed(steps):
-                            if new in wanted:
-                                wanted.add(old)
-                            else:
-                                wanted.discard(old)
-                        if h.already is None:
-                            source = self.terms_of(h.source)
-                        else:
-                            # xs lies in the renamed set, which differs from
-                            # the source only by the pair
-                            ((old, new),) = h.renames
-                            source = xs | {old} if h.already else (xs - {new}) | {old}
-                        tasks.append(("rewrap", steps, xs))
-                        tasks.append(("explain", h.source, source & wanted))
-                        break
-                    # xs lies in the union; the absorbed side S holds the
-                    # part in S, the other side the rest plus the anchor
-                    absorbed, anchor = h.absorbed_terms, h.anchor
-                    inside = xs & absorbed
-                    small = len(inside) == len(xs)
-                    large = inside <= anchor
-                    left_absorbed = h.absorbed == h.left
-                    if small if left_absorbed else large:
+        # only the small sets a record stores, never a rebuilt k-set.  A
+        # proof concludes the terms asked of it, except an `Assume`, which
+        # concludes its hypothesis's terms.  A task is (kind, a, b):
+        # (_EXPLAIN, record, terms), (_FUSE, None, terms) or
+        # (_REWRAP, steps, (terms, terms asked of the source)).
+        ksets, hypotheses, path = self.ksets, self.hypotheses, self.equalities.path
+        tasks: list[tuple] = []
+        results: list[ProofTerm] = []
+        while True:
+            # explain record n, continuing down one side of a merge
+            h = ksets[n].history
+            cls = type(h)
+            if cls is Merged:
+                # xs lies in the union; the absorbed side holds the part in
+                # it, the other side the rest, and both hold the anchor
+                absorbed, anchor = h.absorbed_terms, h.anchor
+                inside = xs & absorbed
+                if h.absorbed == h.left:
+                    if len(inside) == len(xs):
                         n = h.left
                         continue
-                    if large if left_absorbed else small:
+                    if inside <= anchor:
                         n = h.right
                         continue
-                    rest = (xs - absorbed) | (inside & anchor)
-                    s1, s2 = (inside, rest) if left_absorbed else (rest, inside)
-                    tasks.append(("fuse", xs))
-                    tasks.append(("explain", h.right, anchor | s2))
-                    tasks.append(("explain", h.left, anchor | s1))
+                    left, right = anchor | inside, anchor | (xs - absorbed)
+                else:
+                    if inside <= anchor:
+                        n = h.left
+                        continue
+                    if len(inside) == len(xs):
+                        n = h.right
+                        continue
+                    left, right = anchor | (xs - absorbed), anchor | inside
+                tasks.append((_FUSE, None, xs))
+                tasks.append((_EXPLAIN, h.right, right))
+                n, xs = h.left, left
+                continue
+            if cls is Asserted:
+                results.append(Assume(h.hyp_index))
+            else:  # Rewritten
+                steps = []
+                for r in h.renames:
+                    steps += path(*r)
+                # pull xs back through the renaming, last step first
+                wanted = set(xs)
+                for old, new, _ in reversed(steps):
+                    if new in wanted:
+                        wanted.add(old)
+                    else:
+                        wanted.discard(old)
+                if h.already is None:
+                    source = self.terms_of(h.source)
+                else:
+                    # xs lies in the renamed set, which differs from the
+                    # source only by the pair
+                    ((old, new),) = h.renames
+                    source = xs | {old} if h.already else (xs - {new}) | {old}
+                asked = source & wanted
+                tasks.append((_REWRAP, steps, (xs, asked)))
+                n, xs = h.source, asked
+                continue
+            # the walk reached a hypothesis: finish the tasks it completes
+            while tasks:
+                kind, a, b = tasks.pop()
+                if kind == _FUSE:
+                    right = results.pop()
+                    results[-1] = Project(Trans(results[-1], right), b)
+                elif kind == _EXPLAIN:
+                    n, xs = a, b
                     break
-            elif kind == "fuse":
-                _, xs = task
-                p2, _ = results.pop()
-                p1, _ = results.pop()
-                results.append((Project(Trans(p1, p2), xs), xs))
-            else:  # rewrap
-                _, steps, xs = task
-                proof, conclusion = results.pop()
-                current = set(conclusion)
-                for old, new, e in steps:
-                    if old in current:
-                        proof = Subst(proof, old, new, e)
-                        current.discard(old)
-                        current.add(new)
-                if frozenset(current) != xs:
-                    proof = Project(proof, xs)
-                results.append((proof, xs))
-        (out,) = results
-        return out
+                else:  # _REWRAP
+                    xs, asked = b
+                    proof = results[-1]
+                    if type(proof) is Assume:
+                        asked = hypotheses[proof.hyp_index]
+                    current = set(asked)
+                    for old, new, e in a:
+                        if old in current:
+                            proof = Subst(proof, old, new, e)
+                            current.discard(old)
+                            current.add(new)
+                    results[-1] = proof if current == xs else Project(proof, xs)
+            else:
+                (proof,) = results
+                return proof
 
     def kfun_eq(self, x1: Iterable[int], x2: Iterable[int]) -> ProofTerm | None:
         """Decide whether two k-element anchor sets name the same object.

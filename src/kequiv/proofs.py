@@ -17,6 +17,15 @@ This module also owns the canonical text form of proofs:
 
 where terms are rendered by name and N is a log index.
 
+The five node classes (`Assume`, `SubRefl`, `Trans`, `Project`, `Subst`)
+are `__slots__` classes on one small base class, so the engine can emit
+large proofs cheaply.  They are not dataclasses, but they act like frozen
+ones: assigning a field raises AttributeError, and `==`, `hash` and
+`repr` are structural, with a dataclass's results.  Those three and
+`pickle`/`copy.deepcopy` walk the tree over an explicit stack (pickling
+writes it as one flat postfix tuple), so they work on proofs of any
+depth.
+
 `check` also takes proof text.  It judges the text in one pass, each
 node as its ')' is read, and builds no proof term.  Only text that fails
 that pass is parsed into a term and checked again, which locates the
@@ -26,7 +35,6 @@ error: the column of a syntax error, or the path to the failing node.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -46,54 +54,180 @@ __all__ = [
 ]
 
 
-def _termset(terms: Iterable[int]) -> frozenset[int]:
-    return terms if isinstance(terms, frozenset) else frozenset(terms)
+class _Node:
+    """Base of the proof node classes.
+
+    A node's fields are its `__slots__`, in argument order, its `_kids`
+    sub-proofs first.  Nodes are immutable.  `==`, `hash` and `repr` give
+    what a frozen dataclass gives, and they and pickling read the tree over
+    an explicit stack, so a proof of any depth survives them.
+    """
+
+    __slots__ = ()
+    _kids = 0
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _postfix(self) == _postfix(other)
+
+    def __hash__(self):
+        # the hash of the tuple of field values, each sub-proof's hash
+        # standing in for the sub-proof
+        return _fold(
+            _postfix(self),
+            lambda cls, kids, data: hash((*map(_Lane, kids), *data)),
+            hash,
+        )
+
+    def __repr__(self):
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                out.append(node)
+                continue
+            parts = [f"{type(node).__qualname__}("]
+            for i, name in enumerate(node.__slots__):
+                value = getattr(node, name)
+                parts.append(f", {name}=" if i else f"{name}=")
+                parts.append(value if isinstance(value, _Node) else repr(value))
+            parts.append(")")
+            stack += reversed(parts)
+        return "".join(out)
+
+    def __reduce__(self):
+        return _from_postfix, (tuple(_postfix(self)),)
 
 
-@dataclass(frozen=True)
-class Assume:
+class Assume(_Node):
     """Cites hypothesis `hyp_index`; concludes the set of its terms."""
 
-    hyp_index: int
+    __slots__ = __match_args__ = ("hyp_index",)
+
+    def __init__(self, hyp_index: int) -> None:
+        _set_hyp_index(self, hyp_index)
 
 
-@dataclass(frozen=True)
-class SubRefl:
+class SubRefl(_Node):
     """Concludes `terms` outright; valid only for at most k terms."""
 
-    terms: frozenset[int]
+    __slots__ = __match_args__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _termset(self.terms))
+    def __init__(self, terms: Iterable[int]) -> None:
+        _set_subrefl_terms(
+            self, terms if isinstance(terms, frozenset) else frozenset(terms)
+        )
 
 
-@dataclass(frozen=True)
-class Trans:
+class Trans(_Node):
     """Fuses two judgments that share k known-distinct terms; concludes the union."""
 
-    left: "ProofTerm"
-    right: "ProofTerm"
+    __slots__ = __match_args__ = ("left", "right")
+    _kids = 2
+
+    def __init__(self, left: ProofTerm, right: ProofTerm) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
 
 
-@dataclass(frozen=True)
-class Project:
+class Project(_Node):
     """Restricts a judgment to the subset `terms`."""
 
-    inner: "ProofTerm"
-    terms: frozenset[int]
+    __slots__ = __match_args__ = ("inner", "terms")
+    _kids = 1
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _termset(self.terms))
+    def __init__(self, inner: ProofTerm, terms: Iterable[int]) -> None:
+        _set_project_inner(self, inner)
+        _set_project_terms(
+            self, terms if isinstance(terms, frozenset) else frozenset(terms)
+        )
 
 
-@dataclass(frozen=True)
-class Subst:
+class Subst(_Node):
     """Rewrites term `frm` to `to`, citing entry `eq_index` of the equality log."""
 
-    inner: "ProofTerm"
-    frm: int
-    to: int
-    eq_index: int
+    __slots__ = __match_args__ = ("inner", "frm", "to", "eq_index")
+    _kids = 1
+
+    def __init__(self, inner: ProofTerm, frm: int, to: int, eq_index: int) -> None:
+        _set_subst_inner(self, inner)
+        _set_frm(self, frm)
+        _set_to(self, to)
+        _set_eq_index(self, eq_index)
+
+
+# A node's fields are written once, by its __init__, through the slots'
+# own descriptors, which `_Node.__setattr__` does not stand in front of.
+_set_hyp_index = Assume.hyp_index.__set__
+_set_subrefl_terms = SubRefl.terms.__set__
+_set_left = Trans.left.__set__
+_set_right = Trans.right.__set__
+_set_project_inner = Project.inner.__set__
+_set_project_terms = Project.terms.__set__
+_set_subst_inner = Subst.inner.__set__
+_set_frm = Subst.frm.__set__
+_set_to = Subst.to.__set__
+_set_eq_index = Subst.eq_index.__set__
+
+
+class _Lane:
+    """Stands, in a tuple, for an object whose hash is already known."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+def _postfix(root: ProofTerm) -> list[tuple]:
+    """The tree as one flat list in postfix order.
+
+    A node gives (class, *its other fields) after the entries of its
+    sub-proofs; a sub-proof field that holds no node gives (None, value).
+    """
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, _Node):
+            out.append((None, node))
+            continue
+        fields = [getattr(node, name) for name in node.__slots__]
+        out.append((type(node), *fields[node._kids :]))
+        stack += fields[: node._kids]  # the first sub-proof is read last
+    out.reverse()
+    return out
+
+
+def _fold(entries: Iterable[tuple], node, plain):
+    """Evaluate a postfix list bottom-up: `node(cls, kids, data)` for a
+    node's entry, `plain(value)` for a (None, value) one."""
+    stack: list = []
+    for cls, *data in entries:
+        if cls is None:
+            stack.append(plain(data[0]))
+            continue
+        cut = len(stack) - cls._kids
+        kids = stack[cut:]
+        del stack[cut:]
+        stack.append(node(cls, kids, data))
+    (root,) = stack
+    return root
+
+
+def _from_postfix(entries: tuple) -> ProofTerm:
+    return _fold(entries, lambda cls, kids, data: cls(*kids, *data), lambda v: v)
 
 
 ProofTerm = Union[Assume, SubRefl, Trans, Project, Subst]
@@ -281,52 +415,97 @@ def format_proof(proof: ProofTerm, names: Sequence[str]) -> str:
     """Render a proof in the canonical text form, terms by name.
 
     Term lists are emitted in ascending term-id order, which makes the
-    output deterministic for a fixed session.
+    output deterministic for a fixed session.  A term id with no name
+    raises ValueError.
     """
-
-    def name(t: int) -> str:
-        try:
-            return names[t]
-        except (IndexError, TypeError):
-            raise ValueError(f"no name for term id {t}") from None
-
-    # names[-1] would not raise, so negative ids are refused before lookup
-    def termlist(terms: frozenset[int]) -> str:
-        ids = sorted(terms)
-        if ids and ids[0] < 0:  # the smallest id comes first
-            raise ValueError(f"no name for term id {ids[0]}")
-        return " ".join(name(t) for t in ids)
-
     out: list[str] = []
-    stack: list[ProofTerm | str] = [proof]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            out.append(node)
-        elif isinstance(node, Assume):
-            out.append(f"(assume {node.hyp_index})")
-        elif isinstance(node, SubRefl):
-            out.append(f"(subrefl {termlist(node.terms)})")
-        elif isinstance(node, Trans):
-            stack.append(")")
-            stack.append(node.right)
-            stack.append(" ")
-            stack.append(node.left)
-            stack.append("(trans ")
-        elif isinstance(node, Project):
-            stack.append(f" {termlist(node.terms)})")
-            stack.append(node.inner)
-            stack.append("(project ")
-        elif isinstance(node, Subst):
-            frm, to = node.frm, node.to
-            if frm < 0 or to < 0:
-                raise ValueError(f"no name for term id {frm if frm < 0 else to}")
-            stack.append(f" {name(frm)} {name(to)} {node.eq_index})")
-            stack.append(node.inner)
-            stack.append("(subst ")
-        else:
-            raise ValueError(f"unknown proof node {node!r}")
-    return "".join(out)
+    emit = out.append
+    # the text that closes each open node, and the right sub-proofs of
+    # open `trans` nodes, which are still to render
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    node = proof
+    try:
+        while True:
+            # open `node`, descending to its first sub-proof
+            cls = type(node)
+            if cls is Assume:
+                emit(f"(assume {node.hyp_index})")
+            elif cls is Project:
+                ids = sorted(node.terms)
+                if ids and ids[0] < 0:  # names[-1] would not raise
+                    raise IndexError
+                emit("(project ")
+                push(" " + " ".join([names[t] for t in ids]) + ")")
+                node = node.inner
+                continue
+            elif cls is Trans:
+                emit("(trans ")
+                push(")")
+                push(node.right)
+                node = node.left
+                continue
+            elif cls is Subst:
+                frm, to = node.frm, node.to
+                if frm < 0 or to < 0:
+                    raise IndexError
+                emit("(subst ")
+                push(f" {names[frm]} {names[to]} {node.eq_index})")
+                node = node.inner
+                continue
+            elif cls is SubRefl:
+                ids = sorted(node.terms)
+                if ids and ids[0] < 0:
+                    raise IndexError
+                emit("(subrefl " + " ".join([names[t] for t in ids]) + ")")
+            else:
+                raise ValueError(f"unknown proof node {node!r}")
+            # `node` was a leaf: close nodes up to the next right sub-proof
+            while stack:
+                item = pop()
+                if type(item) is str:
+                    emit(item)
+                else:
+                    emit(" ")
+                    node = item
+                    break
+            else:
+                return "".join(out)
+    except (IndexError, TypeError):
+        error = _unnamed(node, names)
+        if error is None:
+            raise
+        raise error from None
+
+
+def _unnamed(node: ProofTerm, names: Sequence[str]) -> ValueError | None:
+    """The error for the first term id of `node` without a name, or None.
+
+    Ids are read in the order they are rendered, but a negative id, which
+    names[-1] would not reject, or one that is not a number, is found first.
+    """
+    if type(node) is Subst:
+        ids = [node.frm, node.to]
+    elif type(node) in (Project, SubRefl):
+        try:
+            ids = sorted(node.terms)
+        except TypeError:
+            ids = list(node.terms)
+    else:
+        return None
+    for t in ids:
+        try:
+            if t >= 0:
+                continue
+        except TypeError:  # not a number
+            pass
+        return ValueError(f"no name for term id {t!r}")
+    for t in ids:
+        try:
+            names[t]
+        except (IndexError, TypeError):
+            return ValueError(f"no name for term id {t!r}")
+    return None
 
 
 class ProofSyntaxError(ValueError):

@@ -1,5 +1,7 @@
 import collections
+import copy
 import itertools
+import pickle
 import random
 import re
 from unittest import mock
@@ -23,6 +25,7 @@ from kequiv import (
 )
 from helpers import (
     build_congruence,
+    chain_shape,
     mutate_proof,
     random_congruence_instance,
     random_instance,
@@ -153,7 +156,7 @@ class TestSerialization:
         for p in proofs:
             assert parse_proof(format_proof(p, NAMES), IDS) == p
 
-    @pytest.mark.parametrize("bad", [-1, len(NAMES)])
+    @pytest.mark.parametrize("bad", [-1, len(NAMES), 2.5, "x"])
     @pytest.mark.parametrize(
         "make",
         [
@@ -165,9 +168,17 @@ class TestSerialization:
         ids=["subrefl", "project", "subst-from", "subst-to"],
     )
     def test_format_rejects_ids_without_a_name(self, make, bad):
-        # names[-1] is a valid Python index, so -1 must be refused explicitly
-        with pytest.raises(ValueError, match=f"no name for term id {bad}"):
-            format_proof(make(bad), NAMES)
+        # names[-1] is a valid Python index, so -1 must be refused
+        # explicitly; "x" cannot even be sorted among the other ids
+        for proof in (make(bad), Trans(Assume(2), make(bad))):
+            with pytest.raises(ValueError) as e:
+                format_proof(proof, NAMES)
+            assert str(e.value) == f"no name for term id {bad!r}"
+
+    def test_format_reports_a_negative_id_first(self):
+        # as the ids are rendered, 7 comes first, but -1 is refused first
+        with pytest.raises(ValueError, match="^no name for term id -1$"):
+            format_proof(Subst(Assume(0), len(NAMES), -1, 0), NAMES)
 
     def test_parse_whitespace_insensitive(self):
         got = parse_proof("( project ( assume 0 )  a b )", IDS)
@@ -282,6 +293,89 @@ class TestSerialization:
         ids = {name: i for i, name in enumerate(s.term_names)}
         assert format_proof(parse_proof(text, ids), s.term_names) == text
         assert check(proof, 2, s.hypotheses, s.class_of) == {0, n // 2, n + 1}
+
+
+NODES = [
+    Assume(0),
+    SubRefl(frozenset({0, 1})),
+    Trans(Assume(0), Assume(4)),
+    Project(Assume(0), frozenset({0, 1})),
+    Subst(Assume(0), 1, 3, 0),
+]
+
+
+class TestNodes:
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_fields_cannot_be_assigned(self, node):
+        for name in type(node).__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(node, name, getattr(node, name))
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        with pytest.raises(AttributeError):
+            node.extra = 1
+
+    def test_term_lists_are_frozensets(self):
+        assert type(Project(Assume(0), [1, 2]).terms) is frozenset
+        assert type(SubRefl([1]).terms) is frozenset
+        assert Project(Assume(0), [1, 2]) == Project(Assume(0), frozenset({1, 2}))
+
+    def test_equality_and_hash_are_structural(self):
+        class Other(Assume):
+            __slots__ = ()
+
+        assert Other(0) != Assume(0) and Assume(0) != Other(0)
+        assert Trans(Assume(0), Assume(1)) != Trans(Assume(1), Assume(0))
+        assert Trans(Assume(0), Assume(1)) == Trans(Assume(0), Assume(1))
+        assert Project(Assume(0), [1]) != Project(SubRefl([0]), [1])
+        # a frozen dataclass hashes the tuple of its fields
+        left, right = Assume(0), Subst(SubRefl([1, 2]), 1, 3, 0)
+        assert hash(Assume(0)) == hash((0,))
+        assert hash(Trans(left, right)) == hash((left, right))
+        assert hash(Project(right, [1])) == hash((right, frozenset({1})))
+
+    def test_repr_matches_a_dataclass(self):
+        assert repr(Assume(0)) == "Assume(hyp_index=0)"
+        assert repr(Project(Trans(Assume(0), Assume(4)), [1])) == (
+            "Project(inner=Trans(left=Assume(hyp_index=0), "
+            "right=Assume(hyp_index=4)), terms=frozenset({1}))"
+        )
+        assert repr(Subst(Assume(0), 1, 3, 2)) == (
+            "Subst(inner=Assume(hyp_index=0), frm=1, to=3, eq_index=2)"
+        )
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_pickle_and_copy(self, node):
+        for copied in (
+            pickle.loads(pickle.dumps(node)),
+            copy.deepcopy(node),
+            copy.copy(node),
+        ):
+            assert type(copied) is type(node) and copied == node
+
+    def test_deep_chain_proof(self):
+        # ==, hash, repr, pickle and deepcopy all walk the tree without
+        # recursion, so a 10,000-step chain is no harder than a short one
+        n = 10_000
+        s, steps = chain_shape(n)
+        for fn, arg in steps:
+            fn(arg)
+        proof = s.resolve_query((0, 1, n + 1))
+        depth, node = 0, proof
+        while not isinstance(node, Assume):
+            node = node.left if isinstance(node, Trans) else node.inner
+            depth += 1
+        assert depth >= n
+        text = format_proof(proof, s.term_names)
+        ids = {name: i for i, name in enumerate(s.term_names)}
+        parsed = parse_proof(text, ids)
+        assert parsed is not proof and parsed == proof
+        assert hash(parsed) == hash(proof)
+        assert format_proof(parsed, s.term_names) == text
+        assert repr(proof).startswith("Project(inner=Trans(left=Project(")
+        assert pickle.loads(pickle.dumps(proof)) == proof
+        assert copy.deepcopy(proof) == proof
+        assert Trans(proof, Assume(0)) != Trans(parsed, Assume(1))
 
 
 class TestMutationFuzz:
