@@ -1,24 +1,41 @@
-"""Doubling ladder for the engine's assert path and a deep query, with growth exponents.
+"""Doubling ladder for the engine's assert path, a deep query and `kequiv solve`.
 
 Builds each workload shape of `tests/helpers.py` at n, 2n and 4n, times
-its asserts (best of REPEATS, the same for every shape and rung), and
-prints one line per rung plus the growth exponent log(t(4n) / t(n)) / log 4.
-An exponent near 1 is linear growth, near 2 quadratic.  The deep-query
-rung times `resolve_query` plus `format_proof` of (p0, p1, p_n+1) on the
-asserted chain, whose proof has about n levels.
+its asserts, and prints one line per rung, with its best time over
+REPEATS rounds and the range of all of them, plus the growth exponent
+log(t(4n) / t(n)) / log 4 of the best times.  An exponent near 1 is
+linear growth, near 2 quadratic.  Each round times n, 2n and 4n before
+the next round starts, so a slow phase of the host slows every rung of
+a shape, not one.  The deep-query rung times `resolve_query` plus
+`format_proof` of (p0, p1, p_n+1) on the asserted chain, whose proof has
+about n levels.  The end-to-end rung writes the closed pencil as a
+problem file and times `kequiv.cli.main(["solve", path])` in this
+process, which runs with the cyclic garbage collector paused, as every
+`kequiv` command does; the library rungs run with it on.
 
     PYTHONPATH=src:tests python scripts/ladder.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import math
+import os
+import tempfile
 import time
 
-from helpers import chain_shape, eq_chain_shape, pencil_closed_shape, pencil_shape
+from helpers import (
+    chain_shape,
+    eq_chain_shape,
+    pencil_closed_shape,
+    pencil_closed_text,
+    pencil_shape,
+)
 
 from kequiv import format_proof
+from kequiv.cli import main as kequiv_main
 
 REPEATS = 5
 
@@ -31,43 +48,61 @@ SHAPES = {
 
 
 def assert_seconds(build, n):
-    best = math.inf
-    for _ in range(REPEATS):
-        _, steps = build(n)
-        gc.collect()
-        start = time.perf_counter()
-        for fn, arg in steps:
-            fn(arg)
-        best = min(best, time.perf_counter() - start)
-    return best
+    _, steps = build(n)
+    gc.collect()
+    start = time.perf_counter()
+    for fn, arg in steps:
+        fn(arg)
+    return time.perf_counter() - start
 
 
 def deep_query_seconds(n):
     session, steps = chain_shape(n)
     for fn, arg in steps:
         fn(arg)
-    best = math.inf
-    for _ in range(REPEATS):
-        gc.collect()
+    gc.collect()
+    start = time.perf_counter()
+    format_proof(session.resolve_query((0, 1, n + 1)), session.term_names)
+    return time.perf_counter() - start
+
+
+def solve_seconds(path):
+    gc.collect()
+    with contextlib.redirect_stdout(io.StringIO()):
         start = time.perf_counter()
-        format_proof(session.resolve_query((0, 1, n + 1)), session.term_names)
-        best = min(best, time.perf_counter() - start)
-    return best
+        if kequiv_main(["solve", path]) != 0:
+            raise RuntimeError(f"kequiv solve {path} failed")
+        return time.perf_counter() - start
 
 
 def rungs(name, what, seconds, n):
-    times = []
-    for size in (n, 2 * n, 4 * n):
-        t = seconds(size)
-        times.append(t)
-        print(f"{name:14} n={size:6d} {what} {t:8.4f} s")
-    print(f"{name:14} growth exponent {math.log(times[2] / times[0], 4):.2f}")
+    """Time `seconds(size)` at n, 2n and 4n, in REPEATS interleaved rounds."""
+    sizes = (n, 2 * n, 4 * n)
+    times = {size: [] for size in sizes}
+    for _ in range(REPEATS):
+        for size in sizes:
+            times[size].append(seconds(size))
+    for size in sizes:
+        ts = times[size]
+        print(
+            f"{name:14} n={size:6d} {what} {min(ts):8.4f} s"
+            f"  (range {min(ts):.4f}-{max(ts):.4f})"
+        )
+    growth = math.log(min(times[4 * n]) / min(times[n]), 4)
+    print(f"{name:14} growth exponent {growth:.2f}")
 
 
 def main():
     for name, (build, n) in SHAPES.items():
         rungs(name, "assert", lambda size: assert_seconds(build, size), n)
     rungs("deep-query", "query", deep_query_seconds, 1000)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for size in (4000, 8000, 16000):
+            paths[size] = os.path.join(tmp, f"pencil-closed-{size}.kq")
+            with open(paths[size], "w", encoding="utf-8") as f:
+                f.write(pencil_closed_text(size))
+        rungs("solve-pencil", "solve", lambda size: solve_seconds(paths[size]), 4000)
 
 
 if __name__ == "__main__":

@@ -2,11 +2,16 @@
 
 Exit codes: 0 success, 1 usage or parse error or closed stdout, 2 guard
 violation, 3 proof-check failure.
+
+A command runs with automatic garbage collection paused: everything it
+builds is freed by reference counting, because its heap holds no
+reference cycles, and a test enforces that.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import Sequence
@@ -20,6 +25,7 @@ from .problem import (
     generate,
     intern_problem,
     parse_path,
+    split_lines,
 )
 from .proofs import ProofCheckError, ProofSyntaxError, check, format_proof
 
@@ -85,7 +91,7 @@ def cmd_check(args) -> int:
     try:
         problem = parse_path(args.problem)
         with open(args.proofs, encoding="utf-8-sig") as f:
-            proof_lines = f.read().splitlines()
+            proof_lines = split_lines(f.read())
     except (ParseError, OSError, UnicodeDecodeError) as e:
         return _fail(str(e), EXIT_USAGE)
     if len(proof_lines) != len(problem.queries):
@@ -183,6 +189,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_gen.set_defaults(func=cmd_gen)
 
     args = parser.parse_args(argv)
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -191,6 +199,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_USAGE
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

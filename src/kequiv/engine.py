@@ -120,10 +120,12 @@ class KSet:
 
     An active record owns the live term set named by `handle`; `terms` is
     a read-only copy of it, or, once the record is inactive, its terms
-    rebuilt from the history (see `Session.terms_of`).  The session is
-    held by a weak reference, so a dropped session is freed at once rather
-    than left for the cycle collector; `terms` is therefore readable only
-    while the session is alive, and raises ReferenceError after.
+    rebuilt from the history (see `Session.terms_of`).  Invariant: the
+    engine's objects form no reference cycle, so reference counting frees
+    all of them and `kequiv` commands run with the cycle collector paused
+    (a test enforces this).  That is why a record holds its session by a
+    weak reference; `terms` is therefore readable only while the session
+    is alive, and raises ReferenceError after.
     """
 
     id: int

@@ -30,6 +30,7 @@ __all__ = [
     "ParseError",
     "parse_text",
     "parse_path",
+    "split_lines",
     "InternedProblem",
     "intern_problem",
     "generate",
@@ -78,6 +79,22 @@ class ParseError(Exception):
         super().__init__(f"line {line}, col {column}: {message}")
 
 
+def split_lines(text: str) -> list[str]:
+    r"""The lines of `text`, broken at "\n", "\r\n" and "\r" only.
+
+    Unlike `str.splitlines`, a form feed, a file separator or U+2028
+    stays inside its line, where it separates tokens like any other
+    whitespace.  A break at the very end ends the last line; it does not
+    start an empty one.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def parse_text(text: str) -> Problem:
     problem = Problem()
     seen: dict[str, None] = {}  # term names in first-seen order
@@ -98,7 +115,7 @@ def parse_text(text: str) -> Problem:
                 seen[name] = None
         return names
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         code = raw.split("#", 1)[0]
         tokens = code.split()
         if not tokens:

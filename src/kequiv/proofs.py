@@ -247,6 +247,9 @@ class ProofCheckError(Exception):
         super().__init__(f"at {where}: {message}")
 
 
+# the kinds of the tree checker's tasks
+_WALK, _TRANS, _PROJECT, _SUBST = 0, 1, 2, 3
+
 # Paths are threaded through the checker as parent-linked chains so that
 # deep proofs do not pay for tuple copies; they are flattened on error.
 _Path = Union[None, tuple]
@@ -312,19 +315,20 @@ def check(
         return ("singleton", t)
 
     # Explicit stack: proofs from long merge chains nest deeply.
-    tasks: list[tuple] = [("walk", proof, None)]
+    tasks: list[tuple] = [(_WALK, proof, None)]
     results: list[frozenset[int]] = []
     while tasks:
         kind, node, path = tasks.pop()
-        if kind == "walk":
-            if isinstance(node, Assume):
+        if kind == _WALK:
+            node_type = type(node)
+            if node_type is Assume:
                 if not 0 <= node.hyp_index < len(hypotheses):
                     raise ProofCheckError(
                         _flatten(path),
                         f"hypothesis index {node.hyp_index} out of range",
                     )
                 results.append(frozenset(hypotheses[node.hyp_index]))
-            elif isinstance(node, SubRefl):
+            elif node_type is SubRefl:
                 if not node.terms:
                     raise ProofCheckError(_flatten(path), "empty judgment")
                 if len(node.terms) > k:
@@ -334,21 +338,21 @@ def check(
                         f"got {len(node.terms)}",
                     )
                 results.append(node.terms)
-            elif isinstance(node, Trans):
-                tasks.append(("trans", node, path))
-                tasks.append(("walk", node.right, (path, 1)))
-                tasks.append(("walk", node.left, (path, 0)))
-            elif isinstance(node, Project):
-                tasks.append(("project", node, path))
-                tasks.append(("walk", node.inner, (path, 0)))
-            elif isinstance(node, Subst):
-                tasks.append(("subst", node, path))
-                tasks.append(("walk", node.inner, (path, 0)))
+            elif node_type is Trans:
+                tasks.append((_TRANS, node, path))
+                tasks.append((_WALK, node.right, (path, 1)))
+                tasks.append((_WALK, node.left, (path, 0)))
+            elif node_type is Project:
+                tasks.append((_PROJECT, node, path))
+                tasks.append((_WALK, node.inner, (path, 0)))
+            elif node_type is Subst:
+                tasks.append((_SUBST, node, path))
+                tasks.append((_WALK, node.inner, (path, 0)))
             else:
                 raise ProofCheckError(
                     _flatten(path), f"unknown proof node {node!r}"
                 )
-        elif kind == "trans":
+        elif kind == _TRANS:
             y = results.pop()
             x = results.pop()
             shared = x & y
@@ -359,7 +363,7 @@ def check(
                     f"shared terms span {n_classes} distinctness classes, need {k}",
                 )
             results.append(x | y)
-        elif kind == "project":
+        elif kind == _PROJECT:
             x = results.pop()
             if not node.terms:
                 raise ProofCheckError(_flatten(path), "empty judgment")
@@ -369,7 +373,7 @@ def check(
                     "projection target is not a subset of the conclusion",
                 )
             results.append(node.terms)
-        else:  # subst
+        else:  # _SUBST
             x = results.pop()
             if not 0 <= node.eq_index < len(equalities):
                 raise ProofCheckError(
@@ -396,18 +400,24 @@ def check(
 
 
 def used_hypotheses(proof: ProofTerm) -> frozenset[int]:
-    """Indices of all hypotheses cited by `assume` nodes in the proof."""
+    """Indices of all hypotheses cited by `assume` nodes in the proof.
+
+    Anything but one of the five node classes raises ValueError.
+    """
     out: set[int] = set()
     stack = [proof]
     while stack:
         node = stack.pop()
-        if isinstance(node, Assume):
+        node_type = type(node)
+        if node_type is Assume:
             out.add(node.hyp_index)
-        elif isinstance(node, Trans):
+        elif node_type is Trans:
             stack.append(node.left)
             stack.append(node.right)
-        elif isinstance(node, (Project, Subst)):
+        elif node_type is Project or node_type is Subst:
             stack.append(node.inner)
+        elif node_type is not SubRefl:
+            raise ValueError(f"unknown proof node {node!r}")
     return frozenset(out)
 
 

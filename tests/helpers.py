@@ -339,3 +339,34 @@ def eq_chain_shape(n):
         if i:
             steps.append((lambda pair: state.assert_eq(*pair), (q[i - 1], q[i])))
     return state.sessions["coll"], steps
+
+
+# The same shapes as problem files, each with one entailed and one
+# not-entailed query: for the command-line tests and the end-to-end rung
+# of `scripts/ladder.py`.
+
+
+def chain_text(n):
+    lines = [f"hyp coll p{i} p{i + 1} p{i + 2}" for i in range(n)]
+    return _problem(lines, [f"p0 p1 p{n + 1}", "p0 p1 w"])
+
+
+def pencil_closed_text(n):
+    lines = []
+    for j in range(n):
+        lines += [f"hyp coll h a{j} b{j}", f"hyp coll a{j} b{j} c{j}"]
+    return _problem(lines, ["h a0 c0", "h a0 c1"])
+
+
+def eq_chain_text(n):
+    lines = ["class " + " ".join(f"q{i}" for i in range(n))]
+    for i in range(n):
+        lines.append(f"hyp coll q{i} z x{i}")
+        if i:
+            lines.append(f"eq q{i - 1} q{i}")
+    return _problem(lines, [f"z x0 x{n - 1}", "x0 x1 w"])
+
+
+def _problem(lines, queries):
+    lines = ["rel coll 2", *lines, *(f"query coll {q}" for q in queries)]
+    return "".join(line + "\n" for line in lines)

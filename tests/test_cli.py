@@ -1,3 +1,5 @@
+import argparse
+import gc
 import os
 import re
 import subprocess
@@ -9,12 +11,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kequiv
 import kequiv.proofs
-from kequiv.cli import main
+from kequiv.cli import cmd_check, cmd_solve, main
 from kequiv.congruence import CongruenceState
 from kequiv.engine import Session
 from kequiv.oracle import closure_sets, covered
 from kequiv.problem import generate, intern_problem, parse_text
 from kequiv.proofs import ProofCheckError, check, parse_proof
+from helpers import chain_text, eq_chain_text, pencil_closed_text
 
 EXAMPLE = """\
 rel coll 2
@@ -245,6 +248,16 @@ class TestCheck:
         proofs.write_text("entailed (assume 0)\n")
         code, _, err = run(capsys, "check", example, str(proofs))
         assert code == 1
+
+    def test_only_line_breaks_split_proof_lines(self, tmp_path, capsys):
+        # README's example, its proof written with a file separator (\x1c),
+        # which str.split takes for whitespace, after `(assume 0)`
+        problem, proofs = tmp_path / "ex2.kq", tmp_path / "ex2.proofs"
+        problem.write_text(EXAMPLE.split("query")[0] + "query coll a b d\n")
+        proofs.write_text(
+            "entailed (project (trans (assume 0)\x1c(assume 4)) a b d)\r\n"
+        )
+        assert run(capsys, "check", str(problem), str(proofs)) == (0, "pass\n", "")
 
     def test_non_utf8_proofs_exit_one(self, example, tmp_path, capsys):
         proofs = tmp_path / "proofs.txt"
@@ -486,6 +499,109 @@ def test_closed_stdout_exits_one_without_traceback(tmp_path, command):
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# Problem text, proofs text (None: what `solve` prints) and the exit codes
+# of solve and check, for every way a command can end
+COMMAND_ENDINGS = {
+    "chain": (chain_text(300), None, 0, 0),
+    "pencil": (pencil_closed_text(300), None, 0, 0),
+    "eq-chain": (eq_chain_text(300), None, 0, 0),
+    "relations-and-classes": (MULTI, None, 0, 0),
+    "parse-error": ("rel coll 2\nhyp coll a b\n", "", 1, 1),
+    "not-utf-8": (b"rel coll 2\nhyp coll \xff b c\n", "", 1, 1),
+    "line-count": (EXAMPLE, "not-entailed\n", 0, 1),
+    "inconsistent-equality": ("rel coll 2\nhyp coll a b c\neq a b\n", "", 2, 2),
+    "failing-proofs": (
+        EXAMPLE,
+        "entailed (assume 9)\nentailed ((\nentailed (subrefl a b)\n",
+        0,
+        3,
+    ),
+}
+
+
+def exit_and_garbage(command, **paths):
+    """`command`'s exit code, run with automatic collection off, and the
+    number of unreachable objects the next `gc.collect()` finds."""
+    gc.collect()
+    gc.disable()
+    try:
+        return command(argparse.Namespace(**paths)), gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("ending", COMMAND_ENDINGS)
+def test_commands_build_no_reference_cycles(tmp_path, capsys, ending):
+    # `main` pauses the cycle collector, which is safe only while nothing a
+    # command frees needs it.  The commands are called directly because
+    # argparse's own parser is cyclic.
+    text, proofs_text, solve_code, check_code = COMMAND_ENDINGS[ending]
+    problem, proofs = tmp_path / "p.kq", tmp_path / "p.proofs"
+    problem.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert exit_and_garbage(cmd_solve, problem=str(problem)) == (solve_code, 0)
+    solved = capsys.readouterr().out
+    proofs.write_text(solved if proofs_text is None else proofs_text)
+    assert exit_and_garbage(cmd_check, problem=str(problem), proofs=str(proofs)) == (
+        check_code,
+        0,
+    )
+    if proofs_text is None:
+        assert capsys.readouterr().out == "pass\n" * len(solved.splitlines())
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+def test_commands_run_with_collection_paused(tmp_path, capsys, monkeypatch, enabled):
+    example, right, wrong, bad, inconsistent = (
+        tmp_path / n for n in ("ex.kq", "right.proofs", "wrong.proofs", "bad.kq", "eq.kq")
+    )
+    example.write_text(EXAMPLE)
+    right.write_text(run(capsys, "solve", str(example))[1])
+    wrong.write_text("not-entailed\n" * 2 + "entailed (subrefl a b)\n")
+    bad.write_text("rel coll 2\nhyp coll a b\n")
+    inconsistent.write_text("rel coll 2\nhyp coll a b c\neq a b\n")
+    inside = []
+    parse_path = kequiv.cli.parse_path
+
+    def probe(path):
+        inside.append(gc.isenabled())
+        return parse_path(path)
+
+    monkeypatch.setattr(kequiv.cli, "parse_path", probe)
+    # `main` points the descriptor of a stdout it found closed at /dev/null
+    sink = open(tmp_path / "sink", "w")
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return sink.fileno()
+
+    endings = [
+        (["solve", str(example)], 0, None),
+        (["check", str(example), str(right)], 0, None),
+        (["solve", str(bad)], 1, None),
+        (["solve", str(inconsistent)], 2, None),
+        (["check", str(example), str(wrong)], 3, None),
+        (["solve", str(example)], 1, ClosedPipe()),
+    ]
+    try:
+        for argv, code, stdout in endings:
+            (gc.enable if enabled else gc.disable)()
+            with monkeypatch.context() as m:
+                if stdout is not None:
+                    m.setattr(sys, "stdout", stdout)
+                assert main(argv) == code, argv
+            assert gc.isenabled() is enabled, argv
+    finally:
+        gc.enable()
+        sink.close()
+    assert inside == [False] * len(endings)
 
 
 # Lines of problem and proof files, and stray bytes to break them with.  The

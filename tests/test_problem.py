@@ -178,6 +178,20 @@ def located(text, line, column, message, tag):
             "rel coll 2\nhyp coll a b c\nclass\u3000a\u3000b(\n",
             3, 9, "invalid term name 'b('", "wide space",
         ),
+        # lines break at "\n", "\r\n" and "\r" only; a form feed, a file
+        # separator or U+2028 is whitespace inside its line
+        located(
+            "rel coll 2\nhyp coll a b c\x0c\nhyp coll a b\n",
+            3, 5, "relation 'coll' takes 3 terms, got 2", "form feed",
+        ),
+        located(
+            "rel coll 2\r\nhyp coll a b c\rhyp coll a b\r\n",
+            3, 5, "relation 'coll' takes 3 terms, got 2", "carriage returns",
+        ),
+        located(
+            "rel coll 2\nhyp\x1ccoll\u2028a\x85b\x0bc\x1dd\n",
+            2, 5, "relation 'coll' takes 3 terms, got 4", "separators inside a line",
+        ),
     ],
 )
 def test_located_errors(text, line, column, message):
@@ -231,7 +245,8 @@ class TestGenerate:
 # pieces of well-formed problem text, so the fuzzer also reaches deep parses
 PROBLEM_PIECES = st.sampled_from(
     ["rel", "coll", "hyp", "query", "eq", "class", "#", "a", "b", "c(",
-     "0", "2", "-1", " ", "\t", "\n", "\r", "\x0b", "\u3000"]
+     "0", "2", "-1", " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+     "\u2028", "\u3000"]
 )
 
 
@@ -242,5 +257,5 @@ def test_parse_text_fuzz_raises_only_parse_errors(text):
         parse_text(text)
     except ParseError as e:
         # every error points at the first character of a token of its line
-        code = text.splitlines()[e.line - 1].split("#", 1)[0]
+        code = re.split(r"\r\n|\r|\n", text)[e.line - 1].split("#", 1)[0]
         assert e.column in {m.start() + 1 for m in re.finditer(r"\S+", code)}

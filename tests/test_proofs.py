@@ -334,6 +334,21 @@ class TestNodes:
         assert hash(Trans(left, right)) == hash((left, right))
         assert hash(Project(right, [1])) == hash((right, frozenset({1})))
 
+    def test_subclasses_are_refused(self):
+        class Other(Assume):
+            __slots__ = ()
+
+        names = [f"t{i}" for i in range(7)]
+        for proof, path in [(Other(0), ()), (Trans(Assume(4), Other(0)), (1,))]:
+            with pytest.raises(ProofCheckError) as e:
+                check(proof, 2, HYPS)
+            message = f"unknown proof node {Other(0)!r}"
+            assert (e.value.path, e.value.message) == (path, message)
+            for refuse in (used_hypotheses, lambda p: format_proof(p, names)):
+                with pytest.raises(ValueError) as e:
+                    refuse(proof)
+                assert str(e.value) == message
+
     def test_repr_matches_a_dataclass(self):
         assert repr(Assume(0)) == "Assume(hyp_index=0)"
         assert repr(Project(Trans(Assume(0), Assume(4)), [1])) == (
