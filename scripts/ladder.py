@@ -6,12 +6,18 @@ REPEATS rounds and the range of all of them, plus the growth exponent
 log(t(4n) / t(n)) / log 4 of the best times.  An exponent near 1 is
 linear growth, near 2 quadratic.  Each round times n, 2n and 4n before
 the next round starts, so a slow phase of the host slows every rung of
-a shape, not one.  The deep-query rung times `resolve_query` plus
-`format_proof` of (p0, p1, p_n+1) on the asserted chain, whose proof has
-about n levels.  The end-to-end rung writes the closed pencil as a
-problem file and times `kequiv.cli.main(["solve", path])` in this
+a shape, not one.  The short-lines rungs (k = 1, 2, 3) assert n lines
+of 8 terms covered by shuffled (k+1)-term windows, the shape of
+kqbench's many-lines workload, and also print the best time per
+hypothesis in microseconds.  The deep-query rung times `resolve_query`
+plus `format_proof` of (p0, p1, p_n+1) on the asserted chain, whose
+proof has about n levels.  The end-to-end rung writes the closed pencil
+as a problem file and times `kequiv.cli.main(["solve", path])` in this
 process, which runs with the cyclic garbage collector paused, as every
-`kequiv` command does; the library rungs run with it on.
+`kequiv` command does.  The short-lines rungs pause it too, since
+many-lines runs through `kequiv solve`: with it on, its heap walks take
+a share of each hypothesis that grows with n.  The other library rungs
+run with it on.
 
     PYTHONPATH=src:tests python scripts/ladder.py
 """
@@ -19,6 +25,7 @@ process, which runs with the cyclic garbage collector paused, as every
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import io
 import math
@@ -32,6 +39,7 @@ from helpers import (
     pencil_closed_shape,
     pencil_closed_text,
     pencil_shape,
+    short_lines_shape,
 )
 
 from kequiv import format_proof
@@ -47,13 +55,23 @@ SHAPES = {
 }
 
 
-def assert_seconds(build, n):
+def assert_seconds(build, n, collector=True):
+    """Seconds to assert shape `build` at size n.
+
+    With `collector=False` the cyclic garbage collector is paused while
+    the steps run.
+    """
     _, steps = build(n)
     gc.collect()
-    start = time.perf_counter()
-    for fn, arg in steps:
-        fn(arg)
-    return time.perf_counter() - start
+    if not collector:
+        gc.disable()
+    try:
+        start = time.perf_counter()
+        for fn, arg in steps:
+            fn(arg)
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
 
 
 def deep_query_seconds(n):
@@ -75,8 +93,12 @@ def solve_seconds(path):
         return time.perf_counter() - start
 
 
-def rungs(name, what, seconds, n):
-    """Time `seconds(size)` at n, 2n and 4n, in REPEATS interleaved rounds."""
+def rungs(name, what, seconds, n, steps=None):
+    """Time `seconds(size)` at n, 2n and 4n, in REPEATS interleaved rounds.
+
+    With `steps(size)`, the number of operations timed at that size, each
+    line also gives the best time per operation in microseconds.
+    """
     sizes = (n, 2 * n, 4 * n)
     times = {size: [] for size in sizes}
     for _ in range(REPEATS):
@@ -84,9 +106,10 @@ def rungs(name, what, seconds, n):
             times[size].append(seconds(size))
     for size in sizes:
         ts = times[size]
+        per = "" if steps is None else f"  {min(ts) / steps(size) * 1e6:6.2f} us/op"
         print(
             f"{name:14} n={size:6d} {what} {min(ts):8.4f} s"
-            f"  (range {min(ts):.4f}-{max(ts):.4f})"
+            f"  (range {min(ts):.4f}-{max(ts):.4f}){per}"
         )
     growth = math.log(min(times[4 * n]) / min(times[n]), 4)
     print(f"{name:14} growth exponent {growth:.2f}")
@@ -95,6 +118,15 @@ def rungs(name, what, seconds, n):
 def main():
     for name, (build, n) in SHAPES.items():
         rungs(name, "assert", lambda size: assert_seconds(build, size), n)
+    for k in (1, 2, 3):
+        build = functools.partial(short_lines_shape, k=k)
+        rungs(
+            f"short-lines-k{k}",
+            "assert",
+            lambda size: assert_seconds(build, size, collector=False),
+            1000,
+            lambda size: size * (8 - k),
+        )
     rungs("deep-query", "query", deep_query_seconds, 1000)
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}

@@ -51,13 +51,14 @@ def _build_state(problem: Problem) -> CongruenceState:
     state = CongruenceState(problem.relations)
     for name in problem.term_order:
         state.intern_term(name)
+    ids = state.terms.term_ids.__getitem__
     for group in problem.classes:
-        state.mark_possibly_equal([state.term_id(t) for t in group])
+        state.mark_possibly_equal(list(map(ids, group)))
     for st in problem.statements:
         if isinstance(st, Atom):
-            state.assert_atom(st.relation, [state.term_id(t) for t in st.terms])
+            state.assert_atom(st.relation, tuple(map(ids, st.terms)))
         else:
-            state.assert_eq(state.term_id(st.a), state.term_id(st.b))
+            state.assert_eq(ids(st.a), ids(st.b))
     return state
 
 

@@ -37,11 +37,15 @@ the parents of the |classes|-k+1 classes with the fewest parent entries
 merge, among the parents of the fused set minus the merged piece with
 the fewest parent entries; each candidate is verified in
 min(|candidate|, |fused|).  The chain, the pencil and the equality chain
-thus assert in O(M log M).  Worst case, a term on many lines is still
-read whole: a hypothesis all of whose classes hold such hubs, or a
-rename into one, reads their parent lists, and a candidate that shares
-fewer than k classes costs its full size, so a sequence of such asserts
-can take quadratic time.
+thus assert in O(M log M).  The constant work is two records (`Asserted`
+and `KSet`) and one registration pass over its terms per hypothesis,
+plus a rename scan only once an equality has joined two terms, and two
+records (`Merged` and `KSet`) and one pass over the absorbed terms per
+merge.  Worst case, a term on many lines is still read whole: a
+hypothesis all of whose classes hold such hubs, or a rename into one,
+reads their parent lists, and a candidate that shares fewer than k
+classes costs its full size, so a sequence of such asserts can take
+quadratic time.
 """
 
 from __future__ import annotations
@@ -114,7 +118,6 @@ HistoryNode = Union[Asserted, Merged, Rewritten]
 _EXPLAIN, _FUSE, _REWRAP = 0, 1, 2
 
 
-@dataclass(eq=False, slots=True)
 class KSet:
     """One arena record.
 
@@ -125,14 +128,32 @@ class KSet:
     all of them and `kequiv` commands run with the cycle collector paused
     (a test enforces this).  That is why a record holds its session by a
     weak reference; `terms` is therefore readable only while the session
-    is alive, and raises ReferenceError after.
+    is alive, and raises ReferenceError after.  A plain `__slots__` class,
+    not a dataclass, because the engine builds one or two per hypothesis;
+    records compare by identity.
     """
 
-    id: int
-    history: HistoryNode
-    handle: int
-    session: weakref.ReferenceType[Session] = field(repr=False)
-    active: bool = True
+    __slots__ = ("id", "history", "handle", "session", "active")
+
+    def __init__(
+        self,
+        id: int,
+        history: HistoryNode,
+        handle: int,
+        session: weakref.ReferenceType[Session],
+        active: bool = True,
+    ):
+        self.id = id
+        self.history = history
+        self.handle = handle
+        self.session = session
+        self.active = active
+
+    def __repr__(self) -> str:
+        return (
+            f"KSet(id={self.id!r}, history={self.history!r}, "
+            f"handle={self.handle!r}, active={self.active!r})"
+        )
 
     @property
     def terms(self) -> frozenset[int]:
@@ -379,18 +400,22 @@ class Session:
             raise ValueError(
                 f"hypothesis needs exactly {self.k + 1} terms, got {len(xs)}"
             )
-        for x in xs:
-            if not 0 <= x < len(self.term_names):
-                raise ValueError(f"unknown term id {x}")
+        n_terms = len(self.terms.term_names)
+        if min(xs) < 0 or max(xs) >= n_terms:
+            bad = next(x for x in xs if not 0 <= x < n_terms)
+            raise ValueError(f"unknown term id {bad}")
         self.terms.fixed = True
+        i = len(self.hypotheses)
         self.hypotheses.append(xs)
         self.counters.hypotheses += 1
-        i = len(self.hypotheses) - 1
         n = self.new_kset(xs, Asserted(i))
-        find = self.equalities.find
-        renames = tuple((t, find(t)) for t in sorted(set(xs)) if find(t) != t)
-        if renames:
-            n = self.rewrite_kset(n, renames)
+        equalities = self.equalities
+        # an empty forest means no equality joined two terms: nothing to rename
+        if equalities.forest:
+            find = equalities.find
+            renames = tuple((t, r) for t in sorted(set(xs)) if (r := find(t)) != t)
+            if renames:
+                n = self._rewrite(n, renames, None)
         self.find_merges(n)
         self.check_counter_bounds()
         return i
@@ -422,31 +447,24 @@ class Session:
         self.ksets.append(KSet(n, history, n, self._ref))
         self.live[n] = terms
         self.owner[n] = n
-        self._register(n, terms)
+        parents = self.term2parents
         c = self.counters
+        top = c.max_parents
+        for x in terms:
+            ps = parents[x]
+            ps.add(n)
+            if len(ps) > top:
+                top = len(ps)
+        c.max_parents = top
+        c.registrations += len(terms)
         c.active += 1
         if len(terms) > c.max_kset_size:
             c.max_kset_size = len(terms)
         return n
 
-    def _register(self, handle: int, terms: Iterable[int]) -> None:
-        c = self.counters
-        for x in terms:
-            ps = self.term2parents[x]
-            ps.add(handle)
-            c.registrations += 1
-            if len(ps) > c.max_parents:
-                c.max_parents = len(ps)
-
-    def _succeed(self, rec: KSet, history: HistoryNode) -> int:
-        """Retire `rec` in favour of a new record that takes over its live set."""
-        rec.active = False
-        n = len(self.ksets)
-        self.ksets.append(KSet(n, history, rec.handle, self._ref))
-        self.owner[rec.handle] = n
-        return n
-
     def _active(self, n: int) -> KSet:
+        if not 0 <= n < len(self.ksets):
+            raise ValueError(f"unknown k-set id {n}")
         rec = self.ksets[n]
         if not rec.active:
             raise ValueError(f"k-set {n} is not active")
@@ -464,17 +482,23 @@ class Session:
         """
         h = self._active(n).handle
         fused = self.live[h]
-        parents = self.term2parents
+        parents, live, owner = self.term2parents, self.live, self.owner
+        k, classes_of = self.k, self.terms.class_of.__getitem__
         candidates = self._pigeonhole(fused) if renamed is None else parents[renamed]
+        counters = self.counters
         while True:
-            self.counters.find_merges_calls += 1
-            matches = sorted(
-                self.owner[m]
-                for m in candidates
-                if m != h and self._overlaps(self.live[m], fused)
-            )
+            counters.find_merges_calls += 1
+            # a match shares terms of at least k classes with the fused set;
+            # `&` walks the smaller side, so each check costs the smaller size
+            matches = []
+            for m in candidates:
+                if m != h:
+                    shared = live[m] & fused
+                    if len(shared) >= k and len(set(map(classes_of, shared))) >= k:
+                        matches.append(owner[m])
             if not matches:
                 return
+            matches.sort()
             added: list[int] = []
             pieces: list[frozenset[int]] = []
             for i, m in enumerate(matches):
@@ -482,26 +506,13 @@ class Session:
                 rec = self.ksets[n]
                 merged = rec.history
                 if rec.handle != h:  # the fused set was absorbed by a larger match
-                    h, fused, added = rec.handle, self.live[rec.handle], []
+                    h, fused, added = rec.handle, live[rec.handle], []
                 added += merged.absorbed_terms - merged.anchor
                 if i == 0 or merged.absorbed == m:
                     pieces.append(merged.absorbed_terms)
             candidates = self._fused_candidates(fused, added, pieces)
             if renamed is not None:
                 candidates |= parents[renamed]
-
-    def _overlaps(self, a: AbstractSet[int], b: AbstractSet[int]) -> bool:
-        """Whether a and b share terms from at least k classes."""
-        if len(a) > len(b):
-            a, b = b, a
-        class_of = self.terms.class_of
-        shared: set[int] = set()
-        for t in a:
-            if t in b:
-                shared.add(class_of[t])
-                if len(shared) >= self.k:
-                    return True
-        return False
 
     def _pigeonhole(self, terms: AbstractSet[int]) -> set[int]:
         """Handles of the live sets that may share k classes with `terms`.
@@ -541,7 +552,9 @@ class Session:
         """
         parents = self.term2parents
         best_terms: list[int] = added
-        best = sum(len(parents[t]) for t in added)
+        best = 0
+        for t in added:
+            best += len(parents[t])
         for piece in pieces:
             total = 0
             terms = []
@@ -566,28 +579,46 @@ class Session:
         """
         if i1 == i2:
             raise ValueError("cannot merge a k-set with itself")
-        a, b = self.ksets[i1], self.ksets[i2]
+        ksets = self.ksets
+        for i in (i1, i2):
+            if not 0 <= i < len(ksets):
+                raise ValueError(f"unknown k-set id {i}")
+        a, b = ksets[i1], ksets[i2]
         if not (a.active and b.active):
             raise ValueError("merge needs two active k-sets")
-        ta, tb = self.live[a.handle], self.live[b.handle]
-        if (len(ta), -i1) < (len(tb), -i2):
+        live = self.live
+        ta, tb = live[a.handle], live[b.handle]
+        if len(ta) < len(tb) or len(ta) == len(tb) and i1 > i2:
             small, big, absorbed, into = a, b, ta, tb
         else:
             small, big, absorbed, into = b, a, tb, ta
-        anchor = frozenset(absorbed & into)
-        if len({self.class_of[t] for t in anchor}) < self.k:
+        absorbed_terms = frozenset(absorbed)
+        anchor = absorbed_terms & into
+        if len(set(map(self.terms.class_of.__getitem__, anchor))) < self.k:
             raise ValueError(
                 f"merge needs {self.k} distinctness classes in the overlap"
             )
-        del self.live[small.handle], self.owner[small.handle]
-        small.active = False
-        for x in absorbed:
-            self.term2parents[x].discard(small.handle)
-        added = absorbed - anchor
-        self._register(big.handle, added)
-        into |= added
-        n = self._succeed(big, Merged(i1, i2, small.id, frozenset(absorbed), anchor))
+        gone, handle = small.handle, big.handle
+        del live[gone], self.owner[gone]
+        small.active = big.active = False
+        # the absorbed terms leave `gone`; those not in the anchor join `handle`
+        parents = self.term2parents
         c = self.counters
+        top = c.max_parents
+        for x in absorbed:
+            ps = parents[x]
+            ps.discard(gone)
+            if x not in anchor:
+                ps.add(handle)
+                if len(ps) > top:
+                    top = len(ps)
+        into |= absorbed_terms - anchor
+        n = len(ksets)
+        history = Merged(i1, i2, small.id, absorbed_terms, anchor)
+        ksets.append(KSet(n, history, handle, self._ref))
+        self.owner[handle] = n
+        c.max_parents = top
+        c.registrations += len(absorbed) - len(anchor)
         c.merges += 1
         c.active -= 1
         if len(into) > c.max_kset_size:
@@ -607,16 +638,27 @@ class Session:
         self, kid: int, renames: tuple[tuple[int, int], ...], already: bool | None
     ) -> int:
         rec = self._active(kid)
-        live = self.live[rec.handle]
+        handle = rec.handle
+        live = self.live[handle]
+        parents = self.term2parents
+        c = self.counters
         for old, new in renames:
             if old in live:
                 live.discard(old)
-                self.term2parents[old].discard(rec.handle)
+                parents[old].discard(handle)
                 if new not in live:
                     live.add(new)
-                    self._register(rec.handle, (new,))
-        self.counters.rewrites += 1
-        return self._succeed(rec, Rewritten(kid, renames, already))
+                    ps = parents[new]
+                    ps.add(handle)
+                    c.registrations += 1
+                    if len(ps) > c.max_parents:
+                        c.max_parents = len(ps)
+        c.rewrites += 1
+        rec.active = False
+        n = len(self.ksets)
+        self.ksets.append(KSet(n, Rewritten(kid, renames, already), handle, self._ref))
+        self.owner[handle] = n
+        return n
 
     # ------------------------------------------------------------------
     # queries
@@ -629,6 +671,8 @@ class Session:
         renames and the larger side of each merge to a hypothesis, then
         adding back the absorbed sides and renames on the way up.
         """
+        if not 0 <= n < len(self.ksets):
+            raise ValueError(f"unknown k-set id {n}")
         rec = self.ksets[n]
         if rec.active:
             return self.live[rec.handle]
@@ -838,6 +882,8 @@ class Session:
             h = rec.history
             if isinstance(h, Asserted):
                 terms = frozenset(self.hypotheses[h.hyp_index])
+            elif (min(h.left, h.right) if isinstance(h, Merged) else h.source) < 0:
+                raise EngineInvariantError(f"k-set {rec.id} cites a negative k-set id")
             elif max(h.left, h.right) >= rec.id if isinstance(h, Merged) else (
                 h.source >= rec.id
             ):

@@ -97,7 +97,9 @@ def split_lines(text: str) -> list[str]:
 
 def parse_text(text: str) -> Problem:
     problem = Problem()
-    seen: dict[str, None] = {}  # term names in first-seen order
+    # term names in first-seen order, each mapped to its first-seen string,
+    # so every statement shares one string object per name
+    seen: dict[str, str] = {}
 
     # Both helpers read the line being parsed (`lineno`, `code`, `tokens`).
     # Tokens are referred to by index; a column is found only to raise.
@@ -107,13 +109,16 @@ def parse_text(text: str) -> Problem:
 
     def terms(first: int) -> tuple[str, ...]:
         """tokens[first:], each name checked the first time it is seen."""
-        names = tuple(tokens[first:])
-        for j, name in enumerate(names, first):
-            if name not in seen:
+        names = tokens[first:]
+        for j, name in enumerate(names):
+            known = seen.get(name)
+            if known is None:
                 if not _NAME.match(name):
-                    raise error(j, f"invalid term name {name!r}")
-                seen[name] = None
-        return names
+                    raise error(first + j, f"invalid term name {name!r}")
+                seen[name] = name
+            else:
+                names[j] = known
+        return tuple(names)
 
     for lineno, raw in enumerate(split_lines(text), start=1):
         code = raw.split("#", 1)[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 from kequiv import CongruenceState, Session, check, closure_sets, covered
 from kequiv.proofs import Assume, Project, SubRefl, Subst, Trans
@@ -323,6 +324,22 @@ def pencil_closed_shape(n):
     for j in range(n):
         a, b, c = (s.intern_term(f"{x}{j}") for x in "abc")
         steps += [(s.assert_hypothesis, [h, a, b]), (s.assert_hypothesis, [a, b, c])]
+    return s, steps
+
+
+def short_lines_shape(n, k):
+    """n lines of 8 terms, each covered by its (k+1)-term windows.
+
+    The windows of all lines are asserted in one seeded shuffled order:
+    the shape of kqbench's many-lines workload, where most merges absorb
+    a fresh (k+1)-term hypothesis into a short line.
+    """
+    s = Session(k)
+    steps = []
+    for j in range(n):
+        line = [s.intern_term(f"l{j}_{i}") for i in range(8)]
+        steps += [(s.assert_hypothesis, line[i : i + k + 1]) for i in range(8 - k)]
+    random.Random(f"short-lines/{n}/{k}").shuffle(steps)
     return s, steps
 
 

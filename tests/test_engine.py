@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -7,10 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kequiv
+from dataclasses import asdict, replace
+
 from kequiv import (
     Asserted,
+    CongruenceState,
     EngineInvariantError,
     Merged,
+    Rewritten,
     Session,
     SubRefl,
     check,
@@ -25,6 +30,7 @@ from helpers import (
     eq_chain_shape,
     pencil_closed_shape,
     run_differential,
+    short_lines_shape,
 )
 
 TABLE_HYPS = ["abc", "cde", "efg", "adg", "bcd"]
@@ -148,6 +154,53 @@ class TestArena:
             s.merge(8, 8)
         with pytest.raises(ValueError):
             s.merge(0, 8)  # 0 is inactive
+
+
+def two_record_session():
+    """Two active k-sets, ids 0 and 1, that share one term."""
+    s = Session(2)
+    x = [s.intern_term(t) for t in "abcde"]
+    s.assert_hypothesis(x[:3])
+    s.assert_hypothesis(x[2:])
+    return s
+
+
+class TestNegativeIds:
+    # a negative id must not reach a record from the end of `ksets`
+
+    def test_merge(self):
+        s = two_record_session()
+        with pytest.raises(ValueError, match="unknown k-set id -2"):
+            s.merge(0, -2)  # -2 would be record 0 itself
+        s.validate()
+
+    def test_rewrite_kset(self):
+        s = two_record_session()
+        with pytest.raises(ValueError, match="unknown k-set id -1"):
+            s.rewrite_kset(-1, [(4, 4)])
+        assert len(s.ksets) == 2
+
+    def test_terms_of(self):
+        s = two_record_session()
+        with pytest.raises(ValueError, match="unknown k-set id -1"):
+            s.terms_of(-1)
+
+    def test_find_merges(self):
+        s = two_record_session()
+        with pytest.raises(ValueError, match="unknown k-set id -1"):
+            s.find_merges(-1)
+
+    def test_validate_rejects_a_cited_negative_id(self):
+        s = Session(2)
+        a, b, c, d = (s.intern_term(t) for t in "abcd")
+        s.assert_hypothesis([a, b, c])
+        s.assert_hypothesis([a, b, d])
+        merged = s.ksets[2].history
+        assert merged == Merged(0, 1)
+        # -2 names record 0 from the end, so the replay alone would agree
+        s.ksets[2].history = replace(merged, left=-2)
+        with pytest.raises(EngineInvariantError, match="negative k-set id"):
+            s.validate()
 
 
 class TestFindMergesWithPartition:
@@ -547,11 +600,67 @@ def shape_registrations(build, n):
 
 @pytest.mark.parametrize(
     "shape",
-    [chain_shape, pencil_closed_shape, eq_chain_shape],
-    ids=["chain", "pencil", "eq-chain"],
+    [
+        chain_shape,
+        pencil_closed_shape,
+        eq_chain_shape,
+        *(functools.partial(short_lines_shape, k=k) for k in (1, 2, 3)),
+    ],
+    ids=["chain", "pencil", "eq-chain", *(f"short-lines-k{k}" for k in (1, 2, 3))],
 )
 def test_registrations_grow_near_linearly(shape):
     # each doubling of n must multiply the (term, k-set) registrations by
     # less than 2.3; copying every fused k-set whole, the chain's quadruple
     counts = [shape_registrations(shape, n) for n in (1000, 2000, 4000)]
     assert all(b < 2.3 * a for a, b in zip(counts, counts[1:])), counts
+
+
+@pytest.mark.parametrize(
+    "k, expected",
+    [
+        (1, (1200, 2259, 8, 2, 4315)),
+        (2, (1000, 1937, 8, 3, 4817)),
+        (3, (800, 1585, 8, 3, 4941)),
+    ],
+)
+def test_short_lines_work_is_pinned(k, expected):
+    # merges, find_merges rounds, largest k-set, largest parent list and
+    # registrations on 200 short lines, as counted before the assert path
+    # was trimmed; a leaner path must do the same work
+    session, steps = short_lines_shape(200, k)
+    for fn, arg in steps:
+        fn(arg)
+    session.validate()
+    stats = asdict(session.stats())
+    assert stats["hypotheses"] == 200 * (8 - k) and stats["active"] == 200
+    assert stats["rewrites"] == 0
+    counted = ("merges", "find_merges_calls", "max_kset_size", "max_parents")
+    assert tuple(stats[name] for name in (*counted, "registrations")) == expected
+
+
+def test_rename_scan_is_exact():
+    # a hypothesis naming the representative that `eq a b` retired is
+    # rewritten; after only `eq a a` nothing was retired, so none is
+    joined = CongruenceState({"coll": 2})
+    a, b, c, d = (joined.intern_term(t) for t in "abcd")
+    joined.mark_possibly_equal([a, b])
+    joined.assert_eq(a, b)
+    assert joined.equalities.find(b) == a
+    joined.assert_atom("coll", [b, c, d])
+    session = joined.sessions["coll"]
+    assert [r.history for r in session.ksets] == [Asserted(0), Rewritten(0, ((b, a),))]
+    assert session.ksets[-1].terms == {a, c, d}
+    session.validate()
+
+    reflexive = CongruenceState({"coll": 2})
+    a, b, c, d = (reflexive.intern_term(t) for t in "abcd")
+    reflexive.mark_possibly_equal([a, b])
+    reflexive.assert_eq(a, a)
+    reflexive.assert_atom("coll", [b, c, d])
+    reflexive.assert_atom("coll", [a, c, d])
+    session = reflexive.sessions["coll"]
+    assert [r.history for r in session.ksets] == [
+        Asserted(0), Asserted(1), Merged(0, 1)
+    ]
+    assert session.stats().rewrites == 0
+    session.validate()
