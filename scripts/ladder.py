@@ -9,15 +9,18 @@ the next round starts, so a slow phase of the host slows every rung of
 a shape, not one.  The short-lines rungs (k = 1, 2, 3) assert n lines
 of 8 terms covered by shuffled (k+1)-term windows, the shape of
 kqbench's many-lines workload, and also print the best time per
-hypothesis in microseconds.  The deep-query rung times `resolve_query`
-plus `format_proof` of (p0, p1, p_n+1) on the asserted chain, whose
-proof has about n levels.  The end-to-end rung writes the closed pencil
-as a problem file and times `kequiv.cli.main(["solve", path])` in this
-process, which runs with the cyclic garbage collector paused, as every
-`kequiv` command does.  The short-lines rungs pause it too, since
-many-lines runs through `kequiv solve`: with it on, its heap walks take
-a share of each hypothesis that grows with n.  The other library rungs
-run with it on.
+hypothesis in microseconds.  The deep-query rungs time the proof of
+(p0, p1, p_n+1) on the asserted chain, which has about n levels, on two
+paths: the library's (`resolve_query`, a proof term, then
+`format_proof`) and the one `kequiv solve` takes (`resolve_program`, a
+proof program, then `format_proof`).  The end-to-end rung writes the
+closed pencil as a problem file and times
+`kequiv.cli.main(["solve", path])` in this process, which runs with the
+cyclic garbage collector paused, as every `kequiv` command does.  The
+short-lines rungs pause it too, since many-lines runs through
+`kequiv solve`: with it on, its heap walks take a share of each
+hypothesis that grows with n.  The other library rungs, both deep-query
+rungs included, run with it on.
 
     PYTHONPATH=src:tests python scripts/ladder.py
 """
@@ -74,13 +77,16 @@ def assert_seconds(build, n, collector=True):
         gc.enable()
 
 
-def deep_query_seconds(n):
+def deep_query_seconds(n, program=False):
+    """Seconds to resolve and format the deep query on the chain of size n,
+    as a proof program with `program`, else as a proof term."""
     session, steps = chain_shape(n)
     for fn, arg in steps:
         fn(arg)
+    resolve = session.resolve_program if program else session.resolve_query
     gc.collect()
     start = time.perf_counter()
-    format_proof(session.resolve_query((0, 1, n + 1)), session.term_names)
+    format_proof(resolve((0, 1, n + 1)), session.term_names)
     return time.perf_counter() - start
 
 
@@ -128,6 +134,12 @@ def main():
             lambda size: size * (8 - k),
         )
     rungs("deep-query", "query", deep_query_seconds, 1000)
+    rungs(
+        "deep-query-solve",
+        "query",
+        functools.partial(deep_query_seconds, program=True),
+        1000,
+    )
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for size in (4000, 8000, 16000):

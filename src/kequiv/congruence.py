@@ -101,6 +101,10 @@ class CongruenceState:
         """
         return self._session(relation).resolve_query(xs)
 
+    def query_program(self, relation: str, xs: Iterable[int]) -> list | None:
+        """`query_atom`'s proof as a proof program (no nodes), for `format_proof`."""
+        return self._session(relation).resolve_program(xs)
+
     def query_kfun_eq(
         self, relation: str, x1: Iterable[int], x2: Iterable[int]
     ) -> bool:

@@ -22,7 +22,10 @@ keeps those terms and the anchor the two sides share.  A rename edits the
 live set in place; its `Rewritten` record keeps whether the new term was
 already there.  `explain` reads only these stored pieces, the proof-forest
 reading of the history (Nieuwenhuis & Oliveras, RTA 2005), and
-`KSet.terms` of an inactive record rebuilds the set on demand.
+`KSet.terms` of an inactive record rebuilds the set on demand.  One walk
+extracts every proof, with two outputs: a `ProofTerm` for the library,
+or, for `kequiv solve`, a flat proof program that `format_proof` renders
+without building a proof node.
 
 Cost.  Let M be the number of terms registered by hypotheses and renames
 (at most k+1 per hypothesis plus one per rename).  An absorbed term
@@ -55,7 +58,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import AbstractSet, Iterable, Mapping, Sequence, Union
 
-from .proofs import Assume, ProofTerm, Project, SubRefl, Subst, Trans
+from .proofs import FUSE, PROJECT, Assume, ProofTerm, Project, SubRefl, Subst, Trans
 
 __all__ = [
     "Asserted",
@@ -706,6 +709,13 @@ class Session:
         ValueError, as in `assert_hypothesis`.  The session is left
         untouched.
         """
+        return self._resolve(xs, False)
+
+    def resolve_program(self, xs: Iterable[int]) -> list | None:
+        """`resolve_query`'s proof as a proof program, for `format_proof`."""
+        return self._resolve(xs, True)
+
+    def _resolve(self, xs: Iterable[int], text: bool) -> ProofTerm | list | None:
         s = frozenset(map(self.equalities.find, xs))
         if not s:
             raise ValueError("empty query")
@@ -713,17 +723,16 @@ class Session:
         if lo < 0 or hi >= len(self.term_names):
             raise ValueError(f"unknown term id {lo if lo < 0 else hi}")
         if len(s) <= self.k:
-            return SubRefl(s)
+            return ["(subrefl", (PROJECT, s)] if text else SubRefl(s)
         parents = [self.term2parents.get(x) for x in s]
         if not all(parents):
             return None
         common = min(parents, key=len).intersection(*parents)
         if not common:
             return None
-        proof = self._explain(min(self.owner[h] for h in common), s)
-        if type(proof) is Assume and frozenset(self.hypotheses[proof.hyp_index]) != s:
-            proof = Project(proof, s)
-        return proof
+        # a proof that is one hypothesis needs no `project`: the hypothesis
+        # holds s, of more than k terms, and has at most k+1 terms
+        return self._explain(min(self.owner[h] for h in common), s, text)
 
     def explain(self, n: int, xs: Iterable[int]) -> ProofTerm:
         """Extract a compact proof that k-set `n` covers the terms `xs`.
@@ -740,17 +749,22 @@ class Session:
             raise ValueError(f"terms are not covered by k-set {n}")
         return self._explain(n, s)
 
-    def _explain(self, n: int, xs: frozenset[int]) -> ProofTerm:
-        # Explicit work stack: merge chains (and hence proofs) can be far
-        # deeper than the interpreter's recursion limit.  Each level reads
-        # only the small sets a record stores, never a rebuilt k-set.  A
-        # proof concludes the terms asked of it, except an `Assume`, which
+    def _explain(self, n: int, xs: frozenset[int], text: bool = False):
+        # The one proof walk, with two outputs: a proof term, or with `text`
+        # a proof program in text order (see `kequiv.proofs`).  Explicit
+        # work stack: merge chains (and hence proofs) can be far deeper than
+        # the interpreter's recursion limit.  Each level reads only the
+        # small sets a record stores, never a rebuilt k-set.  A proof
+        # concludes the terms asked of it, except an `Assume`, which
         # concludes its hypothesis's terms.  A task is (kind, a, b):
-        # (_EXPLAIN, record, terms), (_FUSE, None, terms) or
-        # (_REWRAP, steps, (terms, terms asked of the source)).
+        # (_EXPLAIN, record, terms), (_FUSE, None, terms) or (_REWRAP,
+        # steps, (terms, terms asked of the source, slot of its opener)).
         ksets, hypotheses, path = self.ksets, self.hypotheses, self.equalities.path
         tasks: list[tuple] = []
-        results: list[ProofTerm] = []
+        # finished sub-proofs, or the program so far; its last entry is a
+        # `leaf` just when the last sub-proof is, as others end in a closer
+        out: list = []
+        leaf = int if text else Assume
         while True:
             # explain record n, continuing down one side of a merge
             h = ksets[n].history
@@ -776,12 +790,14 @@ class Session:
                         n = h.right
                         continue
                     left, right = anchor | (xs - absorbed), anchor | inside
+                if text:
+                    out.append("(project (trans ")
                 tasks.append((_FUSE, None, xs))
                 tasks.append((_EXPLAIN, h.right, right))
                 n, xs = h.left, left
                 continue
             if cls is Asserted:
-                results.append(Assume(h.hyp_index))
+                out.append(h.hyp_index if text else Assume(h.hyp_index))
             else:  # Rewritten
                 steps = []
                 for r in h.renames:
@@ -801,33 +817,50 @@ class Session:
                     ((old, new),) = h.renames
                     source = xs | {old} if h.already else (xs - {new}) | {old}
                 asked = source & wanted
-                tasks.append((_REWRAP, steps, (xs, asked)))
+                tasks.append((_REWRAP, steps, (xs, asked, len(out))))
+                if text:
+                    out.append("")
                 n, xs = h.source, asked
                 continue
             # the walk reached a hypothesis: finish the tasks it completes
             while tasks:
                 kind, a, b = tasks.pop()
                 if kind == _FUSE:
-                    right = results.pop()
-                    results[-1] = Project(Trans(results[-1], right), b)
+                    if text:
+                        out.append((FUSE, b))
+                    else:
+                        right = out.pop()
+                        out[-1] = Project(Trans(out[-1], right), b)
                 elif kind == _EXPLAIN:
+                    if text:
+                        out.append(" ")
                     n, xs = a, b
                     break
                 else:  # _REWRAP
-                    xs, asked = b
-                    proof = results[-1]
-                    if type(proof) is Assume:
-                        asked = hypotheses[proof.hyp_index]
+                    xs, asked, slot = b
+                    proof = out[-1]
+                    if type(proof) is leaf:
+                        asked = hypotheses[proof if text else proof.hyp_index]
                     current = set(asked)
-                    for old, new, e in a:
+                    top = len(out)
+                    for step in a:
+                        old, new, e = step
                         if old in current:
-                            proof = Subst(proof, old, new, e)
+                            if text:
+                                out.append(step)
+                            else:
+                                proof = Subst(proof, old, new, e)
                             current.discard(old)
                             current.add(new)
-                    results[-1] = proof if current == xs else Project(proof, xs)
+                    if not text:
+                        out[-1] = proof if current == xs else Project(proof, xs)
+                        continue
+                    out[slot] = "(subst " * (len(out) - top)
+                    if current != xs:
+                        out.append((PROJECT, xs))
+                        out[slot] = "(project " + out[slot]
             else:
-                (proof,) = results
-                return proof
+                return out if text else out[0]
 
     def kfun_eq(self, x1: Iterable[int], x2: Iterable[int]) -> ProofTerm | None:
         """Decide whether two k-element anchor sets name the same object.

@@ -202,6 +202,53 @@ class TestSolve:
         assert code == 0
         assert [l.split()[0] for l in out.splitlines()] == ["entailed"] * 2
 
+    def test_solve_builds_no_proof_nodes(self, tmp_path, capsys, monkeypatch):
+        # a query answered by one hypothesis, bare and through renames, and
+        # queries of at most k terms; a query that reaches the proof walk
+        # has more than k terms, so one hypothesis concludes exactly it and
+        # never needs a `project`
+        one_hypothesis = (
+            "rel coll 2\nclass a x\nclass b y\neq x a\neq y b\n"
+            "hyp coll a b c\nhyp coll c d e\n"
+            "query coll x y c\nquery coll c d e\n"
+        )
+        subrefl = "rel coll 2\nhyp coll a b c\nquery coll a b\nquery coll c c\n"
+        files = {
+            "example": EXAMPLE,
+            "chain": chain_text(300),
+            "eq-chain": eq_chain_text(60),
+            "one-hypothesis": one_hypothesis,
+            "subrefl": subrefl,
+        }
+        expected = {}
+        for name, text in files.items():
+            path = tmp_path / f"{name}.kq"
+            path.write_text(text)
+            expected[name] = run(capsys, "solve", str(path))
+        assert expected["one-hypothesis"][1].splitlines() == [
+            "entailed (subst (subst (assume 0) a x 0) b y 1)",
+            "entailed (assume 1)",
+        ]
+        assert expected["subrefl"][1].splitlines() == [
+            "entailed (subrefl a b)",
+            "entailed (subrefl c)",
+        ]
+        assert "(subst (subst " in expected["eq-chain"][1]
+
+        def node_built(node, *args, **kwargs):
+            raise AssertionError(f"solve built a {type(node).__name__} node")
+
+        for cls in (
+            kequiv.Assume,
+            kequiv.SubRefl,
+            kequiv.Trans,
+            kequiv.Project,
+            kequiv.Subst,
+        ):
+            monkeypatch.setattr(cls, "__init__", node_built)
+        for name in files:
+            assert run(capsys, "solve", str(tmp_path / f"{name}.kq")) == expected[name]
+
 
 class TestCheck:
     def solve_to_file(self, capsys, tmp_path, problem_path):

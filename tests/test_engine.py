@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import random
 import subprocess
@@ -25,10 +26,15 @@ from kequiv import (
     used_hypotheses,
 )
 from helpers import (
+    build_congruence,
     build_session,
     chain_shape,
+    class_groups,
     eq_chain_shape,
     pencil_closed_shape,
+    pencil_shape,
+    random_congruence_instance,
+    random_instance,
     run_differential,
     short_lines_shape,
 )
@@ -664,3 +670,148 @@ def test_rename_scan_is_exact():
     ]
     assert session.stats().rewrites == 0
     session.validate()
+
+
+# The proof walk's two outputs: the proof program that `kequiv solve`
+# renders must give the text of the library's proof term, on every path.
+
+
+def solve_text(session, xs):
+    """The solve path's text for query `xs`, after checking that it equals
+    the library path's and that `check` accepts it; None if not entailed."""
+    tree, program = session.resolve_query(xs), session.resolve_program(xs)
+    assert (tree is None) == (program is None)
+    if tree is None:
+        return None
+    text = format_proof(program, session.term_names)
+    assert text == format_proof(tree, session.term_names)
+    conclusion = check(
+        text,
+        session.k,
+        session.hypotheses,
+        session.class_of,
+        session.equalities,
+        ids=session.terms.term_ids,
+    )
+    assert conclusion == frozenset(map(session.equalities.find, xs))
+    return text
+
+
+def explain_both_ways(session, rng, records, texts):
+    """Explain each record from a few of its term subsets, as a program and
+    as a tree; subsets of at most k terms reach `project` over a rename,
+    which no query does."""
+    for n in records:
+        terms = sorted(session.terms_of(n))
+        for _ in range(3):
+            xs = frozenset(rng.sample(terms, rng.randint(1, len(terms))))
+            text = format_proof(session._explain(n, xs, True), session.term_names)
+            assert text == format_proof(session.explain(n, xs), session.term_names)
+            texts.append(text)
+
+
+def rewritten_kinds(session, rewritten_by_hand=()):
+    """The kinds of `Rewritten` record in the session's history."""
+    kinds = set()
+    for rec in session.ksets:
+        h = rec.history
+        if not isinstance(h, Rewritten):
+            continue
+        if rec.id in rewritten_by_hand:
+            kinds.add("rewrite_kset")
+        elif h.already is not None:
+            kinds.add(f"rename_term, already {h.already}")
+        elif isinstance(session.ksets[h.source].history, Asserted):
+            kinds.add(f"assert-time, {'one pair' if len(h.renames) == 1 else 'pairs'}")
+    return kinds
+
+
+def test_program_text_equals_tree_text():
+    kinds, texts = set(), []
+    for seed in range(300):
+        rng = random.Random(seed)
+        k = rng.choice([1, 2, 3])
+        n_terms, class_of, statements = random_congruence_instance(rng, k)
+        state = build_congruence(k, n_terms, class_of, statements)
+        session = state.sessions["r"]
+        for combo in itertools.combinations(range(n_terms), k + 1):
+            text = solve_text(session, combo)
+            program = state.query_program("r", combo)
+            assert text == (program and format_proof(program, state.term_names))
+        explain_both_ways(session, rng, range(len(session.ksets)), texts)
+        kinds |= rewritten_kinds(session)
+
+    # records made by `rewrite_kset`, with one pair and with two
+    for seed in range(100):
+        rng = random.Random(seed)
+        k = rng.choice([1, 2])
+        n_terms, hyps, class_of = random_instance(rng, k, partitioned=True)
+        session = build_session(k, n_terms, hyps, class_of)
+        groups = class_groups(class_of)
+        if not groups or not hyps:
+            continue
+        eqs, by_hand, retired = session.equalities, set(), []
+        for _ in range(rng.randint(1, 2)):
+            a, b = rng.sample(rng.choice(groups), 2)
+            old = eqs.union(a, b)
+            if old is not None:
+                retired.append(old)
+        renames = [(old, eqs.find(old)) for old in retired]
+        holders = {
+            session.owner[h]
+            for old in retired
+            for h in session.term2parents.get(old, ())
+        }
+        for kid in sorted(holders):
+            n = session.rewrite_kset(kid, renames)
+            by_hand.add(n)
+        for n in sorted(by_hand):
+            if session.ksets[n].active:
+                session.find_merges(n)
+        session.validate()
+        for combo in itertools.combinations(range(n_terms), k + 1):
+            solve_text(session, combo)
+        explain_both_ways(session, rng, range(len(session.ksets)), texts)
+        kinds |= rewritten_kinds(session, by_hand)
+
+    assert kinds >= {
+        "assert-time, pairs",
+        "rename_term, already True",
+        "rename_term, already False",
+        "rewrite_kset",
+    }, kinds
+    assert any(t.startswith("(project (subst ") for t in texts)
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (chain_shape, 150),
+        (pencil_shape, 150),
+        (pencil_closed_shape, 150),
+        (eq_chain_shape, 60),
+    ],
+    ids=["chain", "pencil", "pencil-closed", "eq-chain"],
+)
+def test_program_text_equals_tree_text_on_shapes(build, n):
+    rng = random.Random(n)
+    session, steps = build(n)
+    for fn, arg in steps:
+        fn(arg)
+    n_terms = len(session.term_names)
+    queries = [rng.sample(range(n_terms), 3) for _ in range(100)]
+    active = sorted(session.owner.values())
+    for _ in range(90):
+        queries.append(rng.sample(sorted(session.terms_of(rng.choice(active))), 3))
+    entailed = [q for q in queries if solve_text(session, q) is not None]
+    assert len(entailed) >= 90
+    explain_both_ways(session, rng, rng.sample(range(len(session.ksets)), 30), [])
+
+
+def test_program_renders_a_ten_thousand_level_proof():
+    n = 10_000
+    session, steps = chain_shape(n)
+    for fn, arg in steps:
+        fn(arg)
+    text = solve_text(session, (0, 1, n + 1))
+    assert text.count("(trans ") > n // 2
