@@ -6,7 +6,9 @@ REPEATS rounds and the range of all of them, plus the growth exponent
 log(t(4n) / t(n)) / log 4 of the best times.  An exponent near 1 is
 linear growth, near 2 quadratic.  Each round times n, 2n and 4n before
 the next round starts, so a slow phase of the host slows every rung of
-a shape, not one.  The short-lines rungs (k = 1, 2, 3) assert n lines
+a shape, not one.  The eq-first rungs assert the eq-chain's equalities
+before its hypotheses, so every hypothesis is renamed as it is
+asserted.  The short-lines rungs (k = 1, 2, 3) assert n lines
 of 8 terms covered by shuffled (k+1)-term windows, the shape of
 kqbench's many-lines workload, and also print the best time per
 hypothesis in microseconds.  The deep-query rungs time the proof of
@@ -39,6 +41,7 @@ import time
 from helpers import (
     chain_shape,
     eq_chain_shape,
+    eq_first_shape,
     pencil_closed_shape,
     pencil_closed_text,
     pencil_shape,
@@ -55,6 +58,7 @@ SHAPES = {
     "pencil": (pencil_shape, 2000),
     "pencil-closed": (pencil_closed_shape, 2000),
     "eq-chain": (eq_chain_shape, 1000),
+    "eq-first": (eq_first_shape, 1000),
 }
 
 

@@ -15,17 +15,20 @@ Storage.  Every record of the merge history stays in `ksets`, so proofs
 can be extracted later, but only active k-sets hold a term set: one
 mutable *live set* per lineage, named by a handle.  `term2parents` maps
 each term to the handles of the live sets holding it, and `owner` maps a
-handle to its active record.  A merge absorbs the smaller side into the
-larger side's live set (union by size, Tarjan-style; a tie absorbs the
-newer side) and re-registers only the absorbed terms; its `Merged` record
-keeps those terms and the anchor the two sides share.  A rename edits the
-live set in place; its `Rewritten` record keeps whether the new term was
-already there.  `explain` reads only these stored pieces, the proof-forest
-reading of the history (Nieuwenhuis & Oliveras, RTA 2005), and
-`KSet.terms` of an inactive record rebuilds the set on demand.  One walk
-extracts every proof, with two outputs: a `ProofTerm` for the library,
-or, for `kequiv solve`, a flat proof program that `format_proof` renders
-without building a proof node.
+handle to its active record.  Each fact makes one record.  A hypothesis
+is stored on its representatives; its `Asserted` record keeps the
+(term, representative) pairs of the terms equalities had retired.  A
+merge absorbs the smaller side into the larger side's live set (union by
+size, Tarjan-style; a tie absorbs the newer side) and re-registers only
+the absorbed terms; its `Merged` record keeps those terms and the anchor
+the two sides share.  A rename edits the live set in place; its
+`Rewritten` record keeps the one (old, new) pair and whether the new
+term was already there.  `explain` reads only these stored pieces, the
+proof-forest reading of the history (Nieuwenhuis & Oliveras, RTA 2005),
+and `KSet.terms` of an inactive record rebuilds the set on demand.  One
+walk extracts every proof, with two outputs: a `ProofTerm` for the
+library, or, for `kequiv solve`, a flat proof program that `format_proof`
+renders without building a proof node.
 
 Cost.  Let M be the number of terms registered by hypotheses and renames
 (at most k+1 per hypothesis plus one per rename).  An absorbed term
@@ -42,13 +45,14 @@ the fewest parent entries; each candidate is verified in
 min(|candidate|, |fused|).  The chain, the pencil and the equality chain
 thus assert in O(M log M).  The constant work is two records (`Asserted`
 and `KSet`) and one registration pass over its terms per hypothesis,
-plus a rename scan only once an equality has joined two terms, and two
-records (`Merged` and `KSet`) and one pass over the absorbed terms per
-merge.  Worst case, a term on many lines is still read whole: a
-hypothesis all of whose classes hold such hubs, or a rename into one,
-reads their parent lists, and a candidate that shares fewer than k
-classes costs its full size, so a sequence of such asserts can take
-quadratic time.
+plus a rename scan only once an equality has joined two terms (a renamed
+hypothesis registers only its representatives), two records (`Merged`
+and `KSet`) and one pass over the absorbed terms per merge, and two
+records (`Rewritten` and `KSet`) per k-set a rename edits.  Worst case,
+a term on many lines is still read whole: a hypothesis all of whose
+classes hold such hubs, or a rename into one, reads their parent lists,
+and a candidate that shares fewer than k classes costs its full size, so
+a sequence of such asserts can take quadratic time.
 """
 
 from __future__ import annotations
@@ -77,9 +81,15 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Asserted:
-    """The k-set came straight from hypothesis `hyp_index`."""
+    """The k-set came from hypothesis `hyp_index`, renamed to representatives.
+
+    `renames` holds the (term, representative) pairs of the hypothesis's
+    terms that equalities had retired when it was asserted, in ascending
+    term order; it is empty when the hypothesis named none.
+    """
 
     hyp_index: int
+    renames: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,17 +112,16 @@ class Merged:
 
 @dataclass(frozen=True, slots=True)
 class Rewritten:
-    """The k-set is an earlier one with terms renamed by logged equalities.
+    """The k-set is k-set `source` with `old` renamed to its representative.
 
-    `renames` holds (old term, representative) pairs, applied in order.
-    For the one-pair renames `rename_term` makes, `already` (outside `==`
-    and `repr`) records whether the new term was in the set before; it is
-    None for other rewrites.
+    `already` records whether `new` was in the source set, so the set
+    lost a term (True) or swapped one (False).
     """
 
     source: int
-    renames: tuple[tuple[int, int], ...]
-    already: bool | None = field(default=None, compare=False, repr=False)
+    old: int
+    new: int
+    already: bool
 
 
 HistoryNode = Union[Asserted, Merged, Rewritten]
@@ -174,7 +183,9 @@ class Stats:
     active: int = 0
     merges: int = 0
     find_merges_calls: int = 0
+    # hypotheses renamed as they are asserted plus k-sets renamed in place
     rewrites: int = 0
+    # a renamed hypothesis counts its representatives, not its raw terms
     max_kset_size: int = 0
     max_parents: int = 0
     # additions of a (term, live set) pair to `term2parents`
@@ -411,15 +422,15 @@ class Session:
         i = len(self.hypotheses)
         self.hypotheses.append(xs)
         self.counters.hypotheses += 1
-        n = self.new_kset(xs, Asserted(i))
-        equalities = self.equalities
+        terms, history = xs, Asserted(i)
         # an empty forest means no equality joined two terms: nothing to rename
-        if equalities.forest:
-            find = equalities.find
+        if self.equalities.forest:
+            find = self.equalities.find
             renames = tuple((t, r) for t in sorted(set(xs)) if (r := find(t)) != t)
             if renames:
-                n = self._rewrite(n, renames, None)
-        self.find_merges(n)
+                terms, history = map(find, xs), Asserted(i, renames)
+                self.counters.rewrites += 1
+        self.find_merges(self.new_kset(terms, history))
         self.check_counter_bounds()
         return i
 
@@ -428,16 +439,33 @@ class Session:
 
         Active k-sets hold only representatives, and `old` was one until
         the last union, so it is their one renamed term.  Each is renamed
-        in place, in ascending id order, then each result still active is
-        re-merged.
+        in place, in ascending id order, under a one-pair `Rewritten`
+        record, then each result still active is re-merged.
         """
         new = self.equalities.find(old)
-        rewritten = [
-            self._rewrite(kid, ((old, new),), new in self.terms_of(kid))
-            for kid in sorted(self.owner[h] for h in self.term2parents.get(old, ()))
-        ]
+        ksets, live, owner = self.ksets, self.live, self.owner
+        parents, c = self.term2parents, self.counters
+        rewritten = []
+        for kid in sorted(owner[h] for h in parents.pop(old, ())):
+            rec = ksets[kid]
+            handle = rec.handle
+            terms = live[handle]
+            already = new in terms
+            terms.discard(old)
+            if not already:
+                terms.add(new)
+                parents[new].add(handle)
+                c.registrations += 1
+            rec.active = False
+            n = len(ksets)
+            ksets.append(KSet(n, Rewritten(kid, old, new, already), handle, self._ref))
+            owner[handle] = n
+            rewritten.append(n)
+        if rewritten:
+            c.rewrites += len(rewritten)
+            c.max_parents = max(c.max_parents, len(parents[new]))
         for n in rewritten:
-            if self.ksets[n].active:
+            if ksets[n].active:
                 self.find_merges(n, new)
         self.check_counter_bounds()
 
@@ -628,41 +656,6 @@ class Session:
             c.max_kset_size = len(into)
         return n
 
-    def rewrite_kset(self, kid: int, renames: Sequence[tuple[int, int]]) -> int:
-        """Rename terms of an active k-set in place; returns the new id.
-
-        Each (old, new) pair replaces `old` by `new`; the two terms must be
-        joined in the equality forest.  The caller is responsible for
-        running find_merges on the result.
-        """
-        return self._rewrite(kid, tuple(renames), None)
-
-    def _rewrite(
-        self, kid: int, renames: tuple[tuple[int, int], ...], already: bool | None
-    ) -> int:
-        rec = self._active(kid)
-        handle = rec.handle
-        live = self.live[handle]
-        parents = self.term2parents
-        c = self.counters
-        for old, new in renames:
-            if old in live:
-                live.discard(old)
-                parents[old].discard(handle)
-                if new not in live:
-                    live.add(new)
-                    ps = parents[new]
-                    ps.add(handle)
-                    c.registrations += 1
-                    if len(ps) > c.max_parents:
-                        c.max_parents = len(ps)
-        c.rewrites += 1
-        rec.active = False
-        n = len(self.ksets)
-        self.ksets.append(KSet(n, Rewritten(kid, renames, already), handle, self._ref))
-        self.owner[handle] = n
-        return n
-
     # ------------------------------------------------------------------
     # queries
 
@@ -671,8 +664,8 @@ class Session:
 
         For an active record this is its live set itself, which callers
         must not modify.  An inactive one is rebuilt from the history: down
-        renames and the larger side of each merge to a hypothesis, then
-        adding back the absorbed sides and renames on the way up.
+        renames and the larger side of each merge to a renamed hypothesis,
+        then adding back the absorbed sides and renames on the way up.
         """
         if not 0 <= n < len(self.ksets):
             raise ValueError(f"unknown k-set id {n}")
@@ -680,24 +673,22 @@ class Session:
         if rec.active:
             return self.live[rec.handle]
         layers: list[HistoryNode] = []
-        while True:
-            h = self.ksets[n].history
-            if isinstance(h, Asserted):
-                terms = set(self.hypotheses[h.hyp_index])
-                break
+        h = rec.history
+        while not isinstance(h, Asserted):
             layers.append(h)
             if isinstance(h, Rewritten):
                 n = h.source
             else:
                 n = h.right if h.absorbed == h.left else h.left
+            h = self.ksets[n].history
+        rename = dict(h.renames).get
+        terms = {rename(t, t) for t in self.hypotheses[h.hyp_index]}
         for h in reversed(layers):
             if isinstance(h, Merged):
                 terms |= h.absorbed_terms
-                continue
-            for old, new in h.renames:
-                if old in terms:
-                    terms.discard(old)
-                    terms.add(new)
+            else:
+                terms.discard(h.old)
+                terms.add(h.new)
         return frozenset(terms)
 
     def resolve_query(self, xs: Iterable[int]) -> ProofTerm | None:
@@ -758,7 +749,8 @@ class Session:
         # concludes the terms asked of it, except an `Assume`, which
         # concludes its hypothesis's terms.  A task is (kind, a, b):
         # (_EXPLAIN, record, terms), (_FUSE, None, terms) or (_REWRAP,
-        # steps, (terms, terms asked of the source, slot of its opener)).
+        # steps, (terms, terms asked of the source or None under a
+        # hypothesis, slot of its opener)).
         ksets, hypotheses, path = self.ksets, self.hypotheses, self.equalities.path
         tasks: list[tuple] = []
         # finished sub-proofs, or the program so far; its last entry is a
@@ -796,32 +788,25 @@ class Session:
                 tasks.append((_EXPLAIN, h.right, right))
                 n, xs = h.left, left
                 continue
-            if cls is Asserted:
-                out.append(h.hyp_index if text else Assume(h.hyp_index))
-            else:  # Rewritten
-                steps = []
-                for r in h.renames:
-                    steps += path(*r)
-                # pull xs back through the renaming, last step first
-                wanted = set(xs)
-                for old, new, _ in reversed(steps):
-                    if new in wanted:
-                        wanted.add(old)
-                    else:
-                        wanted.discard(old)
-                if h.already is None:
-                    source = self.terms_of(h.source)
-                else:
-                    # xs lies in the renamed set, which differs from the
-                    # source only by the pair
-                    ((old, new),) = h.renames
-                    source = xs | {old} if h.already else (xs - {new}) | {old}
-                asked = source & wanted
-                tasks.append((_REWRAP, steps, (xs, asked, len(out))))
+            if cls is Rewritten:
+                # xs lies in the renamed set, which differs from the source
+                # only by the pair: ask the source for xs's preimage
+                old, new = h.old, h.new
+                asked = xs
+                if new in xs:
+                    asked = (xs if h.already else xs - {new}) | {old}
+                tasks.append((_REWRAP, path(old, new), (xs, asked, len(out))))
                 if text:
                     out.append("")
                 n, xs = h.source, asked
                 continue
+            # an Asserted record: the hypothesis, renamed along its pairs' paths
+            if h.renames:
+                steps = [step for pair in h.renames for step in path(*pair)]
+                tasks.append((_REWRAP, steps, (xs, None, len(out))))
+                if text:
+                    out.append("")
+            out.append(h.hyp_index if text else Assume(h.hyp_index))
             # the walk reached a hypothesis: finish the tasks it completes
             while tasks:
                 kind, a, b = tasks.pop()
@@ -914,7 +899,8 @@ class Session:
         for rec in self.ksets:
             h = rec.history
             if isinstance(h, Asserted):
-                terms = frozenset(self.hypotheses[h.hyp_index])
+                rename = dict(h.renames).get
+                terms = frozenset(rename(t, t) for t in self.hypotheses[h.hyp_index])
             elif (min(h.left, h.right) if isinstance(h, Merged) else h.source) < 0:
                 raise EngineInvariantError(f"k-set {rec.id} cites a negative k-set id")
             elif max(h.left, h.right) >= rec.id if isinstance(h, Merged) else (
@@ -934,18 +920,11 @@ class Session:
                     raise EngineInvariantError(f"k-set {rec.id} stores a wrong anchor")
             else:
                 source = replay[h.source]
-                if h.already is not None and (
-                    len(h.renames) != 1 or h.already != (h.renames[0][1] in source)
-                ):
+                if h.old not in source or h.already != (h.new in source):
                     raise EngineInvariantError(
                         f"k-set {rec.id} misrecords its renamed term"
                     )
-                renamed = set(source)
-                for old, new in h.renames:
-                    if old in renamed:
-                        renamed.discard(old)
-                        renamed.add(new)
-                terms = frozenset(renamed)
+                terms = source - {h.old} | {h.new}
             view = rec.terms
             if not view:
                 raise EngineInvariantError(f"k-set {rec.id} is empty")

@@ -343,19 +343,36 @@ def short_lines_shape(n, k):
     return s, steps
 
 
-def eq_chain_shape(n):
-    """Lines (q_i z x_i) that become one line through eq q_i-1 q_i."""
+def _eq_chain(n):
+    """The eq-chain's session, its hypothesis steps and its `eq` steps."""
     state = CongruenceState({"coll": 2})
     q = [state.intern_term(f"q{i}") for i in range(n)]
     x = [state.intern_term(f"x{i}") for i in range(n)]
     z = state.intern_term("z")
     state.mark_possibly_equal(q)
-    steps = []
-    for i in range(n):
-        steps.append((lambda xs: state.assert_atom("coll", xs), [q[i], z, x[i]]))
-        if i:
-            steps.append((lambda pair: state.assert_eq(*pair), (q[i - 1], q[i])))
-    return state.sessions["coll"], steps
+    hyps = [
+        (lambda xs: state.assert_atom("coll", xs), [q[i], z, x[i]]) for i in range(n)
+    ]
+    eqs = [
+        (lambda pair: state.assert_eq(*pair), (q[i - 1], q[i])) for i in range(1, n)
+    ]
+    return state.sessions["coll"], hyps, eqs
+
+
+def eq_chain_shape(n):
+    """Lines (q_i z x_i) that become one line through eq q_i-1 q_i."""
+    session, hyps, eqs = _eq_chain(n)
+    steps = hyps[:1]
+    for hyp, eq in zip(hyps[1:], eqs):
+        steps += [hyp, eq]
+    return session, steps
+
+
+def eq_first_shape(n):
+    """The eq-chain with every `eq` asserted first, so that each hypothesis
+    (q_i z x_i) is renamed to (q_0 z x_i) as it is asserted."""
+    session, hyps, eqs = _eq_chain(n)
+    return session, eqs + hyps
 
 
 # The same shapes as problem files, each with one entailed and one

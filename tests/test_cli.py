@@ -65,6 +65,37 @@ query coll a b c q
 query coll a c t
 """
 
+# every `eq` comes before the hypotheses, so each hypothesis that names a
+# retired representative is renamed as it is asserted, by one pair or by
+# several; `hyp coll r s e` and `hyp coll q r c` collapse to two terms
+EQ_FIRST = """\
+rel coll 2
+rel cycl 3
+class p q r s
+class a b
+eq p q
+eq r s
+eq q s
+eq a b
+hyp coll s b c
+hyp coll q c d
+hyp coll p e f
+hyp coll r s e
+hyp coll d e f
+hyp coll q r c
+hyp cycl q b c d
+hyp cycl r c d g
+query coll s c d
+query coll b c q
+query coll r d e
+query coll a c p
+query coll q d f
+query coll s b d
+query coll r q c e
+query cycl s a c d g
+query cycl q b g
+"""
+
 
 @pytest.fixture
 def example(tmp_path):
@@ -145,6 +176,31 @@ class TestSolve:
         code, out, _ = run(capsys, "check", str(path), str(proofs))
         assert code == 0
         assert out.splitlines() == ["pass", "pass"]
+
+    def test_eq_first_golden(self, tmp_path, capsys):
+        path = tmp_path / "eq-first.kq"
+        path.write_text(EQ_FIRST)
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == 0
+        # hypotheses 0 and 1 renamed at assert time, by three and one steps
+        h0 = "(subst (subst (subst (assume 0) s q 2) q p 0) b a 3)"
+        h1 = "(subst (assume 1) q p 0)"
+        line = "(project (trans (assume 2) (assume 4)) p d e)"
+        assert out.splitlines() == [
+            f"entailed {h1}",
+            f"entailed {h0}",
+            f"entailed {line}",
+            f"entailed {h0}",
+            "entailed (project (trans (assume 2) (assume 4)) p d f)",
+            f"entailed (project (trans {h0} {h1}) p a d)",
+            f"entailed (project (trans {h1} {line}) p c e)",
+            "entailed (project (trans (subst (subst (assume 0) q p 0) b a 3) "
+            "(subst (subst (subst (assume 1) r s 1) s q 2) q p 0)) p a c d g)",
+            "entailed (subrefl p a g)",
+        ]
+        proofs = tmp_path / "proofs.txt"
+        proofs.write_text(out)
+        assert run(capsys, "check", str(path), str(proofs)) == (0, "pass\n" * 9, "")
 
     def test_inconsistent_equality_exit_two(self, tmp_path, capsys):
         path = tmp_path / "c.kq"

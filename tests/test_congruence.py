@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kequiv import (
+    Asserted,
     CongruenceState,
     InconsistentEqualityError,
     Rewritten,
@@ -284,7 +285,8 @@ def test_equality_steps_follow_the_unique_forest_path(seed):
 
 def test_eq_chain_stores_one_rename_per_step():
     # the eq-chain shape: q_i joins q_0's tree one edge deeper each time, so
-    # the i-th rename spans i subst steps, yet stores a single pair
+    # the i-th rename spans i subst steps, yet stores a single pair, in a
+    # `Rewritten` record or in a renamed hypothesis's `Asserted` record
     n = 400
     state = CongruenceState({"coll": 2})
     q = [state.intern_term(f"q{i}") for i in range(n)]
@@ -296,10 +298,9 @@ def test_eq_chain_stores_one_rename_per_step():
         if i:
             state.assert_eq(q[i - 1], q[i])
     session = state.sessions["coll"]
-    stored = sum(
-        len(r.history.renames)
-        for r in session.ksets
-        if isinstance(r.history, Rewritten)
+    histories = [r.history for r in session.ksets]
+    stored = sum(isinstance(h, Rewritten) for h in histories) + sum(
+        len(h.renames) for h in histories if isinstance(h, Asserted)
     )
     assert 0 < stored <= 2 * n
     proof = state.query_atom("coll", [q[n - 1], x[n - 1], x[n - 2]])

@@ -29,12 +29,11 @@ from helpers import (
     build_congruence,
     build_session,
     chain_shape,
-    class_groups,
     eq_chain_shape,
+    eq_first_shape,
     pencil_closed_shape,
     pencil_shape,
     random_congruence_instance,
-    random_instance,
     run_differential,
     short_lines_shape,
 )
@@ -180,12 +179,6 @@ class TestNegativeIds:
             s.merge(0, -2)  # -2 would be record 0 itself
         s.validate()
 
-    def test_rewrite_kset(self):
-        s = two_record_session()
-        with pytest.raises(ValueError, match="unknown k-set id -1"):
-            s.rewrite_kset(-1, [(4, 4)])
-        assert len(s.ksets) == 2
-
     def test_terms_of(self):
         s = two_record_session()
         with pytest.raises(ValueError, match="unknown k-set id -1"):
@@ -321,43 +314,61 @@ class TestExplain:
         }
 
     def test_rewritten_pull_back_is_exact(self):
-        # x is renamed away (x -> y) before z takes its name (z -> x), so
-        # {x, w} after the renaming comes from {z, w} alone
-        s = Session(1)
-        x, y, z, w = (s.intern_term(c) for c in "xyzw")
-        s.mark_possibly_equal([x, y, z])
-        s.assert_hypothesis([z, w])
-        s.assert_hypothesis([w, x])
-        s.equalities.union(x, y)
-        s.equalities.union(z, x)
-        n = s.rewrite_kset(len(s.ksets) - 1, [(x, y), (z, x)])
-        assert s.ksets[n].terms == {x, y, w}
-        proof = s.explain(n, [x, w])
-        assert format_proof(proof, s.term_names) == "(subst (assume 0) z x 1)"
-        assert check(proof, 1, s.hypotheses, s.class_of, s.equalities) == {x, w}
+        # `eq c d` retires d, and a rename record asks its source for the
+        # preimage of the terms asked of it: d for c when c is new there,
+        # both when c was already there, and not d when c is not asked
+        cases = [
+            ("abd", False, "abc", "(subst (assume 0) d c 0)"),
+            (
+                "abc abd",
+                True,
+                "abc",
+                "(subst (project (trans (assume 0) (assume 1)) a b c d) d c 0)",
+            ),
+            ("abd abe", False, "abe", "(assume 1)"),
+        ]
+        for hyps, already, query, expected in cases:
+            state = CongruenceState({"coll": 2})
+            ids = {t: state.intern_term(t) for t in "abcde"}
+            state.mark_possibly_equal([ids["c"], ids["d"]])
+            for h in hyps.split():
+                state.assert_atom("coll", [ids[t] for t in h])
+            state.assert_eq(ids["c"], ids["d"])
+            session = state.sessions["coll"]
+            n = len(session.ksets) - 1
+            renamed = Rewritten(n - 1, ids["d"], ids["c"], already)
+            assert session.ksets[n].history == renamed
+            xs = [ids[t] for t in query]
+            proof = state.query_atom("coll", xs)
+            assert format_proof(proof, state.term_names) == expected
+            conclusion = check(
+                proof, 2, session.hypotheses, state.class_of, state.equalities
+            )
+            assert conclusion == set(xs)
 
     def test_equality_log_is_written_only_through_union(self):
         # a pair logged past the union-find and the forest would leave the
         # renamed k-set below without an equality path to explain it
-        s = Session(1)
-        x, y, w = (s.intern_term(c) for c in "xyw")
-        s.mark_possibly_equal([x, y])
-        s.assert_hypothesis([w, x])
-        eqs = s.equalities
+        state = CongruenceState({"r": 1})
+        x, y, w = (state.intern_term(c) for c in "xyw")
+        state.mark_possibly_equal([x, y])
+        state.assert_atom("r", [w, y])
+        eqs = state.equalities
         with pytest.raises(AttributeError):
             eqs.append((x, y))
         with pytest.raises(AttributeError):
             eqs.extend([(x, y)])
         with pytest.raises(TypeError):
-            s.equalities += [(x, y)]
+            state.equalities += [(x, y)]
         with pytest.raises(TypeError):
             eqs[0] = (x, y)
-        assert len(eqs) == 0 and s.equalities is eqs
-        eqs.union(x, y)
+        assert len(eqs) == 0 and state.equalities is eqs
+        state.assert_eq(x, y)
         assert list(eqs) == [(x, y)] and eqs[0] == (x, y)
-        n = s.rewrite_kset(0, [(x, y)])
-        proof = s.explain(n, [y, w])
-        assert check(proof, 1, s.hypotheses, s.class_of, s.equalities) == {y, w}
+        session = state.sessions["r"]
+        assert session.ksets[-1].history == Rewritten(0, y, x, False)
+        proof = state.query_atom("r", [x, w])
+        assert check(proof, 1, session.hypotheses, state.class_of, eqs) == {x, w}
 
     def test_terms_outside_kset_rejected(self):
         s, ids = table_session()
@@ -480,13 +491,22 @@ class TestInvariants:
             "    'absorbed': lambda s: setattr(s.ksets[2], 'history',\n"
             "        replace(s.ksets[2].history, absorbed_terms=frozenset({0, 1, 2}))),\n"
             "    'handle': lambda s: s.owner.update({s.ksets[2].handle: 1}),\n"
+            "    'already': lambda s: setattr(s.ksets[3], 'history',\n"
+            "        replace(s.ksets[3].history, already=True)),\n"
+            "    'renames': lambda s: setattr(s.ksets[4], 'history',\n"
+            "        replace(s.ksets[4].history, renames=())),\n"
             "}\n"
             "for corrupt, apply in corruptions.items():\n"
             "    s = Session(2)\n"
-            "    a, b, c, d = (s.intern_term(t) for t in 'abcd')\n"
+            "    a, b, c, d, e, f = (s.intern_term(t) for t in 'abcdef')\n"
+            "    s.mark_possibly_equal([d, e])\n"
             "    s.assert_hypothesis([a, b, c])\n"
             "    if corrupt != 'empty':\n"
             "        s.assert_hypothesis([a, b, d])\n"
+            "        # `eq e d` renames d in k-set 2 (k-set 3), then renames the\n"
+            "        # next hypothesis as it is asserted (active k-set 4)\n"
+            "        s.rename_term(s.equalities.union(e, d))\n"
+            "        s.assert_hypothesis([d, e, f])\n"
             "    s.validate()\n"
             "    apply(s)\n"
             "    try:\n"
@@ -522,6 +542,8 @@ class TestInvariants:
             "False k-set 2 stores a wrong anchor\n"
             "False k-set 2 stores the wrong absorbed side\n"
             "False handle map out of sync\n"
+            "False k-set 3 misrecords its renamed term\n"
+            "False k-set 4 disagrees with its history\n"
             "False no equality path between renamed terms\n"
         )
         assert issubclass(EngineInvariantError, AssertionError)
@@ -610,9 +632,16 @@ def shape_registrations(build, n):
         chain_shape,
         pencil_closed_shape,
         eq_chain_shape,
+        eq_first_shape,
         *(functools.partial(short_lines_shape, k=k) for k in (1, 2, 3)),
     ],
-    ids=["chain", "pencil", "eq-chain", *(f"short-lines-k{k}" for k in (1, 2, 3))],
+    ids=[
+        "chain",
+        "pencil",
+        "eq-chain",
+        "eq-first",
+        *(f"short-lines-k{k}" for k in (1, 2, 3)),
+    ],
 )
 def test_registrations_grow_near_linearly(shape):
     # each doubling of n must multiply the (term, k-set) registrations by
@@ -654,8 +683,9 @@ def test_rename_scan_is_exact():
     assert joined.equalities.find(b) == a
     joined.assert_atom("coll", [b, c, d])
     session = joined.sessions["coll"]
-    assert [r.history for r in session.ksets] == [Asserted(0), Rewritten(0, ((b, a),))]
+    assert [r.history for r in session.ksets] == [Asserted(0, ((b, a),))]
     assert session.ksets[-1].terms == {a, c, d}
+    assert session.stats().rewrites == 1
     session.validate()
 
     reflexive = CongruenceState({"coll": 2})
@@ -710,18 +740,14 @@ def explain_both_ways(session, rng, records, texts):
             texts.append(text)
 
 
-def rewritten_kinds(session, rewritten_by_hand=()):
-    """The kinds of `Rewritten` record in the session's history."""
+def rewritten_kinds(session):
+    """The kinds of renamed record in the session's history."""
     kinds = set()
     for rec in session.ksets:
         h = rec.history
-        if not isinstance(h, Rewritten):
-            continue
-        if rec.id in rewritten_by_hand:
-            kinds.add("rewrite_kset")
-        elif h.already is not None:
+        if isinstance(h, Rewritten):
             kinds.add(f"rename_term, already {h.already}")
-        elif isinstance(session.ksets[h.source].history, Asserted):
+        elif isinstance(h, Asserted) and h.renames:
             kinds.add(f"assert-time, {'one pair' if len(h.renames) == 1 else 'pairs'}")
     return kinds
 
@@ -740,45 +766,11 @@ def test_program_text_equals_tree_text():
             assert text == (program and format_proof(program, state.term_names))
         explain_both_ways(session, rng, range(len(session.ksets)), texts)
         kinds |= rewritten_kinds(session)
-
-    # records made by `rewrite_kset`, with one pair and with two
-    for seed in range(100):
-        rng = random.Random(seed)
-        k = rng.choice([1, 2])
-        n_terms, hyps, class_of = random_instance(rng, k, partitioned=True)
-        session = build_session(k, n_terms, hyps, class_of)
-        groups = class_groups(class_of)
-        if not groups or not hyps:
-            continue
-        eqs, by_hand, retired = session.equalities, set(), []
-        for _ in range(rng.randint(1, 2)):
-            a, b = rng.sample(rng.choice(groups), 2)
-            old = eqs.union(a, b)
-            if old is not None:
-                retired.append(old)
-        renames = [(old, eqs.find(old)) for old in retired]
-        holders = {
-            session.owner[h]
-            for old in retired
-            for h in session.term2parents.get(old, ())
-        }
-        for kid in sorted(holders):
-            n = session.rewrite_kset(kid, renames)
-            by_hand.add(n)
-        for n in sorted(by_hand):
-            if session.ksets[n].active:
-                session.find_merges(n)
-        session.validate()
-        for combo in itertools.combinations(range(n_terms), k + 1):
-            solve_text(session, combo)
-        explain_both_ways(session, rng, range(len(session.ksets)), texts)
-        kinds |= rewritten_kinds(session, by_hand)
-
-    assert kinds >= {
+    assert kinds == {
+        "assert-time, one pair",
         "assert-time, pairs",
         "rename_term, already True",
         "rename_term, already False",
-        "rewrite_kset",
     }, kinds
     assert any(t.startswith("(project (subst ") for t in texts)
 
@@ -790,8 +782,9 @@ def test_program_text_equals_tree_text():
         (pencil_shape, 150),
         (pencil_closed_shape, 150),
         (eq_chain_shape, 60),
+        (eq_first_shape, 60),
     ],
-    ids=["chain", "pencil", "pencil-closed", "eq-chain"],
+    ids=["chain", "pencil", "pencil-closed", "eq-chain", "eq-first"],
 )
 def test_program_text_equals_tree_text_on_shapes(build, n):
     rng = random.Random(n)

@@ -302,10 +302,14 @@ class TestSerialization:
         ],
     )
     def test_error_columns_are_exact(self, text, column, message):
-        with pytest.raises(ProofSyntaxError) as e:
+        with pytest.raises(ProofSyntaxError) as tree:
             parse_proof(text, IDS)
-        assert e.value.column == column
-        assert str(e.value) == f"col {column}: {message}"
+        # text given to `check` fails exactly as the tree parser does
+        with pytest.raises(ProofSyntaxError) as e:
+            check(text, 1, [], ids=IDS)
+        for error in (tree.value, e.value):
+            assert error.column == column
+            assert str(error) == f"col {column}: {message}"
 
     def test_deep_proofs_survive_round_trip(self):
         # proofs from long merge chains nest far beyond the recursion limit
