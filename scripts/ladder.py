@@ -14,12 +14,12 @@ kqbench's many-lines workload, and also print the best time per
 hypothesis in microseconds.  The deep-query rungs time the proof of
 (p0, p1, p_n+1) on the asserted chain, which has about n levels, on two
 paths: the library's (`resolve_query`, a proof term, then
-`format_proof`) and the one `kequiv solve` takes (`resolve_program`, a
-proof program, then `format_proof`).  The end-to-end rung writes the
-closed pencil as a problem file and times
-`kequiv.cli.main(["solve", path])` in this process, which runs with the
-cyclic garbage collector paused, as every `kequiv` command does.  The
-short-lines rungs pause it too, since many-lines runs through
+`format_proof`) and the one `kequiv solve` takes (`resolve_program`, the
+proof's text pieces, written by the proof walk, which `format_proof`
+joins).  The end-to-end rung writes the closed pencil as a problem file
+and times `kequiv.cli.main(["solve", path])` in this process, which runs
+with the cyclic garbage collector paused, as every `kequiv` command
+does.  The short-lines rungs pause it too, since many-lines runs through
 `kequiv solve`: with it on, its heap walks take a share of each
 hypothesis that grows with n.  The other library rungs, both deep-query
 rungs included, run with it on.
@@ -81,13 +81,13 @@ def assert_seconds(build, n, collector=True):
         gc.enable()
 
 
-def deep_query_seconds(n, program=False):
+def deep_query_seconds(n, text=False):
     """Seconds to resolve and format the deep query on the chain of size n,
-    as a proof program with `program`, else as a proof term."""
+    as text pieces with `text`, else as a proof term."""
     session, steps = chain_shape(n)
     for fn, arg in steps:
         fn(arg)
-    resolve = session.resolve_program if program else session.resolve_query
+    resolve = session.resolve_program if text else session.resolve_query
     gc.collect()
     start = time.perf_counter()
     format_proof(resolve((0, 1, n + 1)), session.term_names)
@@ -141,7 +141,7 @@ def main():
     rungs(
         "deep-query-solve",
         "query",
-        functools.partial(deep_query_seconds, program=True),
+        functools.partial(deep_query_seconds, text=True),
         1000,
     )
     with tempfile.TemporaryDirectory() as tmp:

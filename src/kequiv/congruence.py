@@ -101,8 +101,8 @@ class CongruenceState:
         """
         return self._session(relation).resolve_query(xs)
 
-    def query_program(self, relation: str, xs: Iterable[int]) -> list | None:
-        """`query_atom`'s proof as a proof program (no nodes), for `format_proof`."""
+    def query_program(self, relation: str, xs: Iterable[int]) -> list[str] | None:
+        """`query_atom`'s proof as the pieces of its text, for `format_proof`."""
         return self._session(relation).resolve_program(xs)
 
     def query_kfun_eq(

@@ -27,8 +27,8 @@ term was already there.  `explain` reads only these stored pieces, the
 proof-forest reading of the history (Nieuwenhuis & Oliveras, RTA 2005),
 and `KSet.terms` of an inactive record rebuilds the set on demand.  One
 walk extracts every proof, with two outputs: a `ProofTerm` for the
-library, or, for `kequiv solve`, a flat proof program that `format_proof`
-renders without building a proof node.
+library, or, for `kequiv solve`, the proof's text as a list of string
+pieces, written as the walk goes, which `format_proof` only joins.
 
 Cost.  Let M be the number of terms registered by hypotheses and renames
 (at most k+1 per hypothesis plus one per rename).  An absorbed term
@@ -62,7 +62,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import AbstractSet, Iterable, Mapping, Sequence, Union
 
-from .proofs import FUSE, PROJECT, Assume, ProofTerm, Project, SubRefl, Subst, Trans
+from .proofs import Assume, ProofTerm, Project, SubRefl, Subst, Trans
 
 __all__ = [
     "Asserted",
@@ -702,11 +702,12 @@ class Session:
         """
         return self._resolve(xs, False)
 
-    def resolve_program(self, xs: Iterable[int]) -> list | None:
-        """`resolve_query`'s proof as a proof program, for `format_proof`."""
+    def resolve_program(self, xs: Iterable[int]) -> list[str] | None:
+        """`resolve_query`'s proof as the pieces of its text, terms named;
+        `format_proof` joins them.  No proof node is built."""
         return self._resolve(xs, True)
 
-    def _resolve(self, xs: Iterable[int], text: bool) -> ProofTerm | list | None:
+    def _resolve(self, xs: Iterable[int], text: bool) -> ProofTerm | list[str] | None:
         s = frozenset(map(self.equalities.find, xs))
         if not s:
             raise ValueError("empty query")
@@ -714,7 +715,10 @@ class Session:
         if lo < 0 or hi >= len(self.term_names):
             raise ValueError(f"unknown term id {lo if lo < 0 else hi}")
         if len(s) <= self.k:
-            return ["(subrefl", (PROJECT, s)] if text else SubRefl(s)
+            if text:
+                names = self.term_names
+                return ["(subrefl " + " ".join([names[t] for t in sorted(s)]) + ")"]
+            return SubRefl(s)
         parents = [self.term2parents.get(x) for x in s]
         if not all(parents):
             return None
@@ -742,21 +746,25 @@ class Session:
 
     def _explain(self, n: int, xs: frozenset[int], text: bool = False):
         # The one proof walk, with two outputs: a proof term, or with `text`
-        # a proof program in text order (see `kequiv.proofs`).  Explicit
-        # work stack: merge chains (and hence proofs) can be far deeper than
-        # the interpreter's recursion limit.  Each level reads only the
-        # small sets a record stores, never a rebuilt k-set.  A proof
-        # concludes the terms asked of it, except an `Assume`, which
-        # concludes its hypothesis's terms.  A task is (kind, a, b):
-        # (_EXPLAIN, record, terms), (_FUSE, None, terms) or (_REWRAP,
-        # steps, (terms, terms asked of the source or None under a
-        # hypothesis, slot of its opener)).
+        # the proof text as a list of pieces in order.  Explicit work stack:
+        # merge chains (and hence proofs) can be far deeper than the
+        # interpreter's recursion limit.  Each level reads only the small
+        # sets a record stores, never a rebuilt k-set.  A proof concludes
+        # the terms asked of it, except an `Assume`, which concludes its
+        # hypothesis's terms.  A task is (kind, a, b): (_EXPLAIN, record,
+        # terms), (_FUSE, None, terms) or (_REWRAP, steps, (terms, terms
+        # asked of the source or None under a hypothesis, slot of its
+        # opener)).  With `text`, a fuse holds its closer's text instead,
+        # written as it is pushed, and a right side that is a bare
+        # hypothesis is written into that text, in place of its _EXPLAIN.
         ksets, hypotheses, path = self.ksets, self.hypotheses, self.equalities.path
         tasks: list[tuple] = []
-        # finished sub-proofs, or the program so far; its last entry is a
-        # `leaf` just when the last sub-proof is, as others end in a closer
+        # finished sub-proofs, or the text so far
         out: list = []
-        leaf = int if text else Assume
+        if text:
+            names = self.terms.term_names
+            # the hypothesis whose bare `(assume N)` ends `out`, else -1
+            hyp = -1
         while True:
             # explain record n, continuing down one side of a merge
             h = ksets[n].history
@@ -773,7 +781,7 @@ class Session:
                     if inside <= anchor:
                         n = h.right
                         continue
-                    left, right = anchor | inside, anchor | (xs - absorbed)
+                    left, right = anchor | inside, xs - absorbed
                 else:
                     if inside <= anchor:
                         n = h.left
@@ -781,11 +789,21 @@ class Session:
                     if len(inside) == len(xs):
                         n = h.right
                         continue
-                    left, right = anchor | (xs - absorbed), anchor | inside
+                    left, right = anchor | (xs - absorbed), inside
                 if text:
                     out.append("(project (trans ")
-                tasks.append((_FUSE, None, xs))
-                tasks.append((_EXPLAIN, h.right, right))
+                    named = " ".join([names[t] for t in sorted(xs)])
+                    r = ksets[h.right].history
+                    if type(r) is Asserted and not r.renames:
+                        # its proof is the bare hypothesis, whatever is asked
+                        closer = f" (assume {r.hyp_index})) {named})"
+                        tasks.append((_FUSE, None, closer))
+                        n, xs = h.left, left
+                        continue
+                    tasks.append((_FUSE, None, f") {named})"))
+                else:
+                    tasks.append((_FUSE, None, xs))
+                tasks.append((_EXPLAIN, h.right, anchor | right))
                 n, xs = h.left, left
                 continue
             if cls is Rewritten:
@@ -806,13 +824,18 @@ class Session:
                 tasks.append((_REWRAP, steps, (xs, None, len(out))))
                 if text:
                     out.append("")
-            out.append(h.hyp_index if text else Assume(h.hyp_index))
+            if text:
+                out.append(f"(assume {h.hyp_index})")
+                hyp = h.hyp_index
+            else:
+                out.append(Assume(h.hyp_index))
             # the walk reached a hypothesis: finish the tasks it completes
             while tasks:
                 kind, a, b = tasks.pop()
                 if kind == _FUSE:
                     if text:
-                        out.append((FUSE, b))
+                        out.append(b)
+                        hyp = -1
                     else:
                         right = out.pop()
                         out[-1] = Project(Trans(out[-1], right), b)
@@ -824,15 +847,18 @@ class Session:
                 else:  # _REWRAP
                     xs, asked, slot = b
                     proof = out[-1]
-                    if type(proof) is leaf:
-                        asked = hypotheses[proof if text else proof.hyp_index]
+                    if text:
+                        if hyp >= 0:
+                            asked = hypotheses[hyp]
+                    elif type(proof) is Assume:
+                        asked = hypotheses[proof.hyp_index]
                     current = set(asked)
                     top = len(out)
                     for step in a:
                         old, new, e = step
                         if old in current:
                             if text:
-                                out.append(step)
+                                out.append(f" {names[old]} {names[new]} {e})")
                             else:
                                 proof = Subst(proof, old, new, e)
                             current.discard(old)
@@ -842,8 +868,10 @@ class Session:
                         continue
                     out[slot] = "(subst " * (len(out) - top)
                     if current != xs:
-                        out.append((PROJECT, xs))
+                        out.append(" " + " ".join([names[t] for t in sorted(xs)]) + ")")
                         out[slot] = "(project " + out[slot]
+                    if len(out) > top:
+                        hyp = -1
             else:
                 return out if text else out[0]
 

@@ -26,10 +26,9 @@ ones: assigning a field raises AttributeError, and `==`, `hash` and
 writes it as one flat postfix tuple), so they work on proofs of any
 depth.
 
-`format_proof` also renders a *proof program*, an internal form that
-`kequiv solve` gets from the engine's one proof walk instead of a tree:
-the text in order, as syntax strings, bare ints for `(assume N)` and
-closer tuples of term ids.
+`format_proof` also takes the proof text as a list of string pieces,
+which `kequiv solve` gets from the engine's one proof walk instead of a
+tree, and joins them.
 
 `check` also takes proof text.  It judges the text in one pass, each
 node as its ')' is read, and builds no proof term.  Only text that fails
@@ -426,20 +425,17 @@ def used_hypotheses(proof: ProofTerm) -> frozenset[int]:
     return frozenset(out)
 
 
-# a program's closers: (FUSE, terms) ends a `project` of a `trans`,
-# (PROJECT, terms) a `project` or `subrefl`, (old, new, eq_index) a `subst`
-FUSE, PROJECT = ") ", " "  # the text before the closer's term names
-
-
-def format_proof(proof: ProofTerm | list, names: Sequence[str]) -> str:
+def format_proof(proof: ProofTerm | list[str], names: Sequence[str]) -> str:
     """Render a proof in the canonical text form, terms by name.
 
-    `proof` is a proof term, or a proof program (the engine's internal
-    form, see the module docstring), which renders in one loop.  Term
+    `proof` is a proof term, or the pieces of its text, already named (as
+    `Session.resolve_program` writes them), which are only joined.  Term
     lists are emitted in ascending term-id order, which makes the output
     deterministic for a fixed session.  A term id with no name raises
     ValueError.
     """
+    if type(proof) is list:
+        return "".join(proof)
     out: list[str] = []
     emit = out.append
     # the text that closes each open node, and the right sub-proofs of
@@ -448,24 +444,6 @@ def format_proof(proof: ProofTerm | list, names: Sequence[str]) -> str:
     push, pop = stack.append, stack.pop
     node = proof
     try:
-        if type(proof) is list:
-            for node in proof:
-                cls = type(node)
-                if cls is str:
-                    emit(node)
-                elif cls is int:
-                    emit(f"(assume {node})")
-                elif len(node) == 2:
-                    ids = sorted(node[1])
-                    if ids and ids[0] < 0:  # names[-1] would not raise
-                        raise IndexError
-                    emit(node[0] + " ".join([names[t] for t in ids]) + ")")
-                else:
-                    frm, to, e = node
-                    if frm < 0 or to < 0:
-                        raise IndexError
-                    emit(f" {names[frm]} {names[to]} {e})")
-            return "".join(out)
         while True:
             # open `node`, descending to its first sub-proof
             cls = type(node)
@@ -518,8 +496,8 @@ def format_proof(proof: ProofTerm | list, names: Sequence[str]) -> str:
         raise error from None
 
 
-def _unnamed(node: ProofTerm | tuple, names: Sequence[str]) -> ValueError | None:
-    """The error for the first term id of `node` (or closer) without a name, or None.
+def _unnamed(node: ProofTerm, names: Sequence[str]) -> ValueError | None:
+    """The error for the first term id of `node` without a name, or None.
 
     Ids are read in the order they are rendered, but a negative id, which
     names[-1] would not reject, or one that is not a number, is found first.
@@ -527,14 +505,11 @@ def _unnamed(node: ProofTerm | tuple, names: Sequence[str]) -> ValueError | None
     cls = type(node)
     if cls is Subst:
         ids = [node.frm, node.to]
-    elif cls is tuple and len(node) == 3:  # a `subst` closer
-        ids = list(node[:2])
-    elif cls in (Project, SubRefl, tuple):
-        terms = node[1] if cls is tuple else node.terms
+    elif cls in (Project, SubRefl):
         try:
-            ids = sorted(terms)
+            ids = sorted(node.terms)
         except TypeError:
-            ids = list(terms)
+            ids = list(node.terms)
     else:
         return None
     for t in ids:

@@ -401,6 +401,14 @@ def eq_chain_text(n):
     return _problem(lines, [f"z x0 x{n - 1}", "x0 x1 w"])
 
 
+def eq_first_text(n):
+    """`eq_chain_text` with every `eq` first, as in `eq_first_shape`."""
+    lines = ["class " + " ".join(f"q{i}" for i in range(n))]
+    lines += [f"eq q{i - 1} q{i}" for i in range(1, n)]
+    lines += [f"hyp coll q{i} z x{i}" for i in range(n)]
+    return _problem(lines, [f"z x0 x{n - 1}", "x0 x1 w"])
+
+
 def _problem(lines, queries):
     lines = ["rel coll 2", *lines, *(f"query coll {q}" for q in queries)]
     return "".join(line + "\n" for line in lines)

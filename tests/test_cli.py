@@ -1,5 +1,6 @@
 import argparse
 import gc
+import hashlib
 import os
 import re
 import subprocess
@@ -17,7 +18,7 @@ from kequiv.engine import Session
 from kequiv.oracle import closure_sets, covered
 from kequiv.problem import generate, intern_problem, parse_text
 from kequiv.proofs import ProofCheckError, check, parse_proof
-from helpers import chain_text, eq_chain_text, pencil_closed_text
+from helpers import chain_text, eq_chain_text, eq_first_text, pencil_closed_text
 
 EXAMPLE = """\
 rel coll 2
@@ -108,6 +109,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def eq_queries(n):
+    """Extra queries for `eq_chain_text(n)` and `eq_first_text(n)`."""
+    return "".join(
+        f"query coll z x{i} x{(5 * i + 1) % n}\nquery coll q{i} x{i} z\n"
+        f"query coll q{3 * i % n} x{i} x{(i + 7) % n}\n"
+        for i in range(0, n, 6)
+    )
 
 
 class TestSolve:
@@ -304,6 +314,53 @@ class TestSolve:
             monkeypatch.setattr(cls, "__init__", node_built)
         for name in files:
             assert run(capsys, "solve", str(tmp_path / f"{name}.kq")) == expected[name]
+
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            (
+                chain_text(400)
+                + "".join(
+                    f"query coll p{i} p{(7 * i + 3) % 402} p{(13 * i + 5) % 402}\n"
+                    for i in range(0, 400, 8)
+                ),
+                "c679eda5ddc4c62ef6f5296f61746d7a231440ca772d321ccc9dbcf4c825568e",
+            ),
+            (
+                pencil_closed_text(200)
+                + "".join(
+                    f"query coll h b{j} c{j}\nquery coll a{j} c{j} h\n"
+                    f"query coll a{j} b{j} c{j}\nquery coll h c{j} c{(j + 1) % 200}\n"
+                    for j in range(0, 200, 7)
+                ),
+                "596ddf21afef0c9ae0fa652509706f78cfe260f1f8f8ae9697dafbfb1f3532c4",
+            ),
+            (
+                eq_chain_text(150) + eq_queries(150),
+                "06c720fad373dd1ac2c5fda948b5772b0050b00bb3518441543585d861ab1cff",
+            ),
+            (
+                eq_first_text(120) + eq_queries(120),
+                "bc2a1dc5ec7fda271285891b41e8a15cb57922b78933a510b3109bc24af1bce2",
+            ),
+        ],
+        ids=["chain", "pencil-closed", "eq-chain", "eq-first"],
+    )
+    def test_solve_stdout_is_pinned(self, tmp_path, capsys, text, digest):
+        # any change to the proof path that moves one byte of solve's output
+        # fails here; the digests were taken before the walk wrote text itself
+        path = tmp_path / "p.kq"
+        path.write_text(text)
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        proofs = tmp_path / "proofs.txt"
+        proofs.write_text(out)
+        assert run(capsys, "check", str(path), str(proofs)) == (
+            0,
+            "pass\n" * len(out.splitlines()),
+            "",
+        )
 
 
 class TestCheck:

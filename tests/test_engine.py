@@ -702,18 +702,20 @@ def test_rename_scan_is_exact():
     session.validate()
 
 
-# The proof walk's two outputs: the proof program that `kequiv solve`
-# renders must give the text of the library's proof term, on every path.
+# The proof walk's two outputs: the text pieces that `kequiv solve` joins
+# must give the text of the library's proof term, on every path.
 
 
 def solve_text(session, xs):
     """The solve path's text for query `xs`, after checking that it equals
     the library path's and that `check` accepts it; None if not entailed."""
-    tree, program = session.resolve_query(xs), session.resolve_program(xs)
-    assert (tree is None) == (program is None)
+    tree, pieces = session.resolve_query(xs), session.resolve_program(xs)
+    assert (tree is None) == (pieces is None)
     if tree is None:
         return None
-    text = format_proof(program, session.term_names)
+    assert all(type(piece) is str for piece in pieces)
+    text = format_proof(pieces, session.term_names)
+    assert text == "".join(pieces)
     assert text == format_proof(tree, session.term_names)
     conclusion = check(
         text,
@@ -728,8 +730,8 @@ def solve_text(session, xs):
 
 
 def explain_both_ways(session, rng, records, texts):
-    """Explain each record from a few of its term subsets, as a program and
-    as a tree; subsets of at most k terms reach `project` over a rename,
+    """Explain each record from a few of its term subsets, as text pieces
+    and as a tree; subsets of at most k terms reach `project` over a rename,
     which no query does."""
     for n in records:
         terms = sorted(session.terms_of(n))
@@ -762,8 +764,8 @@ def test_program_text_equals_tree_text():
         session = state.sessions["r"]
         for combo in itertools.combinations(range(n_terms), k + 1):
             text = solve_text(session, combo)
-            program = state.query_program("r", combo)
-            assert text == (program and format_proof(program, state.term_names))
+            pieces = state.query_program("r", combo)
+            assert text == (pieces and format_proof(pieces, state.term_names))
         explain_both_ways(session, rng, range(len(session.ksets)), texts)
         kinds |= rewritten_kinds(session)
     assert kinds == {
@@ -773,6 +775,32 @@ def test_program_text_equals_tree_text():
         "rename_term, already False",
     }, kinds
     assert any(t.startswith("(project (subst ") for t in texts)
+
+
+@pytest.mark.parametrize("eq_first", [False, True], ids=["rewritten", "renamed"])
+def test_renamed_right_side_is_explained(eq_first):
+    # the walk writes a merge's right side with its closer only when it is
+    # a bare hypothesis; a rename record, or a hypothesis renamed as it was
+    # asserted, still gets its `subst`
+    state = CongruenceState({"coll": 2})
+    a, b, c, p, q = (state.intern_term(t) for t in "abcpq")
+    state.mark_possibly_equal([p, q])
+    if eq_first:
+        state.assert_eq(p, q)
+        state.assert_atom("coll", [a, c, p])
+    state.assert_atom("coll", [a, b, q])
+    if not eq_first:
+        state.assert_atom("coll", [a, c, p])
+        state.assert_eq(p, q)
+    session = state.sessions["coll"]
+    right = session.ksets[session.ksets[-1].history.right].history
+    if eq_first:
+        assert right == Asserted(1, ((q, p),))
+        expected = "(project (trans (assume 0) (subst (assume 1) q p 0)) b c p)"
+    else:
+        assert right == Rewritten(0, q, p, False)
+        expected = "(project (trans (assume 1) (subst (assume 0) q p 0)) b c p)"
+    assert solve_text(session, [b, c, p]) == expected
 
 
 @pytest.mark.parametrize(
