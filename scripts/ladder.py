@@ -6,23 +6,25 @@ REPEATS rounds and the range of all of them, plus the growth exponent
 log(t(4n) / t(n)) / log 4 of the best times.  An exponent near 1 is
 linear growth, near 2 quadratic.  Each round times n, 2n and 4n before
 the next round starts, so a slow phase of the host slows every rung of
-a shape, not one.  The eq-first rungs assert the eq-chain's equalities
-before its hypotheses, so every hypothesis is renamed as it is
-asserted.  The short-lines rungs (k = 1, 2, 3) assert n lines
-of 8 terms covered by shuffled (k+1)-term windows, the shape of
-kqbench's many-lines workload, and also print the best time per
-hypothesis in microseconds.  The deep-query rungs time the proof of
-(p0, p1, p_n+1) on the asserted chain, which has about n levels, on two
-paths: the library's (`resolve_query`, a proof term, then
-`format_proof`) and the one `kequiv solve` takes (`resolve_program`, the
-proof's text pieces, written by the proof walk, which `format_proof`
-joins).  The end-to-end rung writes the closed pencil as a problem file
-and times `kequiv.cli.main(["solve", path])` in this process, which runs
-with the cyclic garbage collector paused, as every `kequiv` command
-does.  The short-lines rungs pause it too, since many-lines runs through
-`kequiv solve`: with it on, its heap walks take a share of each
-hypothesis that grows with n.  The other library rungs, both deep-query
-rungs included, run with it on.
+a shape, not one.  Each round also times a fixed control, a dict-update
+loop that runs no kequiv code, and every line gives its best time as a
+multiple of the control's best time as well, so a target can be judged
+against the host's speed.  The eq-first rungs assert the eq-chain's
+equalities before its hypotheses, so every hypothesis is renamed as it
+is asserted.  The short-lines rungs (k = 1, 2, 3) assert n lines of 8
+terms covered by shuffled (k+1)-term windows, the shape of kqbench's
+many-lines workload, and also print the best time per hypothesis in
+microseconds.  The deep-query rungs time the proof of (p0, p1, p_n+1)
+on the asserted chain, which has about n levels: `resolve_query`, whose
+proof walk writes the proof's text pieces, then `format_proof`, which
+joins them, the path `kequiv solve` takes.  The end-to-end rung writes
+the closed pencil as a problem file and times
+`kequiv.cli.main(["solve", path])` in this process, which runs with the
+cyclic garbage collector paused, as every `kequiv` command does.  The
+short-lines rungs pause it too, since many-lines runs through `kequiv
+solve`: with it on, its heap walks take a share of each hypothesis that
+grows with n.  The other library rungs, the deep query and the control
+included, run with it on.
 
     PYTHONPATH=src:tests python scripts/ladder.py
 """
@@ -52,6 +54,8 @@ from kequiv import format_proof
 from kequiv.cli import main as kequiv_main
 
 REPEATS = 5
+# the dict updates the control times, of the order of the deep query at n = 4000
+CONTROL_STEPS = 100_000
 
 SHAPES = {
     "chain": (chain_shape, 2000),
@@ -81,16 +85,25 @@ def assert_seconds(build, n, collector=True):
         gc.enable()
 
 
-def deep_query_seconds(n, text=False):
-    """Seconds to resolve and format the deep query on the chain of size n,
-    as text pieces with `text`, else as a proof term."""
+def deep_query_seconds(n):
+    """Seconds to resolve and format the deep query on the chain of size n."""
     session, steps = chain_shape(n)
     for fn, arg in steps:
         fn(arg)
-    resolve = session.resolve_program if text else session.resolve_query
     gc.collect()
     start = time.perf_counter()
-    format_proof(resolve((0, 1, n + 1)), session.term_names)
+    format_proof(session.resolve_query((0, 1, n + 1)), session.term_names)
+    return time.perf_counter() - start
+
+
+def control_seconds():
+    """Seconds for CONTROL_STEPS updates of a small dict: no kequiv code."""
+    counts: dict[int, int] = {}
+    gc.collect()
+    start = time.perf_counter()
+    for i in range(CONTROL_STEPS):
+        key = i & 1023
+        counts[key] = counts.get(key, 0) + i
     return time.perf_counter() - start
 
 
@@ -104,25 +117,33 @@ def solve_seconds(path):
 
 
 def rungs(name, what, seconds, n, steps=None):
-    """Time `seconds(size)` at n, 2n and 4n, in REPEATS interleaved rounds.
+    """Time `seconds(size)` at n, 2n and 4n, and the control, in REPEATS
+    interleaved rounds.
 
     With `steps(size)`, the number of operations timed at that size, each
     line also gives the best time per operation in microseconds.
     """
     sizes = (n, 2 * n, 4 * n)
     times = {size: [] for size in sizes}
+    control = []
     for _ in range(REPEATS):
         for size in sizes:
             times[size].append(seconds(size))
+        control.append(control_seconds())
     for size in sizes:
         ts = times[size]
         per = "" if steps is None else f"  {min(ts) / steps(size) * 1e6:6.2f} us/op"
         print(
             f"{name:14} n={size:6d} {what} {min(ts):8.4f} s"
-            f"  (range {min(ts):.4f}-{max(ts):.4f}){per}"
+            f"  (range {min(ts):.4f}-{max(ts):.4f})"
+            f"  {min(ts) / min(control):6.2f}x control{per}"
         )
     growth = math.log(min(times[4 * n]) / min(times[n]), 4)
-    print(f"{name:14} growth exponent {growth:.2f}")
+    low, high = min(control), max(control)
+    print(
+        f"{name:14} growth exponent {growth:.2f}"
+        f"  control {low:.4f} s (range {low:.4f}-{high:.4f})"
+    )
 
 
 def main():
@@ -138,12 +159,6 @@ def main():
             lambda size: size * (8 - k),
         )
     rungs("deep-query", "query", deep_query_seconds, 1000)
-    rungs(
-        "deep-query-solve",
-        "query",
-        functools.partial(deep_query_seconds, text=True),
-        1000,
-    )
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for size in (4000, 8000, 16000):

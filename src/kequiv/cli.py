@@ -66,7 +66,7 @@ def _solve_kset(problem: Problem) -> list[str]:
     state = _build_state(problem)
     lines = []
     for q in problem.queries:
-        proof = state.query_program(q.relation, [state.term_id(t) for t in q.terms])
+        proof = state.query_atom(q.relation, [state.term_id(t) for t in q.terms])
         if proof is None:
             lines.append("not-entailed")
         else:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .engine import Equalities, Session, TermTable
-from .proofs import ProofTerm
 
 __all__ = ["InconsistentEqualityError", "CongruenceState"]
 
@@ -93,17 +92,14 @@ class CongruenceState:
     # ------------------------------------------------------------------
     # queries
 
-    def query_atom(self, relation: str, xs: Iterable[int]) -> ProofTerm | None:
+    def query_atom(self, relation: str, xs: Iterable[int]) -> list[str] | None:
         """Decide an atom modulo the asserted equalities.
 
         The query terms are canonicalized first; a returned proof concludes
-        the canonicalized term set.
+        the canonicalized term set and comes as the pieces of its text,
+        which `format_proof` joins (see `Session.resolve_query`).
         """
         return self._session(relation).resolve_query(xs)
-
-    def query_program(self, relation: str, xs: Iterable[int]) -> list[str] | None:
-        """`query_atom`'s proof as the pieces of its text, for `format_proof`."""
-        return self._session(relation).resolve_program(xs)
 
     def query_kfun_eq(
         self, relation: str, x1: Iterable[int], x2: Iterable[int]

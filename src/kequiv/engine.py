@@ -26,9 +26,10 @@ the two sides share.  A rename edits the live set in place; its
 term was already there.  `explain` reads only these stored pieces, the
 proof-forest reading of the history (Nieuwenhuis & Oliveras, RTA 2005),
 and `KSet.terms` of an inactive record rebuilds the set on demand.  One
-walk extracts every proof, with two outputs: a `ProofTerm` for the
-library, or, for `kequiv solve`, the proof's text as a list of string
-pieces, written as the walk goes, which `format_proof` only joins.
+walk extracts every proof and writes its text as it goes, as a list of
+string pieces with every term named, which `format_proof` only joins;
+`parse_proof` reads that text into a proof term for a caller that wants
+a tree.
 
 Cost.  Let M be the number of terms registered by hypotheses and renames
 (at most k+1 per hypothesis plus one per rename).  An absorbed term
@@ -61,8 +62,6 @@ import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import AbstractSet, Iterable, Mapping, Sequence, Union
-
-from .proofs import Assume, ProofTerm, Project, SubRefl, Subst, Trans
 
 __all__ = [
     "Asserted",
@@ -691,23 +690,16 @@ class Session:
                 terms.add(h.new)
         return frozenset(terms)
 
-    def resolve_query(self, xs: Iterable[int]) -> ProofTerm | None:
+    def resolve_query(self, xs: Iterable[int]) -> list[str] | None:
         """Decide whether the terms `xs` are jointly related.
 
         Returns a checkable proof of the terms' representatives when they
-        are, None when they are not.  Any number of terms is accepted;
-        duplicates collapse.  A term id that was never interned raises
-        ValueError, as in `assert_hypothesis`.  The session is left
-        untouched.
+        are, as the pieces of its text with every term named, which
+        `format_proof` joins; None when they are not.  Any number of terms
+        is accepted; duplicates collapse.  A term id that was never
+        interned raises ValueError, as in `assert_hypothesis`.  The
+        session is left untouched.
         """
-        return self._resolve(xs, False)
-
-    def resolve_program(self, xs: Iterable[int]) -> list[str] | None:
-        """`resolve_query`'s proof as the pieces of its text, terms named;
-        `format_proof` joins them.  No proof node is built."""
-        return self._resolve(xs, True)
-
-    def _resolve(self, xs: Iterable[int], text: bool) -> ProofTerm | list[str] | None:
         s = frozenset(map(self.equalities.find, xs))
         if not s:
             raise ValueError("empty query")
@@ -715,10 +707,8 @@ class Session:
         if lo < 0 or hi >= len(self.term_names):
             raise ValueError(f"unknown term id {lo if lo < 0 else hi}")
         if len(s) <= self.k:
-            if text:
-                names = self.term_names
-                return ["(subrefl " + " ".join([names[t] for t in sorted(s)]) + ")"]
-            return SubRefl(s)
+            names = self.term_names
+            return ["(subrefl " + " ".join([names[t] for t in sorted(s)]) + ")"]
         parents = [self.term2parents.get(x) for x in s]
         if not all(parents):
             return None
@@ -727,10 +717,11 @@ class Session:
             return None
         # a proof that is one hypothesis needs no `project`: the hypothesis
         # holds s, of more than k terms, and has at most k+1 terms
-        return self._explain(min(self.owner[h] for h in common), s, text)
+        return self._explain(min(self.owner[h] for h in common), s)
 
-    def explain(self, n: int, xs: Iterable[int]) -> ProofTerm:
-        """Extract a compact proof that k-set `n` covers the terms `xs`.
+    def explain(self, n: int, xs: Iterable[int]) -> list[str]:
+        """Extract a compact proof that k-set `n` covers the terms `xs`, as
+        the pieces of its text, like `resolve_query`.
 
         The conclusion is a superset of `xs` when the walk bottoms out in a
         single hypothesis, and exactly `xs` otherwise.
@@ -744,27 +735,24 @@ class Session:
             raise ValueError(f"terms are not covered by k-set {n}")
         return self._explain(n, s)
 
-    def _explain(self, n: int, xs: frozenset[int], text: bool = False):
-        # The one proof walk, with two outputs: a proof term, or with `text`
-        # the proof text as a list of pieces in order.  Explicit work stack:
-        # merge chains (and hence proofs) can be far deeper than the
-        # interpreter's recursion limit.  Each level reads only the small
-        # sets a record stores, never a rebuilt k-set.  A proof concludes
-        # the terms asked of it, except an `Assume`, which concludes its
-        # hypothesis's terms.  A task is (kind, a, b): (_EXPLAIN, record,
-        # terms), (_FUSE, None, terms) or (_REWRAP, steps, (terms, terms
-        # asked of the source or None under a hypothesis, slot of its
-        # opener)).  With `text`, a fuse holds its closer's text instead,
-        # written as it is pushed, and a right side that is a bare
-        # hypothesis is written into that text, in place of its _EXPLAIN.
+    def _explain(self, n: int, xs: frozenset[int]) -> list[str]:
+        # The one proof walk: it writes the proof text as a list of pieces
+        # in order.  Explicit work stack: merge chains (and hence proofs)
+        # can be far deeper than the interpreter's recursion limit.  Each
+        # level reads only the small sets a record stores, never a rebuilt
+        # k-set.  A proof concludes the terms asked of it, except a bare
+        # `(assume N)`, which concludes its hypothesis's terms.  A task is
+        # (kind, a, b): (_EXPLAIN, record, terms), (_FUSE, None, the text
+        # closing the fuse) or (_REWRAP, steps, (terms, terms asked of the
+        # source or None under a hypothesis, slot of its opener)).  A fuse's
+        # closer is written as it is pushed, and a right side that is a
+        # bare hypothesis is written into it, in place of its _EXPLAIN.
         ksets, hypotheses, path = self.ksets, self.hypotheses, self.equalities.path
+        names = self.terms.term_names
         tasks: list[tuple] = []
-        # finished sub-proofs, or the text so far
-        out: list = []
-        if text:
-            names = self.terms.term_names
-            # the hypothesis whose bare `(assume N)` ends `out`, else -1
-            hyp = -1
+        out: list[str] = []
+        # the hypothesis whose bare `(assume N)` ends `out`, else -1
+        hyp = -1
         while True:
             # explain record n, continuing down one side of a merge
             h = ksets[n].history
@@ -790,20 +778,16 @@ class Session:
                         n = h.right
                         continue
                     left, right = anchor | (xs - absorbed), inside
-                if text:
-                    out.append("(project (trans ")
-                    named = " ".join([names[t] for t in sorted(xs)])
-                    r = ksets[h.right].history
-                    if type(r) is Asserted and not r.renames:
-                        # its proof is the bare hypothesis, whatever is asked
-                        closer = f" (assume {r.hyp_index})) {named})"
-                        tasks.append((_FUSE, None, closer))
-                        n, xs = h.left, left
-                        continue
-                    tasks.append((_FUSE, None, f") {named})"))
+                out.append("(project (trans ")
+                named = " ".join([names[t] for t in sorted(xs)])
+                r = ksets[h.right].history
+                if type(r) is Asserted and not r.renames:
+                    # its proof is the bare hypothesis, whatever is asked
+                    closer = f" (assume {r.hyp_index})) {named})"
+                    tasks.append((_FUSE, None, closer))
                 else:
-                    tasks.append((_FUSE, None, xs))
-                tasks.append((_EXPLAIN, h.right, anchor | right))
+                    tasks.append((_FUSE, None, f") {named})"))
+                    tasks.append((_EXPLAIN, h.right, anchor | right))
                 n, xs = h.left, left
                 continue
             if cls is Rewritten:
@@ -814,58 +798,37 @@ class Session:
                 if new in xs:
                     asked = (xs if h.already else xs - {new}) | {old}
                 tasks.append((_REWRAP, path(old, new), (xs, asked, len(out))))
-                if text:
-                    out.append("")
+                out.append("")
                 n, xs = h.source, asked
                 continue
             # an Asserted record: the hypothesis, renamed along its pairs' paths
             if h.renames:
                 steps = [step for pair in h.renames for step in path(*pair)]
                 tasks.append((_REWRAP, steps, (xs, None, len(out))))
-                if text:
-                    out.append("")
-            if text:
-                out.append(f"(assume {h.hyp_index})")
-                hyp = h.hyp_index
-            else:
-                out.append(Assume(h.hyp_index))
+                out.append("")
+            out.append(f"(assume {h.hyp_index})")
+            hyp = h.hyp_index
             # the walk reached a hypothesis: finish the tasks it completes
             while tasks:
                 kind, a, b = tasks.pop()
                 if kind == _FUSE:
-                    if text:
-                        out.append(b)
-                        hyp = -1
-                    else:
-                        right = out.pop()
-                        out[-1] = Project(Trans(out[-1], right), b)
+                    out.append(b)
+                    hyp = -1
                 elif kind == _EXPLAIN:
-                    if text:
-                        out.append(" ")
+                    out.append(" ")
                     n, xs = a, b
                     break
                 else:  # _REWRAP
                     xs, asked, slot = b
-                    proof = out[-1]
-                    if text:
-                        if hyp >= 0:
-                            asked = hypotheses[hyp]
-                    elif type(proof) is Assume:
-                        asked = hypotheses[proof.hyp_index]
+                    if hyp >= 0:
+                        asked = hypotheses[hyp]
                     current = set(asked)
                     top = len(out)
-                    for step in a:
-                        old, new, e = step
+                    for old, new, e in a:
                         if old in current:
-                            if text:
-                                out.append(f" {names[old]} {names[new]} {e})")
-                            else:
-                                proof = Subst(proof, old, new, e)
+                            out.append(f" {names[old]} {names[new]} {e})")
                             current.discard(old)
                             current.add(new)
-                    if not text:
-                        out[-1] = proof if current == xs else Project(proof, xs)
-                        continue
                     out[slot] = "(subst " * (len(out) - top)
                     if current != xs:
                         out.append(" " + " ".join([names[t] for t in sorted(xs)]) + ")")
@@ -873,14 +836,14 @@ class Session:
                     if len(out) > top:
                         hyp = -1
             else:
-                return out if text else out[0]
+                return out
 
-    def kfun_eq(self, x1: Iterable[int], x2: Iterable[int]) -> ProofTerm | None:
+    def kfun_eq(self, x1: Iterable[int], x2: Iterable[int]) -> list[str] | None:
         """Decide whether two k-element anchor sets name the same object.
 
         The line through {a,b} equals the line through {c,d} exactly when
         all four points are jointly related, so this reduces to a query on
-        the union.
+        the union, whose proof it returns as `resolve_query` does.
         """
         a, b = frozenset(x1), frozenset(x2)
         if len(a) != self.k or len(b) != self.k:

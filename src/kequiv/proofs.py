@@ -18,17 +18,17 @@ This module also owns the canonical text form of proofs:
 where terms are rendered by name and N is a log index.
 
 The five node classes (`Assume`, `SubRefl`, `Trans`, `Project`, `Subst`)
-are `__slots__` classes on one small base class, so the engine can emit
-large proofs cheaply.  They are not dataclasses, but they act like frozen
+are `__slots__` classes on one small base class, so a large proof is
+cheap to build.  They are not dataclasses, but they act like frozen
 ones: assigning a field raises AttributeError, and `==`, `hash` and
 `repr` are structural, with a dataclass's results.  Those three and
 `pickle`/`copy.deepcopy` walk the tree over an explicit stack (pickling
 writes it as one flat postfix tuple), so they work on proofs of any
 depth.
 
-`format_proof` also takes the proof text as a list of string pieces,
-which `kequiv solve` gets from the engine's one proof walk instead of a
-tree, and joins them.
+The engine builds no proof term: its one proof walk writes a proof's
+text as a list of string pieces, which `format_proof` also takes, and
+joins.  `parse_proof` turns that text into a term.
 
 `check` also takes proof text.  It judges the text in one pass, each
 node as its ')' is read, and builds no proof term.  Only text that fails
@@ -429,7 +429,7 @@ def format_proof(proof: ProofTerm | list[str], names: Sequence[str]) -> str:
     """Render a proof in the canonical text form, terms by name.
 
     `proof` is a proof term, or the pieces of its text, already named (as
-    `Session.resolve_program` writes them), which are only joined.  Term
+    the engine's queries return them), which are only joined.  Term
     lists are emitted in ascending term-id order, which makes the output
     deterministic for a fixed session.  A term id with no name raises
     ValueError.

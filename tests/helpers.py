@@ -5,8 +5,38 @@ from __future__ import annotations
 import itertools
 import random
 
-from kequiv import CongruenceState, Session, check, closure_sets, covered
+from kequiv import (
+    CongruenceState,
+    Session,
+    check,
+    closure_sets,
+    covered,
+    format_proof,
+    parse_proof,
+)
 from kequiv.proofs import Assume, Project, SubRefl, Subst, Trans
+
+
+def proof_tree(pieces, owner):
+    """The proof term of the text pieces an engine query returned, or None.
+
+    `owner` is the Session or CongruenceState whose term table named them.
+    """
+    if pieces is None:
+        return None
+    return parse_proof(format_proof(pieces, owner.term_names), owner.terms.term_ids)
+
+
+def check_text(pieces, session):
+    """`check` of the text an engine query of `session` returned."""
+    return check(
+        format_proof(pieces, session.term_names),
+        session.k,
+        session.hypotheses,
+        session.class_of,
+        session.equalities,
+        ids=session.terms.term_ids,
+    )
 
 
 def identity_partition(n_terms):
@@ -60,8 +90,8 @@ def run_differential(k, n_terms, hyps, class_of, proof_sink=None):
     """Compare the engine against the saturation oracle on all atom queries.
 
     Returns the list of mismatching queries (empty means agreement).  Every
-    proof the engine emits is checked; `proof_sink` collects
-    (proof, conclusion, session) triples for further abuse.
+    proof the engine emits is checked as text; `proof_sink` collects
+    (proof term, conclusion, session) triples for further abuse.
     """
     s = build_session(k, n_terms, hyps, class_of)
     family = closure_sets(k, hyps, class_of)
@@ -72,10 +102,10 @@ def run_differential(k, n_terms, hyps, class_of, proof_sink=None):
         if (proof is not None) != expected:
             mismatches.append(combo)
         if proof is not None:
-            conclusion = check(proof, k, s.hypotheses, s.class_of)
+            conclusion = check_text(proof, s)
             assert conclusion == frozenset(combo)
             if proof_sink is not None:
-                proof_sink.append((proof, conclusion, s))
+                proof_sink.append((proof_tree(proof, s), conclusion, s))
     s.validate()
     return mismatches
 
@@ -126,7 +156,8 @@ def run_congruence_differential(k, n_terms, class_of, statements, proof_sink=Non
     """Compare congruence-layer verdicts with the substitution oracle.
 
     The oracle sees the atoms and the query with every term rewritten to
-    its final representative.  Returns mismatching queries.
+    its final representative.  Returns mismatching queries; every proof
+    is checked as text, and `proof_sink` collects as `run_differential`.
     """
     state = build_congruence(k, n_terms, class_of, statements)
     session = state.sessions["r"]
@@ -145,12 +176,10 @@ def run_congruence_differential(k, n_terms, class_of, statements, proof_sink=Non
         if (proof is not None) != expected:
             mismatches.append(combo)
         if proof is not None:
-            conclusion = check(
-                proof, k, session.hypotheses, session.class_of, state.equalities
-            )
+            conclusion = check_text(proof, session)
             assert conclusion == frozenset(canon)
             if proof_sink is not None:
-                proof_sink.append((proof, conclusion, session))
+                proof_sink.append((proof_tree(proof, state), conclusion, session))
     session.validate()
     return mismatches
 

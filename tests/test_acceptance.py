@@ -20,7 +20,9 @@ from kequiv.problem import generate, intern_problem, parse_text
 from helpers import (
     DisjointSet,
     build_session,
+    check_text,
     mutate_proof,
+    proof_tree,
     random_congruence_instance,
     random_instance,
     run_congruence_differential,
@@ -77,7 +79,7 @@ def test_c2_explain_golden():
     s, ids = _table_session()
     proof = s.explain(8, [ids[c] for c in "abd"])
     text = format_proof(proof, s.term_names)
-    conclusion = check(proof, 2, s.hypotheses, s.class_of)
+    conclusion = check_text(proof, s)
     _report(
         "C2 explain golden",
         text == "(project (trans (assume 0) (assume 4)) a b d)"
@@ -130,7 +132,7 @@ def test_c4_union_find_specialization():
         for a, b in hyps:
             dsu.union(a, b)
         for a, b in itertools.combinations(range(n_terms), 2):
-            proof = s.resolve_query((a, b))
+            proof = proof_tree(s.resolve_query((a, b)), s)
             if (proof is not None) != (dsu.find(a) == dsu.find(b)):
                 mismatches += 1
             if proof is not None:
@@ -222,7 +224,7 @@ def test_c7_scale_and_naive_blowup():
     format_proof(proof, s.term_names)
     elapsed = time.perf_counter() - start
     assert s.stats().merges == 1999
-    assert check(proof, 2, s.hypotheses, s.class_of) == {
+    assert check_text(proof, s) == {
         ids[0], ids[1000], ids[2001],
     }
 
@@ -276,7 +278,7 @@ def test_c8_explain_minimality_measured():
             return covered(k, query, cache[indices])
 
         for combo in itertools.combinations(range(n_terms), k + 1):
-            proof = s.resolve_query(combo)
+            proof = proof_tree(s.resolve_query(combo), s)
             if proof is None:
                 continue
             used = tuple(sorted(used_hypotheses(proof)))

@@ -17,7 +17,7 @@ from kequiv.congruence import CongruenceState
 from kequiv.engine import Session
 from kequiv.oracle import closure_sets, covered
 from kequiv.problem import generate, intern_problem, parse_text
-from kequiv.proofs import ProofCheckError, check, parse_proof
+from kequiv.proofs import ProofCheckError, check, format_proof, parse_proof
 from helpers import chain_text, eq_chain_text, eq_first_text, pencil_closed_text
 
 EXAMPLE = """\
@@ -314,6 +314,37 @@ class TestSolve:
             monkeypatch.setattr(cls, "__init__", node_built)
         for name in files:
             assert run(capsys, "solve", str(tmp_path / f"{name}.kq")) == expected[name]
+
+    def test_solve_prints_what_query_atom_returns(self, tmp_path, capsys, monkeypatch):
+        # solve asks `CongruenceState.query_atom` once per query, in file
+        # order, and prints the text `format_proof` joins from its pieces
+        real = CongruenceState.query_atom
+        calls = []
+
+        def spy(state, relation, xs):
+            xs = list(xs)
+            result = real(state, relation, xs)
+            calls.append((state, relation, xs, result))
+            return result
+
+        monkeypatch.setattr(CongruenceState, "query_atom", spy)
+        files = [EXAMPLE, MULTI, EQ_FIRST, eq_chain_text(40) + eq_queries(40)]
+        for i, text in enumerate(files):
+            path = tmp_path / f"p{i}.kq"
+            path.write_text(text)
+            calls.clear()
+            code, out, _ = run(capsys, "solve", str(path))
+            assert code == 0
+            queries = parse_text(text).queries
+            lines = out.splitlines()
+            assert len(calls) == len(queries) == len(lines)
+            for (state, relation, xs, result), q, line in zip(calls, queries, lines):
+                assert (relation, xs) == (q.relation, list(map(state.term_id, q.terms)))
+                if result is None:
+                    assert line == "not-entailed"
+                else:
+                    assert line == "entailed " + format_proof(result, state.term_names)
+        assert any(result is None for *_, result in calls)
 
     @pytest.mark.parametrize(
         "text, digest",

@@ -10,10 +10,10 @@ from kequiv import (
     InconsistentEqualityError,
     Rewritten,
     UnionFind,
-    check,
 )
 from helpers import (
     build_congruence,
+    check_text,
     equality_path,
     random_congruence_instance,
     run_congruence_differential,
@@ -56,10 +56,7 @@ class TestAssertEq:
         state.assert_eq(ids["c"], ids["d"])
         proof = state.query_atom("coll", [ids["a"], ids["b"], ids["d"]])
         assert proof is not None
-        session = state.sessions["coll"]
-        conclusion = check(
-            proof, 2, session.hypotheses, session.class_of, state.equalities
-        )
+        conclusion = check_text(proof, state.sessions["coll"])
         assert conclusion == {
             state.equalities.find(t) for t in (ids["a"], ids["b"], ids["d"])
         }
@@ -304,7 +301,5 @@ def test_eq_chain_stores_one_rename_per_step():
     )
     assert 0 < stored <= 2 * n
     proof = state.query_atom("coll", [q[n - 1], x[n - 1], x[n - 2]])
-    conclusion = check(
-        proof, 2, session.hypotheses, session.class_of, state.equalities
-    )
+    conclusion = check_text(proof, session)
     assert conclusion == {q[0], x[n - 1], x[n - 2]}

@@ -23,16 +23,19 @@ from kequiv import (
     closure_sets,
     covered,
     format_proof,
+    parse_proof,
     used_hypotheses,
 )
 from helpers import (
     build_congruence,
     build_session,
     chain_shape,
+    check_text,
     eq_chain_shape,
     eq_first_shape,
     pencil_closed_shape,
     pencil_shape,
+    proof_tree,
     random_congruence_instance,
     run_differential,
     short_lines_shape,
@@ -226,7 +229,7 @@ class TestFindMergesWithPartition:
         assert s.ksets[-1].terms == {a1, a2, b, c}
         proof = s.resolve_query([a1, a2, b])
         assert proof is not None
-        assert check(proof, 2, s.hypotheses, s.class_of) == {a1, a2, b}
+        assert check_text(proof, s) == {a1, a2, b}
 
     def test_partition_fixed_after_first_fact(self):
         s = Session(2)
@@ -240,11 +243,12 @@ class TestQueries:
     def test_subreflexive_query(self):
         s = Session(2)
         a, b = s.intern_term("a"), s.intern_term("b")
-        assert s.resolve_query([a, a, b]) == SubRefl(frozenset({a, b}))
+        assert s.resolve_query([a, a, b]) == ["(subrefl a b)"]
+        assert proof_tree(s.resolve_query([a, a, b]), s) == SubRefl({a, b})
 
     def test_table_query_uses_two_hypotheses(self):
         s, ids = table_session()
-        proof = s.resolve_query([ids[c] for c in "abd"])
+        proof = proof_tree(s.resolve_query([ids[c] for c in "abd"]), s)
         assert used_hypotheses(proof) == {0, 4}
         assert check(proof, 2, s.hypotheses, s.class_of) == {
             ids[c] for c in "abd"
@@ -264,7 +268,7 @@ class TestQueries:
         s, ids = table_session()
         whole = [ids[c] for c in "abcdefg"]
         proof = s.resolve_query(whole)
-        assert check(proof, 2, s.hypotheses, s.class_of) == set(whole)
+        assert check_text(proof, s) == set(whole)
         assert s.resolve_query([ids[c] for c in "abdf"]) is not None
 
     def test_query_purity(self):
@@ -307,7 +311,7 @@ class TestExplain:
 
     def test_subset_branch_single_hypothesis(self):
         s, ids = table_session()
-        proof = s.explain(8, [ids[c] for c in "fge"])
+        proof = proof_tree(s.explain(8, [ids[c] for c in "fge"]), s)
         assert used_hypotheses(proof) == {2}
         assert check(proof, 2, s.hypotheses, s.class_of) >= {
             ids[c] for c in "efg"
@@ -341,10 +345,7 @@ class TestExplain:
             xs = [ids[t] for t in query]
             proof = state.query_atom("coll", xs)
             assert format_proof(proof, state.term_names) == expected
-            conclusion = check(
-                proof, 2, session.hypotheses, state.class_of, state.equalities
-            )
-            assert conclusion == set(xs)
+            assert check_text(proof, session) == set(xs)
 
     def test_equality_log_is_written_only_through_union(self):
         # a pair logged past the union-find and the forest would leave the
@@ -368,7 +369,7 @@ class TestExplain:
         session = state.sessions["r"]
         assert session.ksets[-1].history == Rewritten(0, y, x, False)
         proof = state.query_atom("r", [x, w])
-        assert check(proof, 1, session.hypotheses, state.class_of, eqs) == {x, w}
+        assert check_text(proof, session) == {x, w}
 
     def test_terms_outside_kset_rejected(self):
         s, ids = table_session()
@@ -382,7 +383,7 @@ class TestExplain:
 
     def test_whole_kset_explain_cites_everything(self):
         s, _ = table_session()
-        proof = s.explain(8, range(7))
+        proof = proof_tree(s.explain(8, range(7)), s)
         assert used_hypotheses(proof) == {0, 1, 2, 3, 4}
         assert check(proof, 2, s.hypotheses, s.class_of) == set(range(7))
 
@@ -391,15 +392,13 @@ class TestKfunEq:
     def test_equal_anchors_trivial(self):
         s = Session(2)
         a, b = s.intern_term("a"), s.intern_term("b")
-        assert s.kfun_eq([a, b], [a, b]) == SubRefl(frozenset({a, b}))
+        assert proof_tree(s.kfun_eq([a, b], [a, b]), s) == SubRefl({a, b})
 
     def test_table_lines_coincide(self):
         s, ids = table_session()
         proof = s.kfun_eq([ids["a"], ids["b"]], [ids["f"], ids["g"]])
         assert proof is not None
-        assert check(proof, 2, s.hypotheses, s.class_of) == {
-            ids[c] for c in "abfg"
-        }
+        assert check_text(proof, s) == {ids[c] for c in "abfg"}
 
     def test_distinct_lines(self):
         s = Session(2)
@@ -602,7 +601,7 @@ def test_mid_scale_oracle_differential(k, partitioned):
             proof = s.resolve_query(q)
             assert (proof is not None) == covered(k, q, family), q
             if proof is not None:
-                assert check(proof, k, s.hypotheses, s.class_of) == frozenset(q)
+                assert check_text(proof, s) == frozenset(q)
         s.validate()
 
 
@@ -702,43 +701,48 @@ def test_rename_scan_is_exact():
     session.validate()
 
 
-# The proof walk's two outputs: the text pieces that `kequiv solve` joins
-# must give the text of the library's proof term, on every path.
+# The proof walk's one output: the text pieces every query returns join
+# to canonical text, which `format_proof` writes again from the tree that
+# `parse_proof` reads, and which checks, on every path.
 
 
 def solve_text(session, xs):
-    """The solve path's text for query `xs`, after checking that it equals
-    the library path's and that `check` accepts it; None if not entailed."""
-    tree, pieces = session.resolve_query(xs), session.resolve_program(xs)
-    assert (tree is None) == (pieces is None)
-    if tree is None:
+    """The proof text for query `xs`, after checking that it is canonical
+    and that `check` gives the query's representatives; None if not
+    entailed."""
+    pieces = session.resolve_query(xs)
+    if pieces is None:
         return None
     assert all(type(piece) is str for piece in pieces)
     text = format_proof(pieces, session.term_names)
     assert text == "".join(pieces)
-    assert text == format_proof(tree, session.term_names)
-    conclusion = check(
-        text,
-        session.k,
-        session.hypotheses,
-        session.class_of,
-        session.equalities,
-        ids=session.terms.term_ids,
-    )
-    assert conclusion == frozenset(map(session.equalities.find, xs))
+    assert_canonical(session, text)
+    assert check_text(pieces, session) == frozenset(map(session.equalities.find, xs))
     return text
 
 
-def explain_both_ways(session, rng, records, texts):
-    """Explain each record from a few of its term subsets, as text pieces
-    and as a tree; subsets of at most k terms reach `project` over a rename,
-    which no query does."""
+def assert_canonical(session, text):
+    """`text` is what `format_proof` writes for the tree read from it."""
+    tree = parse_proof(text, session.terms.term_ids)
+    assert format_proof(tree, session.term_names) == text
+
+
+def explain_texts(session, rng, records, texts):
+    """Explain each record from a few of its term subsets and check each
+    text; subsets of at most k terms reach `project` over a rename, which
+    no query does."""
     for n in records:
         terms = sorted(session.terms_of(n))
         for _ in range(3):
             xs = frozenset(rng.sample(terms, rng.randint(1, len(terms))))
-            text = format_proof(session._explain(n, xs, True), session.term_names)
-            assert text == format_proof(session.explain(n, xs), session.term_names)
+            pieces = session.explain(n, xs)
+            text = format_proof(pieces, session.term_names)
+            assert_canonical(session, text)
+            conclusion = check_text(pieces, session)
+            # a bare hypothesis concludes its own terms, a superset
+            assert conclusion == xs or (
+                text.startswith("(assume ") and conclusion > xs
+            )
             texts.append(text)
 
 
@@ -764,9 +768,9 @@ def test_program_text_equals_tree_text():
         session = state.sessions["r"]
         for combo in itertools.combinations(range(n_terms), k + 1):
             text = solve_text(session, combo)
-            pieces = state.query_program("r", combo)
+            pieces = state.query_atom("r", combo)
             assert text == (pieces and format_proof(pieces, state.term_names))
-        explain_both_ways(session, rng, range(len(session.ksets)), texts)
+        explain_texts(session, rng, range(len(session.ksets)), texts)
         kinds |= rewritten_kinds(session)
     assert kinds == {
         "assert-time, one pair",
@@ -826,7 +830,7 @@ def test_program_text_equals_tree_text_on_shapes(build, n):
         queries.append(rng.sample(sorted(session.terms_of(rng.choice(active))), 3))
     entailed = [q for q in queries if solve_text(session, q) is not None]
     assert len(entailed) >= 90
-    explain_both_ways(session, rng, rng.sample(range(len(session.ksets)), 30), [])
+    explain_texts(session, rng, rng.sample(range(len(session.ksets)), 30), [])
 
 
 def test_program_renders_a_ten_thousand_level_proof():

@@ -25,11 +25,10 @@ import pytest
 from kequiv import (
     CongruenceState,
     InconsistentEqualityError,
-    check,
     closure_sets,
     covered,
 )
-from helpers import DisjointSet, class_groups
+from helpers import DisjointSet, check_text, class_groups
 
 N_TERMS = 7
 
@@ -87,8 +86,7 @@ class CongruenceMachine(RuleBasedStateMachine):
         return closure_sets(self.relations[name], hyps, self.class_of)
 
     def check_proof(self, name, proof):
-        s = self.state.sessions[name]
-        return check(proof, s.k, s.hypotheses, s.class_of, self.state.equalities)
+        return check_text(proof, self.state.sessions[name])
 
     @rule(data=st.data())
     def assert_atoms(self, data):

@@ -26,7 +26,9 @@ from kequiv import (
 from helpers import (
     build_congruence,
     chain_shape,
+    check_text,
     mutate_proof,
+    proof_tree,
     random_congruence_instance,
     random_instance,
     run_differential,
@@ -296,7 +298,7 @@ class TestSerialization:
         text = format_proof(proof, s.term_names)
         ids = {name: i for i, name in enumerate(s.term_names)}
         assert format_proof(parse_proof(text, ids), s.term_names) == text
-        assert check(proof, 2, s.hypotheses, s.class_of) == {0, n // 2, n + 1}
+        assert check_text(proof, s) == {0, n // 2, n + 1}
 
 
 NODES = [
@@ -379,7 +381,7 @@ class TestNodes:
         s, steps = chain_shape(n)
         for fn, arg in steps:
             fn(arg)
-        proof = s.resolve_query((0, 1, n + 1))
+        proof = proof_tree(s.resolve_query((0, 1, n + 1)), s)
         depth, node = 0, proof
         while not isinstance(node, Assume):
             node = node.left if isinstance(node, Trans) else node.inner
