@@ -62,27 +62,24 @@ def _build_state(problem: Problem) -> CongruenceState:
     return state
 
 
-def _solve_kset(problem: Problem) -> list[str]:
-    state = _build_state(problem)
-    lines = []
-    for q in problem.queries:
-        proof = state.query_atom(q.relation, [state.term_id(t) for t in q.terms])
-        if proof is None:
-            lines.append("not-entailed")
-        else:
-            lines.append("entailed " + format_proof(proof, state.term_names))
-    return lines
-
-
 def cmd_solve(args) -> int:
     try:
         problem = parse_path(args.problem)
     except (ParseError, OSError, UnicodeDecodeError) as e:
         return _fail(str(e), EXIT_USAGE)
+    # every answer is found before the first is printed
+    lines = []
     try:
-        lines = _solve_kset(problem)
+        state = _build_state(problem)
+        for q in problem.queries:
+            proof = state.query_atom(q.relation, [state.term_id(t) for t in q.terms])
+            if proof is None:
+                lines.append("not-entailed")
+            else:
+                lines.append("entailed " + format_proof(proof, state.term_names))
     except (ValueError, InconsistentEqualityError) as e:
         return _fail(str(e), EXIT_GUARD)
+    del state  # the answers are printed with the closure freed
     for line in lines:
         print(line)
     return EXIT_OK

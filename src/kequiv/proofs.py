@@ -18,13 +18,12 @@ This module also owns the canonical text form of proofs:
 where terms are rendered by name and N is a log index.
 
 The five node classes (`Assume`, `SubRefl`, `Trans`, `Project`, `Subst`)
-are `__slots__` classes on one small base class, so a large proof is
-cheap to build.  They are not dataclasses, but they act like frozen
-ones: assigning a field raises AttributeError, and `==`, `hash` and
-`repr` are structural, with a dataclass's results.  Those three and
-`pickle`/`copy.deepcopy` walk the tree over an explicit stack (pickling
-writes it as one flat postfix tuple), so they work on proofs of any
-depth.
+are frozen dataclasses on one small base class: assigning a field raises
+AttributeError, and a `terms` field is stored as a frozenset.  The base
+class gives the structural `==`, `hash` and `repr`, with a dataclass's
+results.  Those three and `pickle`/`copy.deepcopy` walk the tree over an
+explicit stack (pickling writes it as one flat postfix tuple), so they
+work on proofs of any depth; `dataclasses.asdict` recurses, and does not.
 
 The engine builds no proof term: its one proof walk writes a proof's
 text as a list of string pieces, which `format_proof` also takes, and
@@ -39,6 +38,7 @@ error: the column of a syntax error, or the path to the failing node.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -61,20 +61,13 @@ __all__ = [
 class _Node:
     """Base of the proof node classes.
 
-    A node's fields are its `__slots__`, in argument order, its `_kids`
-    sub-proofs first.  Nodes are immutable.  `==`, `hash` and `repr` give
-    what a frozen dataclass gives, and they and pickling read the tree over
-    an explicit stack, so a proof of any depth survives them.
+    A node's fields are its `__match_args__`, its `_kids` sub-proofs
+    first.  `==`, `hash` and `repr` give what a frozen dataclass gives,
+    and they and pickling read the tree over an explicit stack, so a proof
+    of any depth survives them.
     """
 
-    __slots__ = ()
     _kids = 0
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -99,7 +92,7 @@ class _Node:
                 out.append(node)
                 continue
             parts = [f"{type(node).__qualname__}("]
-            for i, name in enumerate(node.__slots__):
+            for i, name in enumerate(node.__match_args__):
                 value = getattr(node, name)
                 parts.append(f", {name}=" if i else f"{name}=")
                 parts.append(value if isinstance(value, _Node) else repr(value))
@@ -111,75 +104,59 @@ class _Node:
         return _from_postfix, (tuple(_postfix(self)),)
 
 
+class _TermsNode(_Node):
+    """A node with a `terms` field, which is stored as a frozenset."""
+
+    def __post_init__(self):
+        if not isinstance(self.terms, frozenset):
+            object.__setattr__(self, "terms", frozenset(self.terms))
+
+
+# the node classes are frozen dataclasses with `_Node`'s ==, hash and repr
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
 class Assume(_Node):
     """Cites hypothesis `hyp_index`; concludes the set of its terms."""
 
-    __slots__ = __match_args__ = ("hyp_index",)
-
-    def __init__(self, hyp_index: int) -> None:
-        _set_hyp_index(self, hyp_index)
+    hyp_index: int
 
 
-class SubRefl(_Node):
+@_node
+class SubRefl(_TermsNode):
     """Concludes `terms` outright; valid only for at most k terms."""
 
-    __slots__ = __match_args__ = ("terms",)
-
-    def __init__(self, terms: Iterable[int]) -> None:
-        _set_subrefl_terms(
-            self, terms if isinstance(terms, frozenset) else frozenset(terms)
-        )
+    terms: frozenset[int]
 
 
+@_node
 class Trans(_Node):
     """Fuses two judgments that share k known-distinct terms; concludes the union."""
 
-    __slots__ = __match_args__ = ("left", "right")
+    left: ProofTerm
+    right: ProofTerm
     _kids = 2
 
-    def __init__(self, left: ProofTerm, right: ProofTerm) -> None:
-        _set_left(self, left)
-        _set_right(self, right)
 
-
-class Project(_Node):
+@_node
+class Project(_TermsNode):
     """Restricts a judgment to the subset `terms`."""
 
-    __slots__ = __match_args__ = ("inner", "terms")
+    inner: ProofTerm
+    terms: frozenset[int]
     _kids = 1
 
-    def __init__(self, inner: ProofTerm, terms: Iterable[int]) -> None:
-        _set_project_inner(self, inner)
-        _set_project_terms(
-            self, terms if isinstance(terms, frozenset) else frozenset(terms)
-        )
 
-
+@_node
 class Subst(_Node):
     """Rewrites term `frm` to `to`, citing entry `eq_index` of the equality log."""
 
-    __slots__ = __match_args__ = ("inner", "frm", "to", "eq_index")
+    inner: ProofTerm
+    frm: int
+    to: int
+    eq_index: int
     _kids = 1
-
-    def __init__(self, inner: ProofTerm, frm: int, to: int, eq_index: int) -> None:
-        _set_subst_inner(self, inner)
-        _set_frm(self, frm)
-        _set_to(self, to)
-        _set_eq_index(self, eq_index)
-
-
-# A node's fields are written once, by its __init__, through the slots'
-# own descriptors, which `_Node.__setattr__` does not stand in front of.
-_set_hyp_index = Assume.hyp_index.__set__
-_set_subrefl_terms = SubRefl.terms.__set__
-_set_left = Trans.left.__set__
-_set_right = Trans.right.__set__
-_set_project_inner = Project.inner.__set__
-_set_project_terms = Project.terms.__set__
-_set_subst_inner = Subst.inner.__set__
-_set_frm = Subst.frm.__set__
-_set_to = Subst.to.__set__
-_set_eq_index = Subst.eq_index.__set__
 
 
 class _Lane:
@@ -207,7 +184,7 @@ def _postfix(root: ProofTerm) -> list[tuple]:
         if not isinstance(node, _Node):
             out.append((None, node))
             continue
-        fields = [getattr(node, name) for name in node.__slots__]
+        fields = [getattr(node, name) for name in node.__match_args__]
         out.append((type(node), *fields[node._kids :]))
         stack += fields[: node._kids]  # the first sub-proof is read last
     out.reverse()
@@ -431,8 +408,8 @@ def format_proof(proof: ProofTerm | list[str], names: Sequence[str]) -> str:
     `proof` is a proof term, or the pieces of its text, already named (as
     the engine's queries return them), which are only joined.  Term
     lists are emitted in ascending term-id order, which makes the output
-    deterministic for a fixed session.  A term id with no name raises
-    ValueError.
+    deterministic for a fixed session.  A term id with no name, or an
+    empty term list, raises ValueError.
     """
     if type(proof) is list:
         return "".join(proof)
@@ -441,90 +418,76 @@ def format_proof(proof: ProofTerm | list[str], names: Sequence[str]) -> str:
     # the text that closes each open node, and the right sub-proofs of
     # open `trans` nodes, which are still to render
     stack: list = []
-    push, pop = stack.append, stack.pop
     node = proof
-    try:
-        while True:
-            # open `node`, descending to its first sub-proof
-            cls = type(node)
-            if cls is Assume:
-                emit(f"(assume {node.hyp_index})")
-            elif cls is Project:
-                ids = sorted(node.terms)
-                if ids and ids[0] < 0:
-                    raise IndexError
-                emit("(project ")
-                push(" " + " ".join([names[t] for t in ids]) + ")")
-                node = node.inner
-                continue
-            elif cls is Trans:
-                emit("(trans ")
-                push(")")
-                push(node.right)
-                node = node.left
-                continue
-            elif cls is Subst:
-                frm, to = node.frm, node.to
-                if frm < 0 or to < 0:
-                    raise IndexError
-                emit("(subst ")
-                push(f" {names[frm]} {names[to]} {node.eq_index})")
-                node = node.inner
-                continue
-            elif cls is SubRefl:
-                ids = sorted(node.terms)
-                if ids and ids[0] < 0:
-                    raise IndexError
-                emit("(subrefl " + " ".join([names[t] for t in ids]) + ")")
+    while True:
+        # open `node`, descending to its first sub-proof
+        cls = type(node)
+        if cls is Assume:
+            emit(f"(assume {node.hyp_index})")
+        elif cls is Project:
+            emit("(project ")
+            stack.append(" " + " ".join(_term_names(node, names)) + ")")
+            node = node.inner
+            continue
+        elif cls is Trans:
+            emit("(trans ")
+            stack.append(")")
+            stack.append(node.right)
+            node = node.left
+            continue
+        elif cls is Subst:
+            frm, to = _term_names(node, names)
+            emit("(subst ")
+            stack.append(f" {frm} {to} {node.eq_index})")
+            node = node.inner
+            continue
+        elif cls is SubRefl:
+            emit("(subrefl " + " ".join(_term_names(node, names)) + ")")
+        else:
+            raise ValueError(f"unknown proof node {node!r}")
+        # `node` was a leaf: close nodes up to the next right sub-proof
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                emit(item)
             else:
-                raise ValueError(f"unknown proof node {node!r}")
-            # `node` was a leaf: close nodes up to the next right sub-proof
-            while stack:
-                item = pop()
-                if type(item) is str:
-                    emit(item)
-                else:
-                    emit(" ")
-                    node = item
-                    break
-            else:
-                return "".join(out)
-    except (IndexError, TypeError):
-        error = _unnamed(node, names)
-        if error is None:
-            raise
-        raise error from None
+                emit(" ")
+                node = item
+                break
+        else:
+            return "".join(out)
 
 
-def _unnamed(node: ProofTerm, names: Sequence[str]) -> ValueError | None:
-    """The error for the first term id of `node` without a name, or None.
+def _term_names(node: Subst | SubRefl | Project, names: Sequence[str]) -> list[str]:
+    """The names of `node`'s term ids, in the order they are rendered.
 
-    Ids are read in the order they are rendered, but a negative id, which
-    names[-1] would not reject, or one that is not a number, is found first.
+    An empty term list, or a term id with no name, raises ValueError.  A
+    negative id, which names[-1] would not refuse, or one that is not a
+    number, is refused before one past the end of `names`.
     """
-    cls = type(node)
-    if cls is Subst:
+    if type(node) is Subst:
         ids = [node.frm, node.to]
-    elif cls in (Project, SubRefl):
+    elif not node.terms:
+        raise ValueError(f"{type(node).__name__.lower()} needs at least one term")
+    else:
         try:
             ids = sorted(node.terms)
-        except TypeError:
+        except TypeError:  # an id that is not a number, refused below
             ids = list(node.terms)
-    else:
-        return None
     for t in ids:
         try:
             if t >= 0:
                 continue
         except TypeError:  # not a number
             pass
-        return ValueError(f"no name for term id {t!r}")
+        raise ValueError(f"no name for term id {t!r}")
+    out = []
     for t in ids:
         try:
-            names[t]
+            out.append(names[t])
         except (IndexError, TypeError):
-            return ValueError(f"no name for term id {t!r}")
-    return None
+            raise ValueError(f"no name for term id {t!r}") from None
+    return out
 
 
 class ProofSyntaxError(ValueError):

@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -181,6 +182,17 @@ class TestSerialization:
         # as the ids are rendered, 7 comes first, but -1 is refused first
         with pytest.raises(ValueError, match="^no name for term id -1$"):
             format_proof(Subst(Assume(0), len(NAMES), -1, 0), NAMES)
+
+    def test_format_rejects_an_empty_term_list(self):
+        # the parser refuses both texts, so the formatter must not write them
+        for proof, text in [
+            (SubRefl(frozenset()), "(subrefl )"),
+            (Project(Assume(0), frozenset()), "(project (assume 0) )"),
+        ]:
+            with pytest.raises(ProofSyntaxError):
+                parse_proof(text, IDS)
+            with pytest.raises(ValueError, match="needs at least one term"):
+                format_proof(proof, NAMES)
 
     def test_parse_whitespace_insensitive(self):
         got = parse_proof("( project ( assume 0 )  a b )", IDS)
@@ -397,6 +409,18 @@ class TestNodes:
         assert pickle.loads(pickle.dumps(proof)) == proof
         assert copy.deepcopy(proof) == proof
         assert Trans(proof, Assume(0)) != Trans(parsed, Assume(1))
+
+
+def test_nodes_are_frozen_dataclasses():
+    for node in NODES:
+        fields = [f.name for f in dataclasses.fields(node)]
+        assert fields == list(type(node).__match_args__)
+    # `replace` builds a new node, so its term list is coerced too
+    replaced = dataclasses.replace(Project(Assume(0), [1]), terms=[2])
+    assert type(replaced.terms) is frozenset
+    assert replaced == Project(Assume(0), frozenset({2}))
+    with pytest.raises(AttributeError):
+        replaced.terms = frozenset({3})
 
 
 class TestMutationFuzz:
