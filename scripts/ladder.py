@@ -17,8 +17,11 @@ many-lines workload, and also print the best time per hypothesis in
 microseconds.  The deep-query rungs time the proof of (p0, p1, p_n+1)
 on the asserted chain, which has about n levels: `resolve_query`, whose
 proof walk writes the proof's text pieces, then `format_proof`, which
-joins them, the path `kequiv solve` takes.  The end-to-end rung writes
-the closed pencil as a problem file and times
+joins them, the path `kequiv solve` takes.  The deep-check rungs time
+`check` of that proof: of its text, the path `kequiv check` takes, and
+of its proof term, which `check` writes as text and judges the same
+way; the term is parsed before the clock starts.  The end-to-end rung
+writes the closed pencil as a problem file and times
 `kequiv.cli.main(["solve", path])` in this process, which runs with the
 cyclic garbage collector paused, as every `kequiv` command does.  The
 short-lines rungs pause it too, since many-lines runs through `kequiv
@@ -50,7 +53,7 @@ from helpers import (
     short_lines_shape,
 )
 
-from kequiv import format_proof
+from kequiv import check, format_proof, parse_proof
 from kequiv.cli import main as kequiv_main
 
 REPEATS = 5
@@ -96,6 +99,32 @@ def deep_query_seconds(n):
     return time.perf_counter() - start
 
 
+@functools.cache
+def deep_proof(n):
+    """The deep query's proof on the chain of size n, as text and as a
+    proof term, with the context `check` judges it in and the term ids."""
+    session, steps = chain_shape(n)
+    for fn, arg in steps:
+        fn(arg)
+    text = format_proof(session.resolve_query((0, 1, n + 1)), session.term_names)
+    ids = session.terms.term_ids
+    context = (session.k, session.hypotheses, session.class_of, session.equalities)
+    return text, parse_proof(text, ids), context, ids
+
+
+def deep_check_seconds(n, form):
+    """Seconds to `check` the deep query's proof on the chain of size n,
+    given as `form`, "text" or "tree"."""
+    text, tree, context, ids = deep_proof(n)
+    gc.collect()
+    start = time.perf_counter()
+    if form == "text":
+        check(text, *context, ids=ids)
+    else:
+        check(tree, *context)
+    return time.perf_counter() - start
+
+
 def control_seconds():
     """Seconds for CONTROL_STEPS updates of a small dict: no kequiv code."""
     counts: dict[int, int] = {}
@@ -134,14 +163,14 @@ def rungs(name, what, seconds, n, steps=None):
         ts = times[size]
         per = "" if steps is None else f"  {min(ts) / steps(size) * 1e6:6.2f} us/op"
         print(
-            f"{name:14} n={size:6d} {what} {min(ts):8.4f} s"
+            f"{name:15} n={size:6d} {what} {min(ts):8.4f} s"
             f"  (range {min(ts):.4f}-{max(ts):.4f})"
             f"  {min(ts) / min(control):6.2f}x control{per}"
         )
     growth = math.log(min(times[4 * n]) / min(times[n]), 4)
     low, high = min(control), max(control)
     print(
-        f"{name:14} growth exponent {growth:.2f}"
+        f"{name:15} growth exponent {growth:.2f}"
         f"  control {low:.4f} s (range {low:.4f}-{high:.4f})"
     )
 
@@ -159,6 +188,9 @@ def main():
             lambda size: size * (8 - k),
         )
     rungs("deep-query", "query", deep_query_seconds, 1000)
+    rungs("deep-check-text", "check", lambda n: deep_check_seconds(n, "text"), 1000)
+    rungs("deep-check-tree", "check", lambda n: deep_check_seconds(n, "tree"), 1000)
+    deep_proof.cache_clear()
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for size in (4000, 8000, 16000):

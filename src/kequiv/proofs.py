@@ -29,18 +29,21 @@ The engine builds no proof term: its one proof walk writes a proof's
 text as a list of string pieces, which `format_proof` also takes, and
 joins.  `parse_proof` turns that text into a term.
 
-`check` also takes proof text.  It judges the text in one pass, each
-node as its ')' is read, and builds no proof term.  Only text that fails
-that pass is parsed into a term and checked again, which locates the
-error: the column of a syntax error, or the path to the failing node.
+`check` takes proof text or a proof term.  One pass over text, which
+builds no proof term, is the only code that applies the laws; a proof
+term is first written as text with numeral names.  Text that the pass
+does not read is parsed with `parse_proof` for the error's column, and
+so is a failing text, since a later syntax error wins over a broken law.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
-from typing import Iterable, Mapping, Sequence, Union
+from operator import index
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "Assume",
@@ -228,22 +231,6 @@ class ProofCheckError(Exception):
         super().__init__(f"at {where}: {message}")
 
 
-# the kinds of the tree checker's tasks
-_WALK, _TRANS, _PROJECT, _SUBST = 0, 1, 2, 3
-
-# Paths are threaded through the checker as parent-linked chains so that
-# deep proofs do not pay for tuple copies; they are flattened on error.
-_Path = Union[None, tuple]
-
-
-def _flatten(chain: _Path) -> tuple[int, ...]:
-    out: list[int] = []
-    while chain is not None:
-        chain, i = chain
-        out.append(i)
-    return tuple(reversed(out))
-
-
 def check(
     proof: ProofTerm | str,
     k: int,
@@ -255,11 +242,12 @@ def check(
     """Check `proof` and return the judgment (term set) it establishes.
 
     `proof` is a proof term, or its canonical text with `ids` mapping term
-    names to ids.  Text is judged in one pass that builds no proof term;
-    only text that pass does not accept is parsed with `parse_proof` and
-    checked as a term, so it raises exactly what
-    ``check(parse_proof(text, ids), ...)`` raises: ProofSyntaxError before
-    ProofCheckError.
+    names to ids.  Either is judged in one pass over text: a proof term is
+    first written as text by `format_proof`, term ids named by numerals.
+    Malformed input raises before any broken law: a ProofSyntaxError, even
+    one later in the text; for a term, a node of another type or an empty
+    term list (ProofCheckError at that node), or another ValueError of
+    `format_proof`, such as a term id with no name.
 
     Laws enforced per node:
 
@@ -285,99 +273,57 @@ def check(
     if isinstance(proof, str):
         if ids is None:
             raise TypeError("checking proof text needs the ids of its term names")
-        conclusion = _judge_text(proof, k, hypotheses, partition, equalities, ids)
+        try:
+            conclusion = _judge(
+                proof, k, hypotheses, partition, equalities, ids.__getitem__
+            )
+        except ProofCheckError:
+            parse_proof(proof, ids)  # a syntax error later in the text wins
+            raise
         if conclusion is not None:
             return conclusion
+        # raises the syntax error, or reads what the pass does not, such
+        # as leading whitespace, into a proof term judged below
         proof = parse_proof(proof, ids)
-
-    def cls(t: int):
-        if partition is not None and t in partition:
-            return partition[t]
-        return ("singleton", t)
-
-    # Explicit stack: proofs from long merge chains nest deeply.
-    tasks: list[tuple] = [(_WALK, proof, None)]
-    results: list[frozenset[int]] = []
-    while tasks:
-        kind, node, path = tasks.pop()
-        if kind == _WALK:
-            node_type = type(node)
-            if node_type is Assume:
-                if not 0 <= node.hyp_index < len(hypotheses):
-                    raise ProofCheckError(
-                        _flatten(path),
-                        f"hypothesis index {node.hyp_index} out of range",
-                    )
-                results.append(frozenset(hypotheses[node.hyp_index]))
-            elif node_type is SubRefl:
-                if not node.terms:
-                    raise ProofCheckError(_flatten(path), "empty judgment")
-                if len(node.terms) > k:
-                    raise ProofCheckError(
-                        _flatten(path),
-                        f"sub-reflexivity allows at most {k} terms, "
-                        f"got {len(node.terms)}",
-                    )
-                results.append(node.terms)
-            elif node_type is Trans:
-                tasks.append((_TRANS, node, path))
-                tasks.append((_WALK, node.right, (path, 1)))
-                tasks.append((_WALK, node.left, (path, 0)))
-            elif node_type is Project:
-                tasks.append((_PROJECT, node, path))
-                tasks.append((_WALK, node.inner, (path, 0)))
-            elif node_type is Subst:
-                tasks.append((_SUBST, node, path))
-                tasks.append((_WALK, node.inner, (path, 0)))
-            else:
-                raise ProofCheckError(
-                    _flatten(path), f"unknown proof node {node!r}"
-                )
-        elif kind == _TRANS:
-            y = results.pop()
-            x = results.pop()
-            shared = x & y
-            n_classes = len({cls(t) for t in shared})
-            if n_classes < k:
-                raise ProofCheckError(
-                    _flatten(path),
-                    f"shared terms span {n_classes} distinctness classes, need {k}",
-                )
-            results.append(x | y)
-        elif kind == _PROJECT:
-            x = results.pop()
-            if not node.terms:
-                raise ProofCheckError(_flatten(path), "empty judgment")
-            if not node.terms <= x:
-                raise ProofCheckError(
-                    _flatten(path),
-                    "projection target is not a subset of the conclusion",
-                )
-            results.append(node.terms)
-        else:  # _SUBST
-            x = results.pop()
-            if not 0 <= node.eq_index < len(equalities):
-                raise ProofCheckError(
-                    _flatten(path), f"equality index {node.eq_index} out of range"
-                )
-            a, b = equalities[node.eq_index]
-            if {node.frm, node.to} != {a, b}:
-                raise ProofCheckError(
-                    _flatten(path),
-                    f"equality {node.eq_index} does not relate the "
-                    "substituted terms",
-                )
-            known = partition is not None and a in partition and b in partition
-            if known and partition[a] != partition[b]:
-                raise ProofCheckError(
-                    _flatten(path),
-                    f"equality {node.eq_index} equates known-distinct terms",
-                )
-            if node.frm in x:
-                x = (x - {node.frm}) | {node.to}
-            results.append(x)
-    (conclusion,) = results
+    try:
+        text = format_proof(proof, _NUMERALS)
+    except ValueError:
+        _refuse_textless(proof)
+        raise
+    conclusion = _judge(text, k, hypotheses, partition, equalities, int)
+    if conclusion is None:  # the pass reads all that `format_proof` writes
+        raise ValueError("malformed hypotheses, partition or equalities")
     return conclusion
+
+
+class _Numerals:
+    """Names each term id by its numeral, which `int` reads back."""
+
+    def __getitem__(self, t) -> str:
+        return str(index(t))
+
+
+_NUMERALS = _Numerals()
+
+
+def _refuse_textless(proof: ProofTerm) -> None:
+    """Raise ProofCheckError at the first node, in text order, that
+    `format_proof` cannot write: a node of another type, or an empty term
+    list."""
+    # one path list, cut to each node's depth; an entry is (its parent's
+    # path length, (its child index,) or () at the root, the node)
+    path: list[int] = []
+    stack: list = [(0, (), proof)]
+    while stack:
+        depth, i, node = stack.pop()
+        path[depth:] = i
+        cls = type(node)
+        if cls not in (Assume, SubRefl, Trans, Project, Subst):
+            raise ProofCheckError(path, f"unknown proof node {node!r}")
+        if cls in (SubRefl, Project) and not node.terms:
+            raise ProofCheckError(path, "empty judgment")
+        for j in reversed(range(cls._kids)):
+            stack.append((len(path), (j,), getattr(node, cls.__match_args__[j])))
 
 
 def used_hypotheses(proof: ProofTerm) -> frozenset[int]:
@@ -408,8 +354,8 @@ def format_proof(proof: ProofTerm | list[str], names: Sequence[str]) -> str:
     `proof` is a proof term, or the pieces of its text, already named (as
     the engine's queries return them), which are only joined.  Term
     lists are emitted in ascending term-id order, which makes the output
-    deterministic for a fixed session.  A term id with no name, or an
-    empty term list, raises ValueError.
+    deterministic for a fixed session.  A term id with no name, an index
+    that is not an integer, or an empty term list, raises ValueError.
     """
     if type(proof) is list:
         return "".join(proof)
@@ -423,7 +369,7 @@ def format_proof(proof: ProofTerm | list[str], names: Sequence[str]) -> str:
         # open `node`, descending to its first sub-proof
         cls = type(node)
         if cls is Assume:
-            emit(f"(assume {node.hyp_index})")
+            emit(f"(assume {_integer(node.hyp_index)})")
         elif cls is Project:
             emit("(project ")
             stack.append(" " + " ".join(_term_names(node, names)) + ")")
@@ -438,7 +384,7 @@ def format_proof(proof: ProofTerm | list[str], names: Sequence[str]) -> str:
         elif cls is Subst:
             frm, to = _term_names(node, names)
             emit("(subst ")
-            stack.append(f" {frm} {to} {node.eq_index})")
+            stack.append(f" {frm} {to} {_integer(node.eq_index)})")
             node = node.inner
             continue
         elif cls is SubRefl:
@@ -488,6 +434,14 @@ def _term_names(node: Subst | SubRefl | Project, names: Sequence[str]) -> list[s
         except (IndexError, TypeError):
             raise ValueError(f"no name for term id {t!r}") from None
     return out
+
+
+def _integer(value) -> int:
+    """A hypothesis or equality index, which must be an integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"index {value!r} is not an integer") from None
 
 
 class ProofSyntaxError(ValueError):
@@ -610,38 +564,45 @@ def parse_proof(text: str, ids: Mapping[str, int]) -> ProofTerm:
     return done
 
 
+def _failure(stack: list[list], message: str) -> ProofCheckError:
+    """The error at the node whose ')' `_judge` reads, below open `stack`."""
+    return ProofCheckError([(len(f) - 1) // 2 for f in stack], message)
+
+
 # a parenthesis and the atoms that follow it, up to the next parenthesis
 _EVENT = re.compile(r"([()])([^()]*)")
 
 
-def _judge_text(
+def _judge(
     text: str,
     k: int,
     hypotheses: Sequence[Sequence[int]],
     partition: Mapping[int, int] | None,
     equalities: Sequence[tuple[int, int]],
-    ids: Mapping[str, int],
+    name_id: Callable[[str], int],
 ) -> frozenset[int] | None:
-    """The judgment proof `text` establishes, or None if it is not a proof.
+    """The judgment proof `text` establishes, or None if it does not read it.
 
     One pass over the parentheses: a node's judgment is worked out from
-    its children's when its ')' is read, by the laws `check` enforces.  It
-    gives up, returning None, on anything `parse_proof` or `check` would
-    reject, and leaves the error to them.  It also leaves them the rare
-    valid text it does not judge itself: leading whitespace, or a term that
-    `partition` does not map.
+    its children's when its ')' is read, by the laws `check` enforces, and
+    a broken law raises ProofCheckError at that node.  It gives up,
+    returning None, on anything `parse_proof` rejects, on the rare valid
+    text it does not read (leading whitespace), and on a malformed log.
+    `name_id` gives a term name's id, or raises KeyError or ValueError.
     """
     if not text.startswith("("):
         return None
-    name_id = ids.__getitem__
-    # raises KeyError on a term outside the partition, leaving it to `check`
-    class_of = partition.__getitem__ if partition is not None else None
+    if partition is None:
+        partition = {}  # every term a class of its own
+    class_of = partition.__getitem__
     n_hyps, n_eqs = len(hypotheses), len(equalities)
     # an open node is [atoms after its '(', then per child: judgment, atoms
-    # after the child's ')'], so a valid node's length says its shape
+    # after the child's ')'], so a valid node's length says its shape, and
+    # an open node is reading its child (len(node) - 1) // 2
     stack: list[list] = []
     node: list | None = None
     root = None
+    fail = partial(_failure, stack)
     try:
         for paren, stretch in _EVENT.findall(text):
             atoms = stretch.split()
@@ -663,23 +624,26 @@ def _judge_text(
                     return None
                 x, y = node[1], node[3]
                 shared = x & y
-                if len(shared) < k:
-                    return None
-                if partition is not None and len(set(map(class_of, shared))) < k:
-                    return None
+                try:
+                    n = len(set(map(class_of, shared)))
+                except KeyError:  # an unmapped term is a class of its own
+                    mapped = [t for t in shared if t in partition]
+                    n = len(set(map(class_of, mapped))) + len(shared) - len(mapped)
+                if n < k:
+                    raise fail(f"shared terms span {n} distinctness classes, need {k}")
                 judgment = x | y
             elif kind == "project":
                 if len(node) != 3 or len(head) != 1 or not node[2]:
                     return None
                 judgment = frozenset(map(name_id, node[2]))
                 if not judgment <= node[1]:
-                    return None
+                    raise fail("projection target is not a subset of the conclusion")
             elif kind == "assume":
                 if len(node) != 1 or len(head) != 2:
                     return None
                 i = int(head[1])
                 if not 0 <= i < n_hyps:
-                    return None
+                    raise fail(f"hypothesis index {i} out of range")
                 judgment = frozenset(hypotheses[i])
             elif kind == "subst":
                 if len(node) != 3 or len(head) != 1 or len(node[2]) != 3:
@@ -687,12 +651,15 @@ def _judge_text(
                 frm_name, to_name, e = node[2]
                 frm, to, e = name_id(frm_name), name_id(to_name), int(e)
                 if not 0 <= e < n_eqs:
-                    return None
+                    raise fail(f"equality index {e} out of range")
                 a, b = equalities[e]
                 if (frm, to) != (a, b) and (to, frm) != (a, b):
-                    return None
-                if partition is not None and class_of(a) != class_of(b):
-                    return None
+                    raise fail(f"equality {e} does not relate the substituted terms")
+                try:
+                    if class_of(a) != class_of(b):
+                        raise fail(f"equality {e} equates known-distinct terms")
+                except KeyError:
+                    pass  # an unmapped term is never known-distinct
                 judgment = node[1]
                 if frm in judgment:
                     judgment = (judgment - {frm}) | {to}
@@ -701,7 +668,10 @@ def _judge_text(
                     return None
                 judgment = frozenset(map(name_id, head[1:]))
                 if len(judgment) > k:
-                    return None
+                    raise fail(
+                        f"sub-reflexivity allows at most {k} terms, "
+                        f"got {len(judgment)}"
+                    )
             else:
                 return None
             if stack:
@@ -713,5 +683,5 @@ def _judge_text(
             else:
                 node, root = None, judgment
     except (KeyError, ValueError):
-        return None  # an unknown term name, a malformed index, or see class_of
+        return None  # an unknown term name or a malformed index
     return root if node is None else None

@@ -54,6 +54,12 @@ def test_assume_out_of_range():
     with pytest.raises(ProofCheckError) as e:
         check(Assume(9), 2, HYPS)
     assert e.value.path == ()
+    # a proof term is judged as its text, which `format_proof` refuses
+    # to write with such an index
+    with pytest.raises(ValueError) as e:
+        check(Assume("x"), 2, HYPS)
+    assert type(e.value) is ValueError
+    assert str(e.value) == "index 'x' is not an integer"
 
 
 def test_subrefl_boundary():
@@ -62,6 +68,11 @@ def test_subrefl_boundary():
         check(SubRefl(frozenset({0, 1, 2})), 2, HYPS)
     with pytest.raises(ProofCheckError, match="empty"):
         check(SubRefl(frozenset()), 2, HYPS)
+    # a term id `format_proof` cannot name is refused as it refuses it
+    with pytest.raises(ValueError) as e:
+        check(SubRefl(frozenset({-1})), 2, HYPS)
+    assert type(e.value) is ValueError
+    assert str(e.value) == "no name for term id -1"
 
 
 def test_trans_needs_k_classes():
@@ -91,6 +102,23 @@ def test_error_paths_locate_nodes():
     assert e.value.path == (0, 1)
 
 
+def test_terms_outside_the_partition_are_judged_in_one_pass():
+    # each term the partition does not map is a class of its own; the
+    # shared terms are b and c
+    text = "(trans (assume 0) (assume 4))"
+    with mock.patch.object(
+        kequiv.proofs, "parse_proof", side_effect=AssertionError("tree built")
+    ):
+        for partition in ({0: 0}, {1: 1}):
+            assert check(text, 2, HYPS, partition, ids=IDS) == {0, 1, 2, 3}
+    # a failing line is still parsed, for a later syntax error, but the
+    # error raised is the one-pass judge's
+    with mock.patch.object(kequiv.proofs, "parse_proof", return_value=None):
+        with pytest.raises(ProofCheckError) as e:
+            check("(trans (assume 0) (assume 1))", 2, HYPS, {0: 0}, ids=IDS)
+    assert str(e.value) == "at root: shared terms span 1 distinctness classes, need 2"
+
+
 def test_subst_rules():
     eqs = [(2, 9)]
     proof = Subst(Assume(0), 2, 9, 0)
@@ -101,6 +129,10 @@ def test_subst_rules():
         check(Subst(Assume(0), 2, 9, 5), 2, HYPS, equalities=eqs)
     with pytest.raises(ProofCheckError, match="does not relate"):
         check(Subst(Assume(0), 1, 9, 0), 2, HYPS, equalities=eqs)
+    # a log entry that is not a pair raises, for text and for a term alike
+    for proof in ("(subst (assume 0) c f 0)", Subst(Assume(0), 2, 5, 0)):
+        with pytest.raises(ValueError):
+            check(proof, 2, HYPS, equalities=[(2, 5, 1)], ids=IDS)
 
 
 def test_subst_rejects_equality_across_classes():
@@ -184,15 +216,22 @@ class TestSerialization:
             format_proof(Subst(Assume(0), len(NAMES), -1, 0), NAMES)
 
     def test_format_rejects_an_empty_term_list(self):
-        # the parser refuses both texts, so the formatter must not write them
-        for proof, text in [
-            (SubRefl(frozenset()), "(subrefl )"),
-            (Project(Assume(0), frozenset()), "(project (assume 0) )"),
+        # the parser refuses these texts, so the formatter must not write them
+        for proof, text, message in [
+            (SubRefl(frozenset()), "(subrefl )", "subrefl needs at least one term"),
+            (
+                Project(Assume(0), frozenset()),
+                "(project (assume 0) )",
+                "project needs at least one term",
+            ),
+            (Assume("0) (assume 1"), "(assume 0) (assume 1)", "index '0) (assume 1'"),
+            (Subst(Assume(0), 1, 2, 1.5), "(subst (assume 0) b c 1.5)", "index 1.5"),
         ]:
             with pytest.raises(ProofSyntaxError):
                 parse_proof(text, IDS)
-            with pytest.raises(ValueError, match="needs at least one term"):
+            with pytest.raises(ValueError) as e:
                 format_proof(proof, NAMES)
+            assert str(e.value).startswith(message)
 
     def test_parse_whitespace_insensitive(self):
         got = parse_proof("( project ( assume 0 )  a b )", IDS)
@@ -357,7 +396,13 @@ class TestNodes:
             __slots__ = ()
 
         names = [f"t{i}" for i in range(7)]
-        for proof, path in [(Other(0), ()), (Trans(Assume(4), Other(0)), (1,))]:
+        # a node with no text is refused before any law is judged, even
+        # the broken law of an earlier node
+        for proof, path in [
+            (Other(0), ()),
+            (Trans(Assume(4), Other(0)), (1,)),
+            (Trans(SubRefl(frozenset({0, 1, 2})), Other(0)), (1,)),
+        ]:
             with pytest.raises(ProofCheckError) as e:
                 check(proof, 2, HYPS)
             message = f"unknown proof node {Other(0)!r}"
@@ -577,7 +622,10 @@ def perturb(rng, partition, hyps):
 
 def test_text_path_matches_tree_path():
     # `check` on text must agree with `check(parse_proof(text))`: the same
-    # conclusion, or the same error type and message
+    # conclusion, or the same error type and message.  Both judge text in
+    # the one pass, so this guards that the pass refuses exactly the text
+    # `parse_proof` refuses, and that it raises the same errors on text as
+    # on the term written back with numeral names
     seen = collections.Counter()
 
     @given(st.integers(0, 10**6))
