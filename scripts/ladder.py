@@ -20,7 +20,10 @@ proof walk writes the proof's text pieces, then `format_proof`, which
 joins them, the path `kequiv solve` takes.  The deep-check rungs time
 `check` of that proof: of its text, the path `kequiv check` takes, and
 of its proof term, which `check` writes as text and judges the same
-way; the term is parsed before the clock starts.  The end-to-end rung
+way; the term is parsed before the clock starts.  The deep-check-eq
+rungs time `check` of the text of the deepest query's proof on the
+eq-chain, (z, x0, x_n-1), which is almost all `subst` nodes, a law the
+chain's proofs never cite.  The end-to-end rung
 writes the closed pencil as a problem file and times
 `kequiv.cli.main(["solve", path])` in this process, which runs with the
 cyclic garbage collector paused, as every `kequiv` command does.  The
@@ -99,23 +102,32 @@ def deep_query_seconds(n):
     return time.perf_counter() - start
 
 
+# the shape and the term names of the deepest query on it, at size n
+DEEP_QUERIES = {
+    "chain": (chain_shape, lambda n: ("p0", "p1", f"p{n + 1}")),
+    "eq-chain": (eq_chain_shape, lambda n: ("z", "x0", f"x{n - 1}")),
+}
+
+
 @functools.cache
-def deep_proof(n):
-    """The deep query's proof on the chain of size n, as text and as a
+def deep_proof(n, shape="chain"):
+    """The deep query's proof on `shape` at size n, as text and as a
     proof term, with the context `check` judges it in and the term ids."""
-    session, steps = chain_shape(n)
+    build, query = DEEP_QUERIES[shape]
+    session, steps = build(n)
     for fn, arg in steps:
         fn(arg)
-    text = format_proof(session.resolve_query((0, 1, n + 1)), session.term_names)
     ids = session.terms.term_ids
+    pieces = session.resolve_query([ids[name] for name in query(n)])
+    text = format_proof(pieces, session.term_names)
     context = (session.k, session.hypotheses, session.class_of, session.equalities)
     return text, parse_proof(text, ids), context, ids
 
 
-def deep_check_seconds(n, form):
-    """Seconds to `check` the deep query's proof on the chain of size n,
+def deep_check_seconds(n, form, shape="chain"):
+    """Seconds to `check` the deep query's proof on `shape` at size n,
     given as `form`, "text" or "tree"."""
-    text, tree, context, ids = deep_proof(n)
+    text, tree, context, ids = deep_proof(n, shape)
     gc.collect()
     start = time.perf_counter()
     if form == "text":
@@ -190,6 +202,12 @@ def main():
     rungs("deep-query", "query", deep_query_seconds, 1000)
     rungs("deep-check-text", "check", lambda n: deep_check_seconds(n, "text"), 1000)
     rungs("deep-check-tree", "check", lambda n: deep_check_seconds(n, "tree"), 1000)
+    rungs(
+        "deep-check-eq",
+        "check",
+        lambda n: deep_check_seconds(n, "text", "eq-chain"),
+        1000,
+    )
     deep_proof.cache_clear()
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}

@@ -108,9 +108,11 @@ def cmd_check(args) -> int:
                 f"terms {names[a]!r} and {names[b]!r} are known distinct", EXIT_GUARD
             )
         uf.union(a, b)
+    # frozen once here: `frozenset()` of a frozenset is that frozenset, so
+    # each `assume` that cites a hypothesis takes it without a copy
     hypotheses = {rel: [] for rel in interned.relations}
     for rel, xs in interned.atoms:
-        hypotheses[rel].append(xs)
+        hypotheses[rel].append(frozenset(xs))
     ok = True
     for lineno, ((rel, xs), line) in enumerate(
         zip(interned.queries, proof_lines), start=1

@@ -199,16 +199,15 @@ def intern_problem(problem: Problem) -> InternedProblem:
     for group in problem.classes:
         table.mark_possibly_equal([table.term_ids[t] for t in group])
     term_ids = table.term_ids
+    id_of = term_ids.__getitem__
     atoms = []
     equalities = []
     for st in problem.statements:
-        if isinstance(st, Atom):
-            atoms.append((st.relation, tuple(term_ids[t] for t in st.terms)))
+        if type(st) is Atom:
+            atoms.append((st.relation, tuple(map(id_of, st.terms))))
         else:
-            equalities.append((term_ids[st.a], term_ids[st.b]))
-    queries = [
-        (q.relation, tuple(term_ids[t] for t in q.terms)) for q in problem.queries
-    ]
+            equalities.append((id_of(st.a), id_of(st.b)))
+    queries = [(q.relation, tuple(map(id_of, q.terms))) for q in problem.queries]
     return InternedProblem(
         relations=dict(problem.relations),
         term_names=table.term_names,

@@ -31,9 +31,13 @@ joins.  `parse_proof` turns that text into a term.
 
 `check` takes proof text or a proof term.  One pass over text, which
 builds no proof term, is the only code that applies the laws; a proof
-term is first written as text with numeral names.  Text that the pass
-does not read is parsed with `parse_proof` for the error's column, and
-so is a failing text, since a later syntax error wins over a broken law.
+term is first written as text with numeral names.  The pass runs no
+regular expression: it splits the text at each '(', one chunk per node
+opening, and a chunk at each ')' it holds, into the stretches between
+parentheses.  Only `project`, `subst` and the leaves split a stretch
+into atoms.  Text that the pass does not read is parsed with
+`parse_proof` for the error's column, and so is a failing text, since a
+later syntax error wins over a broken law.
 """
 
 from __future__ import annotations
@@ -221,14 +225,26 @@ class ProofCheckError(Exception):
     """A proof node violates one of the judgment laws.
 
     `path` locates the failing node as a tuple of child indices from the
-    root (0 = first/inner child, 1 = second).
+    root (0 = first/inner child, 1 = second).  The error's text spells out
+    a path of up to 16 indices; a longer one shows its first 8 and last 8
+    around "...", then its depth, so a deep failure prints one short line.
     """
 
     def __init__(self, path: tuple[int, ...], message: str):
         self.path = tuple(path)
         self.message = message
-        where = "root" + "".join(f".{i}" for i in self.path)
+        if len(self.path) <= 16:
+            where = "root" + _dotted(self.path)
+        else:
+            where = (
+                f"root{_dotted(self.path[:8])} ... {_dotted(self.path[-8:])}"
+                f" (depth {len(self.path)})"
+            )
         super().__init__(f"at {where}: {message}")
+
+
+def _dotted(path: tuple[int, ...]) -> str:
+    return "".join(f".{i}" for i in path)
 
 
 def check(
@@ -569,10 +585,6 @@ def _failure(stack: list[list], message: str) -> ProofCheckError:
     return ProofCheckError([(len(f) - 1) // 2 for f in stack], message)
 
 
-# a parenthesis and the atoms that follow it, up to the next parenthesis
-_EVENT = re.compile(r"([()])([^()]*)")
-
-
 def _judge(
     text: str,
     k: int,
@@ -585,7 +597,12 @@ def _judge(
 
     One pass over the parentheses: a node's judgment is worked out from
     its children's when its ')' is read, by the laws `check` enforces, and
-    a broken law raises ProofCheckError at that node.  It gives up,
+    a broken law raises ProofCheckError at that node.  The text is split
+    at each '(', one chunk per node opening; a chunk holding a ')' is
+    split again, into the node's opening stretch (its head and atoms) and
+    the stretch after each ')' that closes in it.  Stretches are kept as
+    they are; only `project`, `subst` and the leaves split theirs into
+    atoms, and elsewhere a stretch must be whitespace.  It gives up,
     returning None, on anything `parse_proof` rejects, on the rare valid
     text it does not read (leading whitespace), and on a malformed log.
     `name_id` gives a term name's id, or raises KeyError or ValueError.
@@ -596,92 +613,108 @@ def _judge(
         partition = {}  # every term a class of its own
     class_of = partition.__getitem__
     n_hyps, n_eqs = len(hypotheses), len(equalities)
-    # an open node is [atoms after its '(', then per child: judgment, atoms
-    # after the child's ')'], so a valid node's length says its shape, and
-    # an open node is reading its child (len(node) - 1) // 2
+    # an open node is [the stretch after its '(', then per child: judgment,
+    # the stretch after the child's ')'], so a valid node's length says its
+    # shape, and an open node is reading its child (len(node) - 1) // 2
     stack: list[list] = []
     node: list | None = None
     root = None
     fail = partial(_failure, stack)
+    chunks = text.split("(")
     try:
-        for paren, stretch in _EVENT.findall(text):
-            atoms = stretch.split()
-            if paren == "(":
-                if not atoms:
-                    return None  # no constructor
-                if node is not None:
-                    stack.append(node)
-                elif root is not None:
-                    return None  # trailing input
-                node = [atoms]
-                continue
-            if node is None:
-                return None  # unbalanced ')'
-            head = node[0]
-            kind = head[0]
-            if kind == "trans":
-                if len(node) != 5 or len(head) != 1 or node[2] or node[4]:
-                    return None
-                x, y = node[1], node[3]
-                shared = x & y
-                try:
-                    n = len(set(map(class_of, shared)))
-                except KeyError:  # an unmapped term is a class of its own
-                    mapped = [t for t in shared if t in partition]
-                    n = len(set(map(class_of, mapped))) + len(shared) - len(mapped)
-                if n < k:
-                    raise fail(f"shared terms span {n} distinctness classes, need {k}")
-                judgment = x | y
-            elif kind == "project":
-                if len(node) != 3 or len(head) != 1 or not node[2]:
-                    return None
-                judgment = frozenset(map(name_id, node[2]))
-                if not judgment <= node[1]:
-                    raise fail("projection target is not a subset of the conclusion")
-            elif kind == "assume":
-                if len(node) != 1 or len(head) != 2:
-                    return None
-                i = int(head[1])
-                if not 0 <= i < n_hyps:
-                    raise fail(f"hypothesis index {i} out of range")
-                judgment = frozenset(hypotheses[i])
-            elif kind == "subst":
-                if len(node) != 3 or len(head) != 1 or len(node[2]) != 3:
-                    return None
-                frm_name, to_name, e = node[2]
-                frm, to, e = name_id(frm_name), name_id(to_name), int(e)
-                if not 0 <= e < n_eqs:
-                    raise fail(f"equality index {e} out of range")
-                a, b = equalities[e]
-                if (frm, to) != (a, b) and (to, frm) != (a, b):
-                    raise fail(f"equality {e} does not relate the substituted terms")
-                try:
-                    if class_of(a) != class_of(b):
-                        raise fail(f"equality {e} equates known-distinct terms")
-                except KeyError:
-                    pass  # an unmapped term is never known-distinct
-                judgment = node[1]
-                if frm in judgment:
-                    judgment = (judgment - {frm}) | {to}
-            elif kind == "subrefl":
-                if len(node) != 1 or len(head) < 2:
-                    return None
-                judgment = frozenset(map(name_id, head[1:]))
-                if len(judgment) > k:
-                    raise fail(
-                        f"sub-reflexivity allows at most {k} terms, "
-                        f"got {len(judgment)}"
-                    )
-            else:
-                return None
-            if stack:
-                node = stack.pop()
-                node.append(judgment)
-                node.append(atoms)
-            elif atoms:
+        for chunk in islice(chunks, 1, None):  # chunks[0] is the empty prefix
+            if node is not None:
+                stack.append(node)
+            elif root is not None:
                 return None  # trailing input
-            else:
-                node, root = None, judgment
+            if ")" not in chunk:
+                node = [chunk]  # a node with sub-proofs opens
+                continue
+            stretches = chunk.split(")")
+            node = [stretches[0]]
+            for stretch in stretches[1:]:
+                if node is None:
+                    return None  # unbalanced ')'
+                size = len(node)
+                if size == 5:  # two sub-proofs: trans
+                    if node[0].strip() != "trans" or node[2].strip() or node[4].strip():
+                        return None
+                    x, y = node[1], node[3]
+                    shared = x & y
+                    try:
+                        n = len(set(map(class_of, shared)))
+                    except KeyError:  # an unmapped term is a class of its own
+                        mapped = [t for t in shared if t in partition]
+                        n = len(set(map(class_of, mapped))) + len(shared) - len(mapped)
+                    if n < k:
+                        raise fail(
+                            f"shared terms span {n} distinctness classes, need {k}"
+                        )
+                    judgment = x | y
+                elif size == 3:  # one sub-proof: project or subst
+                    kind = node[0].strip()
+                    atoms = node[2].split()
+                    if kind == "project":
+                        if not atoms:
+                            return None
+                        judgment = frozenset(map(name_id, atoms))
+                        if not judgment <= node[1]:
+                            raise fail(
+                                "projection target is not a subset of the conclusion"
+                            )
+                    elif kind == "subst":
+                        if len(atoms) != 3:
+                            return None
+                        frm_name, to_name, e = atoms
+                        frm, to, e = name_id(frm_name), name_id(to_name), int(e)
+                        if not 0 <= e < n_eqs:
+                            raise fail(f"equality index {e} out of range")
+                        a, b = equalities[e]
+                        if (frm, to) != (a, b) and (to, frm) != (a, b):
+                            raise fail(
+                                f"equality {e} does not relate the substituted terms"
+                            )
+                        try:
+                            if class_of(a) != class_of(b):
+                                raise fail(f"equality {e} equates known-distinct terms")
+                        except KeyError:
+                            pass  # an unmapped term is never known-distinct
+                        judgment = node[1]
+                        if frm in judgment:
+                            judgment = (judgment - {frm}) | {to}
+                    else:
+                        return None
+                elif size == 1:  # a leaf: assume or subrefl
+                    head = node[0].split()
+                    kind = head[0] if head else None
+                    if kind == "assume":
+                        if len(head) != 2:
+                            return None
+                        i = int(head[1])
+                        if not 0 <= i < n_hyps:
+                            raise fail(f"hypothesis index {i} out of range")
+                        judgment = frozenset(hypotheses[i])
+                    elif kind == "subrefl":
+                        if len(head) < 2:
+                            return None
+                        judgment = frozenset(map(name_id, head[1:]))
+                        if len(judgment) > k:
+                            raise fail(
+                                f"sub-reflexivity allows at most {k} terms, "
+                                f"got {len(judgment)}"
+                            )
+                    else:
+                        return None
+                else:
+                    return None
+                if stack:
+                    node = stack.pop()
+                    node.append(judgment)
+                    node.append(stretch)
+                elif stretch.strip():
+                    return None  # trailing input
+                else:
+                    node, root = None, judgment
     except (KeyError, ValueError):
         return None  # an unknown term name or a malformed index
     return root if node is None else None

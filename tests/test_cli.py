@@ -594,6 +594,25 @@ class TestCheck:
         expected = f"fail: line 1: {e.value}\n"
         assert run(capsys, "check", str(path), str(proofs)) == (3, expected, "")
 
+    def test_deep_failure_prints_a_bounded_line(self, tmp_path, capsys):
+        # a 20,000-deep `project` nest around an out-of-range `assume`
+        n = 20_000
+        path = tmp_path / "deep.kq"
+        path.write_text("rel coll 2\nhyp coll a b c\nquery coll a b\n")
+        text = "(project " * n + "(assume 1)" + " a b)" * n
+        proofs = tmp_path / "deep.proofs"
+        proofs.write_text(f"entailed {text}\n")
+        with pytest.raises(ProofCheckError) as e:
+            check(text, 2, [(0, 1, 2)], ids={"a": 0, "b": 1, "c": 2})
+        assert e.value.path == (0,) * n
+        message = "hypothesis index 1 out of range"
+        assert e.value.message == message
+        where = "root" + ".0" * 8 + " ... " + ".0" * 8 + f" (depth {n})"
+        assert str(e.value) == f"at {where}: {message}"
+        code, out, err = run(capsys, "check", str(path), str(proofs))
+        assert (code, out, err) == (3, f"fail: line 1: {e.value}\n", "")
+        assert len(out.encode()) < 300
+
     def test_deep_chain_round_trip(self, tmp_path, capsys):
         n = 300
         lines = ["rel coll 2"]

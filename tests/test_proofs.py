@@ -32,6 +32,7 @@ from helpers import (
     proof_tree,
     random_congruence_instance,
     random_instance,
+    run_congruence_differential,
     run_differential,
 )
 
@@ -100,6 +101,16 @@ def test_error_paths_locate_nodes():
     with pytest.raises(ProofCheckError) as e:
         check(proof, 2, HYPS)
     assert e.value.path == (0, 1)
+
+
+def test_error_text_bounds_long_paths():
+    # up to 16 indices the path is spelled out; beyond, its ends and depth
+    e = ProofCheckError((0,) * 15 + (1,), "m")
+    assert str(e) == "at root" + ".0" * 15 + ".1: m"
+    path = (0,) * 8 + (1,) * 9
+    e = ProofCheckError(list(path), "m")
+    assert str(e) == "at root.0.0.0.0.0.0.0.0 ... .1.1.1.1.1.1.1.1 (depth 17): m"
+    assert (e.path, e.message) == (path, "m")
 
 
 def test_terms_outside_the_partition_are_judged_in_one_pass():
@@ -662,3 +673,73 @@ def test_text_path_matches_tree_path():
 
     differential()
     assert seen["pass"] and seen["ProofCheckError"] and seen["ProofSyntaxError"], seen
+
+
+# separators that `str.split` and `parse_proof` both read as whitespace
+SEPARATORS = [" ", "\t", "\x0c", "\x1c", "\u2028"]
+
+
+def respace(rng, text):
+    """`text` with each space widened to a random run of separators, and
+    such runs put just inside some '(' and just before some ')'."""
+
+    def gap():
+        return "".join(rng.choices(SEPARATORS, k=rng.randint(1, 3)))
+
+    out = []
+    for ch in text:
+        if ch == " ":
+            out.append(gap())
+        elif ch == "(":
+            out.append("(" + (gap() if rng.random() < 0.5 else ""))
+        elif ch == ")":
+            out.append((gap() if rng.random() < 0.5 else "") + ")")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def judged(text, context, ids):
+    """`check`'s conclusion for `text`, or its proof error's class, message
+    and path."""
+    try:
+        return check(text, *context, ids=ids)
+    except ProofCheckError as e:
+        return type(e), e.message, e.path
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_whitespace_variants_judge_alike(seed):
+    # the pass finds stretches by splitting the text at parentheses, so
+    # any whitespace between and inside them must read as one space
+    rng = random.Random(seed)
+    k = rng.choice([1, 2, 3])
+    pool = []
+    if rng.random() < 0.5:
+        n_terms, hyps, class_of = random_instance(rng, k, partitioned=True)
+        run_differential(k, n_terms, hyps, class_of, proof_sink=pool)
+    else:
+        n_terms, class_of, statements = random_congruence_instance(rng, k)
+        run_congruence_differential(k, n_terms, class_of, statements, pool)
+    for proof, conclusion, session in rng.sample(pool, min(len(pool), 4)):
+        # numeral-like names, so that the fresh terms of a mutant have one
+        names = [f"t{i}" for i in range(len(session.term_names) + 2000)]
+        ids = {name: i for i, name in enumerate(names)}
+        hyps = session.hypotheses
+        context = (session.k, hyps, session.class_of, session.equalities)
+        text = format_proof(proof, names)
+        # read by the pass itself, not by the `parse_proof` fallback
+        with mock.patch.object(
+            kequiv.proofs, "parse_proof", side_effect=AssertionError("tree built")
+        ):
+            assert check(respace(rng, text), *context, ids=ids) == conclusion
+        for form in (tuple, list, frozenset):
+            again = (session.k, list(map(form, hyps)), *context[2:])
+            assert check(text, *again, ids=ids) == conclusion
+        mutant = mutate_proof(rng, proof, conclusion, session)
+        if mutant is not None:
+            text = format_proof(mutant, names)
+            assert judged(respace(rng, text), context, ids) == judged(
+                text, context, ids
+            )
