@@ -23,10 +23,13 @@ of its proof term, which `check` writes as text and judges the same
 way; the term is parsed before the clock starts.  The deep-check-eq
 rungs time `check` of the text of the deepest query's proof on the
 eq-chain, (z, x0, x_n-1), which is almost all `subst` nodes, a law the
-chain's proofs never cite.  The end-to-end rung
-writes the closed pencil as a problem file and times
-`kequiv.cli.main(["solve", path])` in this process, which runs with the
-cyclic garbage collector paused, as every `kequiv` command does.  The
+chain's proofs never cite.  The end-to-end rungs write a shape as a
+problem file and time `kequiv.cli.main` on it in this process, which
+runs with the cyclic garbage collector paused, as every `kequiv` command
+does: `kequiv solve` on the closed pencil, and `kequiv check` on the
+short-lines shape (k = 2) with the proofs `kequiv solve` gives for it,
+where reading the file is most of the work, as on many-lines; the
+check-short-lines lines also give the time per hypothesis.  The
 short-lines rungs pause it too, since many-lines runs through `kequiv
 solve`: with it on, its heap walks take a share of each hypothesis that
 grows with n.  The other library rungs, the deep query and the control
@@ -54,6 +57,7 @@ from helpers import (
     pencil_closed_text,
     pencil_shape,
     short_lines_shape,
+    short_lines_text,
 )
 
 from kequiv import check, format_proof, parse_proof
@@ -148,13 +152,22 @@ def control_seconds():
     return time.perf_counter() - start
 
 
-def solve_seconds(path):
+def command_seconds(*argv):
+    """Seconds for `kequiv <argv>` in this process, its output discarded."""
     gc.collect()
     with contextlib.redirect_stdout(io.StringIO()):
         start = time.perf_counter()
-        if kequiv_main(["solve", path]) != 0:
-            raise RuntimeError(f"kequiv solve {path} failed")
+        if kequiv_main(list(argv)) != 0:
+            raise RuntimeError(f"kequiv {' '.join(argv)} failed")
         return time.perf_counter() - start
+
+
+def write(directory, name, text):
+    """Write `text` to a new file `name` in `directory`; return its path."""
+    path = os.path.join(directory, name)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+    return path
 
 
 def rungs(name, what, seconds, n, steps=None):
@@ -212,10 +225,29 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for size in (4000, 8000, 16000):
-            paths[size] = os.path.join(tmp, f"pencil-closed-{size}.kq")
-            with open(paths[size], "w", encoding="utf-8") as f:
-                f.write(pencil_closed_text(size))
-        rungs("solve-pencil", "solve", lambda size: solve_seconds(paths[size]), 4000)
+            text = pencil_closed_text(size)
+            paths[size] = write(tmp, f"pencil-closed-{size}.kq", text)
+        rungs(
+            "solve-pencil",
+            "solve",
+            lambda size: command_seconds("solve", paths[size]),
+            4000,
+        )
+        files = {}
+        for size in (1000, 2000, 4000):
+            problem = write(tmp, f"short-lines-{size}.kq", short_lines_text(size))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                kequiv_main(["solve", problem])
+            proofs = write(tmp, f"short-lines-{size}.proofs", out.getvalue())
+            files[size] = (problem, proofs)
+        rungs(
+            "check-short-lines",
+            "check",
+            lambda size: command_seconds("check", *files[size]),
+            1000,
+            lambda size: size * 6,
+        )
 
 
 if __name__ == "__main__":

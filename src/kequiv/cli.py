@@ -19,7 +19,6 @@ from typing import Sequence
 from .congruence import CongruenceState, InconsistentEqualityError
 from .engine import UnionFind
 from .problem import (
-    Atom,
     ParseError,
     Problem,
     generate,
@@ -27,7 +26,7 @@ from .problem import (
     parse_path,
     split_lines,
 )
-from .proofs import ProofCheckError, ProofSyntaxError, check, format_proof
+from .proofs import ProofCheckError, ProofSyntaxError, check, format_proof, numeral
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,18 +46,27 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _int(text: str) -> int:
+    """An integer option, read by `numeral`, refused as argparse's `int` refuses."""
+    try:
+        return numeral(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _build_state(problem: Problem) -> CongruenceState:
+    """The closure of the problem's facts; the state's term ids are the
+    problem's, since it interns the names in id order."""
     state = CongruenceState(problem.relations)
     for name in problem.term_order:
         state.intern_term(name)
-    ids = state.terms.term_ids.__getitem__
-    for group in problem.classes:
-        state.mark_possibly_equal(list(map(ids, group)))
-    for st in problem.statements:
-        if isinstance(st, Atom):
-            state.assert_atom(st.relation, tuple(map(ids, st.terms)))
+    for group in problem.class_ids:
+        state.mark_possibly_equal(group)
+    for rel, xs in problem.facts:
+        if rel is None:
+            state.assert_eq(*xs)
         else:
-            state.assert_eq(ids(st.a), ids(st.b))
+            state.assert_atom(rel, xs)
     return state
 
 
@@ -71,8 +79,8 @@ def cmd_solve(args) -> int:
     lines = []
     try:
         state = _build_state(problem)
-        for q in problem.queries:
-            proof = state.query_atom(q.relation, [state.term_id(t) for t in q.terms])
+        for rel, xs in problem.query_ids:
+            proof = state.query_atom(rel, xs)
             if proof is None:
                 lines.append("not-entailed")
             else:
@@ -92,10 +100,10 @@ def cmd_check(args) -> int:
             proof_lines = split_lines(f.read())
     except (ParseError, OSError, UnicodeDecodeError) as e:
         return _fail(str(e), EXIT_USAGE)
-    if len(proof_lines) != len(problem.queries):
+    if len(proof_lines) != len(problem.query_ids):
         return _fail(
             f"{args.proofs}: {len(proof_lines)} lines for "
-            f"{len(problem.queries)} queries",
+            f"{len(problem.query_ids)} queries",
             EXIT_USAGE,
         )
     # everything the checker needs comes from the file, not from the engine
@@ -181,10 +189,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_check.set_defaults(func=cmd_check)
 
     p_gen = sub.add_parser("gen", help="generate a random problem file")
-    p_gen.add_argument("--k", type=int, required=True)
-    p_gen.add_argument("--terms", type=int, required=True)
-    p_gen.add_argument("--lines", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--k", type=_int, required=True)
+    p_gen.add_argument("--terms", type=_int, required=True)
+    p_gen.add_argument("--lines", type=_int, required=True)
+    p_gen.add_argument("--seed", type=_int, default=0)
     p_gen.add_argument("--partition-rate", type=float, default=0.0)
     p_gen.set_defaults(func=cmd_gen)
 

@@ -254,7 +254,9 @@ class TermTable:
         self.fixed = False
         first: dict[int, int] = {}
         for t, c in (partition or {}).items():
-            self.mark_possibly_equal((first.setdefault(c, t), t))
+            head = first.setdefault(c, t)
+            if head != t:
+                self.mark_possibly_equal((head, t))
 
     def intern_term(self, name: str) -> int:
         """Map a name to a dense term id, idempotently."""

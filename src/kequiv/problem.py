@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .engine import TermTable
+from .proofs import numeral
 
 __all__ = [
     "Atom",
@@ -64,11 +65,60 @@ class Query:
 
 @dataclass
 class Problem:
+    """A problem file read into term ids.
+
+    Term id i names `term_order[i]`, ids numbered in first-seen order, and
+    `term_ids` maps each name back to its id.  `facts` holds the `hyp`
+    and `eq` lines in file order, a hypothesis as (relation, ids) and an
+    equality as (None, (a, b)); `query_ids` holds the queries as
+    (relation, ids) and `class_ids` the `class` lines as id tuples.
+
+    `statements`, `queries` and `classes` are the same lines by name, as
+    `Atom`/`Equality`, `Query` and name tuples.  They are read-only views,
+    built from the ids on first read and then kept; `kequiv solve` and
+    `kequiv check` never read them.
+    """
+
     relations: dict[str, int] = field(default_factory=dict)
-    classes: list[tuple[str, ...]] = field(default_factory=list)
-    statements: list[Atom | Equality] = field(default_factory=list)
-    queries: list[Query] = field(default_factory=list)
     term_order: list[str] = field(default_factory=list)
+    term_ids: dict[str, int] = field(default_factory=dict)
+    facts: list[tuple[str | None, tuple[int, ...]]] = field(default_factory=list)
+    query_ids: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
+    class_ids: list[tuple[int, ...]] = field(default_factory=list)
+    _views: dict[str, list] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _names(self, xs: tuple[int, ...]) -> tuple[str, ...]:
+        names = self.term_order
+        return tuple([names[x] for x in xs])
+
+    @property
+    def statements(self) -> list[Atom | Equality]:
+        view = self._views.get("statements")
+        if view is None:
+            names = self._names
+            view = self._views["statements"] = [
+                Equality(*names(xs)) if rel is None else Atom(rel, names(xs))
+                for rel, xs in self.facts
+            ]
+        return view
+
+    @property
+    def queries(self) -> list[Query]:
+        view = self._views.get("queries")
+        if view is None:
+            view = self._views["queries"] = [
+                Query(rel, self._names(xs)) for rel, xs in self.query_ids
+            ]
+        return view
+
+    @property
+    def classes(self) -> list[tuple[str, ...]]:
+        view = self._views.get("classes")
+        if view is None:
+            view = self._views["classes"] = list(map(self._names, self.class_ids))
+        return view
 
 
 class ParseError(Exception):
@@ -96,10 +146,12 @@ def split_lines(text: str) -> list[str]:
 
 
 def parse_text(text: str) -> Problem:
+    """Read problem text into term ids, in one pass (see `Problem`)."""
     problem = Problem()
-    # term names in first-seen order, each mapped to its first-seen string,
-    # so every statement shares one string object per name
-    seen: dict[str, str] = {}
+    relations, facts = problem.relations, problem.facts
+    # each term name's id, numbered in first-seen order
+    term_ids = problem.term_ids
+    id_of = term_ids.__getitem__
 
     # Both helpers read the line being parsed (`lineno`, `code`, `tokens`).
     # Tokens are referred to by index; a column is found only to raise.
@@ -107,70 +159,78 @@ def parse_text(text: str) -> Problem:
         m = next(islice(re.finditer(r"\S+", code), j, None))
         return ParseError(lineno, m.start() + 1, message)
 
-    def terms(first: int) -> tuple[str, ...]:
-        """tokens[first:], each name checked the first time it is seen."""
-        names = tokens[first:]
-        for j, name in enumerate(names):
-            known = seen.get(name)
-            if known is None:
-                if not _NAME.match(name):
-                    raise error(first + j, f"invalid term name {name!r}")
-                seen[name] = name
-            else:
-                names[j] = known
-        return tuple(names)
+    def ids(first: int) -> tuple[int, ...]:
+        """The ids of tokens[first:], each name checked the first time it
+        is seen and given the next id."""
+        try:
+            return tuple(map(id_of, tokens[first:]))
+        except KeyError:
+            pass
+        # a token holds no whitespace or '#', so only a line with '(' or
+        # ')' can hold an invalid name
+        suspect = "(" in code or ")" in code
+        out = []
+        for j in range(first, len(tokens)):
+            name = tokens[j]
+            t = term_ids.get(name)
+            if t is None:
+                if suspect and not _NAME.match(name):
+                    raise error(j, f"invalid term name {name!r}")
+                t = term_ids[name] = len(term_ids)
+            out.append(t)
+        return tuple(out)
 
     for lineno, raw in enumerate(split_lines(text), start=1):
-        code = raw.split("#", 1)[0]
+        code = raw.split("#", 1)[0] if "#" in raw else raw
         tokens = code.split()
         if not tokens:
             continue
         head, nargs = tokens[0], len(tokens) - 1
-        if head == "rel":
+        if head == "hyp":
+            if not nargs:
+                raise error(0, "hyp needs a relation name")
+            rel = tokens[1]
+            k = relations.get(rel)
+            if k is None:
+                raise error(1, f"unknown relation {rel!r}")
+            if nargs - 1 != k + 1:
+                raise error(1, f"relation {rel!r} takes {k + 1} terms, got {nargs - 1}")
+            facts.append((rel, ids(2)))
+        elif head == "eq":
+            if nargs != 2:
+                raise error(0, "eq needs exactly two terms")
+            facts.append((None, ids(1)))
+        elif head == "query":
+            if not nargs:
+                raise error(0, "query needs a relation name")
+            rel = tokens[1]
+            if rel not in relations:
+                raise error(1, f"unknown relation {rel!r}")
+            if nargs == 1:
+                raise error(1, "query needs at least one term")
+            problem.query_ids.append((rel, ids(2)))
+        elif head == "class":
+            if nargs < 2:
+                raise error(0, "class needs at least two terms")
+            problem.class_ids.append(ids(1))
+        elif head == "rel":
             if nargs != 2:
                 raise error(0, "rel needs a name and an arity")
             _, name, kstr = tokens
             if not _NAME.match(name):
                 raise error(1, f"invalid relation name {name!r}")
-            if name in problem.relations:
+            if name in relations:
                 raise error(1, f"relation {name!r} already declared")
             try:
-                k = int(kstr)
+                k = numeral(kstr)
             except ValueError:
                 k = 0
             if k < 1:
                 raise error(2, f"k must be a positive integer, got {kstr!r}")
-            problem.relations[name] = k
-        elif head == "class":
-            if nargs < 2:
-                raise error(0, "class needs at least two terms")
-            problem.classes.append(terms(1))
-        elif head == "hyp":
-            if not nargs:
-                raise error(0, "hyp needs a relation name")
-            rel = tokens[1]
-            k = problem.relations.get(rel)
-            if k is None:
-                raise error(1, f"unknown relation {rel!r}")
-            if nargs - 1 != k + 1:
-                raise error(1, f"relation {rel!r} takes {k + 1} terms, got {nargs - 1}")
-            problem.statements.append(Atom(rel, terms(2)))
-        elif head == "eq":
-            if nargs != 2:
-                raise error(0, "eq needs exactly two terms")
-            problem.statements.append(Equality(*terms(1)))
-        elif head == "query":
-            if not nargs:
-                raise error(0, "query needs a relation name")
-            rel = tokens[1]
-            if rel not in problem.relations:
-                raise error(1, f"unknown relation {rel!r}")
-            if nargs == 1:
-                raise error(1, "query needs at least one term")
-            problem.queries.append(Query(rel, terms(2)))
+            relations[name] = k
         else:
             raise error(0, f"unknown statement {head!r}")
-    problem.term_order = list(seen)
+    problem.term_order = list(term_ids)
     return problem
 
 
@@ -181,7 +241,11 @@ def parse_path(path: str) -> Problem:
 
 @dataclass
 class InternedProblem:
-    """A problem with names resolved to dense ids, engine independent."""
+    """A problem with names resolved to dense ids, engine independent.
+
+    `term_names` and `term_ids` are the problem's own `term_order` and
+    `term_ids`, not copies.
+    """
 
     relations: dict[str, int]
     term_names: list[str]
@@ -193,29 +257,20 @@ class InternedProblem:
 
 
 def intern_problem(problem: Problem) -> InternedProblem:
-    table = TermTable()
-    for name in problem.term_order:
-        table.intern_term(name)
-    for group in problem.classes:
-        table.mark_possibly_equal([table.term_ids[t] for t in group])
-    term_ids = table.term_ids
-    id_of = term_ids.__getitem__
-    atoms = []
-    equalities = []
-    for st in problem.statements:
-        if type(st) is Atom:
-            atoms.append((st.relation, tuple(map(id_of, st.terms))))
-        else:
-            equalities.append((id_of(st.a), id_of(st.b)))
-    queries = [(q.relation, tuple(map(id_of, q.terms))) for q in problem.queries]
+    """Split the problem's facts and mark its `class` groups."""
+    n = len(problem.term_order)
+    table = TermTable(dict(zip(range(n), range(n))))  # each term its own class
+    for group in problem.class_ids:
+        table.mark_possibly_equal(group)
+    facts = problem.facts
     return InternedProblem(
         relations=dict(problem.relations),
-        term_names=table.term_names,
-        term_ids=term_ids,
+        term_names=problem.term_order,
+        term_ids=problem.term_ids,
         class_of=table.class_of,
-        atoms=atoms,
-        equalities=equalities,
-        queries=queries,
+        atoms=[fact for fact in facts if fact[0] is not None],
+        equalities=[xs for rel, xs in facts if rel is None],
+        queries=list(problem.query_ids),
     )
 
 

@@ -36,8 +36,15 @@ regular expression: it splits the text at each '(', one chunk per node
 opening, and a chunk at each ')' it holds, into the stretches between
 parentheses.  Only `project`, `subst` and the leaves split a stretch
 into atoms.  Text that the pass does not read is parsed with
-`parse_proof` for the error's column, and so is a failing text, since a
-later syntax error wins over a broken law.
+`parse_proof` for the error's column.  A failing text is read for
+syntax only, by the same shift-reduce building no node, since a later
+syntax error wins over a broken law.
+
+An index in proof text means the same under any limit Python sets on
+the digits `int` converts (PYTHONINTMAXSTRDIGITS): `parse_proof` reads
+it with `numeral`, as a problem file's arities and `kequiv gen`'s
+integer options are read, and the one pass gives up on an index that
+`numeral` refuses.
 """
 
 from __future__ import annotations
@@ -63,6 +70,21 @@ __all__ = [
     "format_proof",
     "parse_proof",
 ]
+
+# the lowest limit Python allows on the digits `int` converts: a token no
+# longer than this reads the same under any limit
+_NUMERAL_MAX = 640
+
+
+def numeral(token: str) -> int:
+    """`int(token)`, the same under any PYTHONINTMAXSTRDIGITS.
+
+    A token of more than 640 characters raises the ValueError that a
+    token which is no numeral raises, before `int` sees it.
+    """
+    if len(token) > _NUMERAL_MAX:
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
 
 
 class _Node:
@@ -294,7 +316,7 @@ def check(
                 proof, k, hypotheses, partition, equalities, ids.__getitem__
             )
         except ProofCheckError:
-            parse_proof(proof, ids)  # a syntax error later in the text wins
+            _read(proof, ids, None)  # a syntax error later in the text wins
             raise
         if conclusion is not None:
             return conclusion
@@ -477,6 +499,26 @@ def parse_proof(text: str, ids: Mapping[str, int]) -> ProofTerm:
     `ids` maps term names to ids; unknown names raise ProofSyntaxError
     with the offending column.
     """
+    return _read(text, ids, _NODES)
+
+
+_NODES = {
+    "assume": Assume,
+    "subrefl": SubRefl,
+    "trans": Trans,
+    "project": Project,
+    "subst": Subst,
+}
+
+
+def _read(
+    text: str, ids: Mapping[str, int], nodes: Mapping[str, Callable] | None
+) -> ProofTerm | None:
+    """`parse_proof`, building each node by `nodes[head]`.
+
+    With `nodes` None it builds no node: it raises the ProofSyntaxError
+    `parse_proof` raises, or returns None.
+    """
     # tokens are referred to by index; a column is found only to raise
     tokens = _TOKEN.findall(text)
 
@@ -486,13 +528,13 @@ def parse_proof(text: str, ids: Mapping[str, int]) -> ProofTerm:
         return ProofSyntaxError(len(text) + 1 if m is None else m.start() + 1, message)
 
     # a part is the index of an atom, or of the ')' closing a sub-proof
-    subproofs: dict[int, ProofTerm] = {}
+    subproofs: dict[int, ProofTerm | None] = {}
 
     def as_int(i: int, what: str) -> int:
         if tokens[i] == ")":
             raise error(i, f"expected {what}")
         try:
-            return int(tokens[i])
+            return numeral(tokens[i])
         except ValueError:
             raise error(i, f"expected {what}, got {tokens[i]!r}") from None
 
@@ -504,48 +546,49 @@ def parse_proof(text: str, ids: Mapping[str, int]) -> ProofTerm:
         except KeyError:
             raise error(i, f"unknown term {tokens[i]!r}") from None
 
-    def as_proof(i: int) -> ProofTerm:
+    def as_proof(i: int) -> ProofTerm | None:
         if tokens[i] != ")":
             raise error(i, "expected a sub-proof")
         return subproofs.pop(i)
 
-    def reduce(h: int, parts: list[int]) -> ProofTerm:
+    def reduce(h: int, parts: list[int]) -> ProofTerm | None:
         head = tokens[h]
         if head == "assume":
             if len(parts) != 1:
                 raise error(h, "assume takes one hypothesis index")
-            return Assume(as_int(parts[0], "a hypothesis index"))
-        if head == "subrefl":
+            fields = (as_int(parts[0], "a hypothesis index"),)
+        elif head == "subrefl":
             if not parts:
                 raise error(h, "subrefl needs at least one term")
-            return SubRefl(frozenset(as_term(p) for p in parts))
-        if head == "trans":
+            fields = ([as_term(p) for p in parts],)
+        elif head == "trans":
             if len(parts) != 2:
                 raise error(h, "trans takes two sub-proofs")
-            return Trans(as_proof(parts[0]), as_proof(parts[1]))
-        if head == "project":
+            fields = (as_proof(parts[0]), as_proof(parts[1]))
+        elif head == "project":
             if len(parts) < 2:
                 raise error(h, "project takes a sub-proof and at least one term")
-            return Project(
-                as_proof(parts[0]), frozenset(as_term(p) for p in parts[1:])
-            )
-        if head == "subst":
+            fields = (as_proof(parts[0]), [as_term(p) for p in parts[1:]])
+        elif head == "subst":
             if len(parts) != 4:
                 raise error(
                     h, "subst takes a sub-proof, two terms, and an equality index"
                 )
-            return Subst(
+            fields = (
                 as_proof(parts[0]),
                 as_term(parts[1]),
                 as_term(parts[2]),
                 as_int(parts[3], "an equality index"),
             )
-        raise error(h, f"unknown proof constructor {head!r}")
+        else:
+            raise error(h, f"unknown proof constructor {head!r}")
+        return None if nodes is None else nodes[head](*fields)
 
     # Shift-reduce over the tokens; a frame is (h, parts), where h is the
     # index of its head, or of its '(' while it has no head yet.
     frames: list[tuple[int, list[int]]] = []
-    done: ProofTerm | None = None
+    done = False
+    root = None
     for i, tok in enumerate(tokens):
         if tok == "(":
             if frames and tokens[frames[-1][0]] == "(":
@@ -561,8 +604,8 @@ def parse_proof(text: str, ids: Mapping[str, int]) -> ProofTerm:
             if frames:
                 frames[-1][1].append(i)
                 subproofs[i] = node
-            elif done is None:
-                done = node
+            elif not done:
+                done, root = True, node
             else:
                 raise error(i, "trailing input after proof")
         else:
@@ -575,9 +618,9 @@ def parse_proof(text: str, ids: Mapping[str, int]) -> ProofTerm:
                 parts.append(i)
     if frames:
         raise error(frames[-1][0], "unclosed '('")
-    if done is None:
+    if not done:
         raise error(len(tokens), "empty proof")
-    return done
+    return root
 
 
 def _failure(stack: list[list], message: str) -> ProofCheckError:
@@ -606,6 +649,11 @@ def _judge(
     returning None, on anything `parse_proof` rejects, on the rare valid
     text it does not read (leading whitespace), and on a malformed log.
     `name_id` gives a term name's id, or raises KeyError or ValueError.
+
+    An index is read by `int`, which is faster than `numeral`, and comes
+    out the same under any digit limit: one in range that `numeral`
+    would refuse (it has leading zeros) is given up on, and the syntax
+    read after a broken law refuses one out of range.
     """
     if not text.startswith("("):
         return None
@@ -669,6 +717,8 @@ def _judge(
                         frm, to, e = name_id(frm_name), name_id(to_name), int(e)
                         if not 0 <= e < n_eqs:
                             raise fail(f"equality index {e} out of range")
+                        if len(atoms[2]) > _NUMERAL_MAX:
+                            return None
                         a, b = equalities[e]
                         if (frm, to) != (a, b) and (to, frm) != (a, b):
                             raise fail(
@@ -693,6 +743,8 @@ def _judge(
                         i = int(head[1])
                         if not 0 <= i < n_hyps:
                             raise fail(f"hypothesis index {i} out of range")
+                        if len(head[1]) > _NUMERAL_MAX:
+                            return None
                         judgment = frozenset(hypotheses[i])
                     elif kind == "subrefl":
                         if len(head) < 2:

@@ -14,6 +14,7 @@ from kequiv import (
     format_proof,
     parse_proof,
 )
+from kequiv.problem import relation_name_for
 from kequiv.proofs import Assume, Project, SubRefl, Subst, Trans
 
 
@@ -419,6 +420,29 @@ def pencil_closed_text(n):
     for j in range(n):
         lines += [f"hyp coll h a{j} b{j}", f"hyp coll a{j} b{j} c{j}"]
     return _problem(lines, ["h a0 c0", "h a0 c1"])
+
+
+def short_lines_text(n, k=2):
+    """`short_lines_shape(n, k)` as a problem file, its windows in the
+    same shuffled order.  Each line is queried once by one of its
+    windows, which one hypothesis proves, and each pair of neighbouring
+    lines once by k terms of the first and one of the second (not
+    entailed), so that, as on kqbench's many-lines, reading the file
+    costs more than judging the proofs."""
+    windows = []
+    queries = []
+    for j in range(n):
+        line = [f"l{j}_{i}" for i in range(8)]
+        windows += [line[i : i + k + 1] for i in range(8 - k)]
+        queries.append(line[3 : 4 + k])
+        if j + 1 < n:
+            queries.append(line[:k] + [f"l{j + 1}_0"])
+    random.Random(f"short-lines/{n}/{k}").shuffle(windows)
+    rel = relation_name_for(k)
+    lines = [f"rel {rel} {k}"]
+    lines += [f"hyp {rel} " + " ".join(w) for w in windows]
+    lines += [f"query {rel} " + " ".join(q) for q in queries]
+    return "".join(line + "\n" for line in lines)
 
 
 def eq_chain_text(n):

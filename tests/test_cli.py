@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kequiv
+import kequiv.problem
 import kequiv.proofs
 from kequiv.cli import cmd_check, cmd_solve, main
 from kequiv.congruence import CongruenceState
@@ -527,6 +528,42 @@ class TestCheck:
         monkeypatch.setattr(kequiv.proofs, "parse_proof", tree_built)
         assert run(capsys, "check", example, proofs) == (0, "pass\n" * 3, "")
 
+    def test_failing_lines_build_no_proof_tree(
+        self, example, tmp_path, capsys, monkeypatch
+    ):
+        proofs = Path(self.solve_to_file(capsys, tmp_path, example))
+        first, second, third = proofs.read_text().splitlines()
+        # two broken laws, the second followed by a syntax error, which wins
+        proofs.write_text(
+            re.sub(r"\(assume \d+\)", "(assume 99999)", first, count=1)
+            + "\n"
+            + second
+            + "\n"
+            + third.replace("(trans ", "(trans (assume 99999) ", 1)
+            + "\n"
+        )
+        expected = run(capsys, "check", example, str(proofs))
+        assert expected[0] == 3
+        lines = expected[1].splitlines()
+        assert lines[0] == (
+            "fail: line 1: at root.0.0: hypothesis index 99999 out of range"
+        )
+        assert lines[1] == "pass"
+        assert lines[2].startswith("fail: line 3: col ")
+
+        def node_built(node, *args, **kwargs):
+            raise AssertionError(f"check built a {type(node).__name__} node")
+
+        for cls in (
+            kequiv.Assume,
+            kequiv.SubRefl,
+            kequiv.Trans,
+            kequiv.Project,
+            kequiv.Subst,
+        ):
+            monkeypatch.setattr(cls, "__init__", node_built)
+        assert run(capsys, "check", example, str(proofs)) == expected
+
     def test_entailed_must_be_followed_by_whitespace(self, example, tmp_path, capsys):
         proofs = Path(self.solve_to_file(capsys, tmp_path, example))
         first, second, third = proofs.read_text().splitlines()
@@ -667,6 +704,139 @@ class TestGen:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "term names" in err
+
+
+# the example of README.md
+SEVEN_POINTS = """\
+rel coll 2
+hyp coll a b c
+hyp coll c d e
+hyp coll e f g
+hyp coll a d g
+hyp coll b c d
+query coll a b d
+"""
+
+
+def test_commands_build_no_named_statements(tmp_path, capsys, monkeypatch):
+    # solve and check read the problem's term ids only
+    expected = {}
+    for name, text in (("readme", SEVEN_POINTS), ("eq-first", EQ_FIRST)):
+        problem, proofs = tmp_path / f"{name}.kq", tmp_path / f"{name}.proofs"
+        problem.write_text(text)
+        solved = run(capsys, "solve", str(problem))
+        proofs.write_text(solved[1])
+        expected[name] = (problem, proofs, solved)
+
+    def named(*args, **kwargs):
+        raise AssertionError("a command built a named statement")
+
+    for cls in ("Atom", "Equality", "Query"):
+        monkeypatch.setattr(kequiv.problem, cls, named)
+    for problem, proofs, solved in expected.values():
+        assert solved[0] == 0
+        assert run(capsys, "solve", str(problem)) == solved
+        checked = run(capsys, "check", str(problem), str(proofs))
+        assert checked == (0, "pass\n" * len(solved[1].splitlines()), "")
+
+
+HUGE = "9" * 5000
+# an index in range, that `int` reads only under a limit of 700 digits or more
+ZEROS = "0" * 700
+
+
+# a numeral of 5000 digits wherever a command reads an integer, and one of
+# 700 zeros where it is an index: the file, the proofs (None for none), the
+# command after the file names, and its exit code and last line of output,
+# that of a token which is no numeral
+@pytest.mark.parametrize(
+    "problem,proofs,argv,code,last",
+    [
+        pytest.param(
+            f"rel r {HUGE}\nquery r a b\n",
+            None,
+            ["solve"],
+            1,
+            f"error: line 1, col 7: k must be a positive integer, got '{HUGE}'",
+            id="arity",
+        ),
+        pytest.param(
+            "rel r 1\nhyp r a b\nquery r a b\n",
+            f"entailed (assume {HUGE})\n",
+            ["check"],
+            3,
+            f"fail: line 1: col 9: expected a hypothesis index, got '{HUGE}'",
+            id="hypothesis-index",
+        ),
+        pytest.param(
+            "rel r 1\nclass a b\nhyp r a c\neq a b\nquery r b c\n",
+            f"entailed (subst (assume 0) a b {HUGE})\n",
+            ["check"],
+            3,
+            f"fail: line 1: col 23: expected an equality index, got '{HUGE}'",
+            id="equality-index",
+        ),
+        pytest.param(
+            "rel r 1\nhyp r a b\nquery r a b\n",
+            f"entailed (assume {ZEROS})\n",
+            ["check"],
+            3,
+            f"fail: line 1: col 9: expected a hypothesis index, got '{ZEROS}'",
+            id="hypothesis-index-zeros",
+        ),
+        pytest.param(
+            "rel r 1\nclass a b\nhyp r a c\neq a b\nquery r b c\n",
+            f"entailed (subst (assume 0) a b {ZEROS})\n",
+            ["check"],
+            3,
+            f"fail: line 1: col 23: expected an equality index, got '{ZEROS}'",
+            id="equality-index-zeros",
+        ),
+        pytest.param(
+            None,
+            None,
+            ["gen", "--k", HUGE, "--terms", "5", "--lines", "1"],
+            1,
+            f"kequiv gen: error: argument --k: invalid int value: '{HUGE}'",
+            id="gen-k",
+        ),
+        pytest.param(
+            None,
+            None,
+            ["gen", "--k", "1", "--terms", "5", "--lines", "1", "--seed", HUGE],
+            1,
+            f"kequiv gen: error: argument --seed: invalid int value: '{HUGE}'",
+            id="gen-seed",
+        ),
+    ],
+)
+def test_numerals_read_alike_under_any_digit_limit(
+    tmp_path, problem, proofs, argv, code, last
+):
+    files = []
+    for name, text in (("p.kq", problem), ("p.proofs", proofs)):
+        if text is not None:
+            (tmp_path / name).write_text(text)
+            files.append(str(tmp_path / name))
+    src = os.path.dirname(os.path.dirname(kequiv.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = src
+    endings = []
+    for limit in (None, "0", "640"):
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        done = subprocess.run(
+            [sys.executable, "-m", "kequiv.cli", argv[0], *files, *argv[1:]],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        endings.append((done.returncode, done.stdout, done.stderr))
+    assert endings[1] == endings[0] and endings[2] == endings[0]
+    returncode, out, err = endings[0]
+    assert returncode == code
+    assert (out or err).decode().splitlines()[-1] == last
+    assert not (out and err)
 
 
 def test_readme_cli_block_lists_the_parser_subcommands(capsys):

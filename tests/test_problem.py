@@ -13,7 +13,8 @@ from kequiv import (
     oracle_entailed,
     parse_text,
 )
-from kequiv.problem import Atom
+from kequiv.engine import TermTable
+from kequiv.problem import Atom, Equality, InternedProblem, Query
 from helpers import DisjointSet
 
 EXAMPLE = """\
@@ -65,17 +66,19 @@ def blocks(class_of):
     return sorted(sorted(b) for b in by_class.values())
 
 
-@given(
-    st.integers(2, 12).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(
-                st.lists(st.integers(0, n - 1), min_size=2, max_size=4),
-                max_size=8,
-            ),
-        )
+# a number of terms n and groups of term ids below n
+GROUPS = st.integers(2, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=2, max_size=4),
+            max_size=8,
+        ),
     )
 )
+
+
+@given(GROUPS)
 @settings(max_examples=80, deadline=None)
 def test_one_partition_three_readers(case):
     n, groups = case
@@ -102,6 +105,114 @@ def test_one_partition_three_readers(case):
     for session in state.sessions.values():
         assert blocks(session.class_of) == want
     assert blocks(Session(2, interned.class_of).class_of) == want
+
+
+TERM_NAMES = st.sampled_from([f"n{i}" for i in range(9)])
+
+
+@st.composite
+def interleaved_files(draw):
+    """Problem text with `class`, `hyp`, `eq` and `query` lines in any
+    order, so a name may be seen first in any of them, and the lines by
+    name as (head, relation or None, names)."""
+    arity = {"coll": 3, "eqv": 2}
+    text = "rel coll 2\nrel eqv 1\n"
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        head = draw(st.sampled_from(["class", "hyp", "eq", "query"]))
+        rel = None
+        if head == "class":
+            names = draw(st.lists(TERM_NAMES, min_size=2, max_size=4))
+        elif head == "eq":
+            names = draw(st.lists(TERM_NAMES, min_size=2, max_size=2))
+        else:
+            rel = draw(st.sampled_from(sorted(arity)))
+            size = arity[rel] if head == "hyp" else draw(st.integers(1, 4))
+            names = draw(st.lists(TERM_NAMES, min_size=size, max_size=size))
+        lines.append((head, rel, tuple(names)))
+        comment = "  # a comment" if draw(st.booleans()) else ""
+        text += " ".join([head, *[rel] * (rel is not None), *names]) + comment + "\n"
+    return text, lines
+
+
+def reference_interning(problem):
+    """`intern_problem` as it was before the parse assigned ids: from the
+    named views, through a `TermTable`."""
+    table = TermTable()
+    for name in problem.term_order:
+        table.intern_term(name)
+    ids = table.term_ids
+    for group in problem.classes:
+        table.mark_possibly_equal([ids[t] for t in group])
+    atoms, equalities = [], []
+    for s in problem.statements:
+        if isinstance(s, Atom):
+            atoms.append((s.relation, tuple(ids[t] for t in s.terms)))
+        else:
+            equalities.append((ids[s.a], ids[s.b]))
+    return InternedProblem(
+        relations=dict(problem.relations),
+        term_names=table.term_names,
+        term_ids=ids,
+        class_of=table.class_of,
+        atoms=atoms,
+        equalities=equalities,
+        queries=[(q.relation, tuple(ids[t] for t in q.terms)) for q in problem.queries],
+    )
+
+
+@given(interleaved_files())
+@settings(max_examples=150, deadline=None)
+def test_ids_and_named_views_agree(case):
+    text, lines = case
+    problem = parse_text(text)
+    # interned before any view is built, so it reads the ids alone
+    interned = intern_problem(problem)
+    order = list(dict.fromkeys(t for _, _, names in lines for t in names))
+    assert problem.term_order == order
+    assert problem.term_ids == {name: i for i, name in enumerate(order)}
+    names = lambda xs: tuple(order[x] for x in xs)
+    facts = [(rel, names(xs)) for rel, xs in problem.facts]
+    assert facts == [(r, ns) for h, r, ns in lines if h in ("hyp", "eq")]
+    statements = [Equality(*ns) if r is None else Atom(r, ns) for r, ns in facts]
+    assert problem.statements == statements
+    queries = [Query(r, ns) for h, r, ns in lines if h == "query"]
+    assert [(rel, names(xs)) for rel, xs in problem.query_ids] == [
+        (q.relation, q.terms) for q in queries
+    ]
+    assert problem.queries == queries
+    classes = [ns for h, _, ns in lines if h == "class"]
+    assert list(map(names, problem.class_ids)) == classes
+    assert problem.classes == classes
+    # the views are built once and kept
+    assert problem.statements is problem.statements
+    assert interned == reference_interning(problem)
+
+
+def test_named_views_are_read_only():
+    problem = parse_text(EXAMPLE)
+    for view in ("statements", "queries", "classes"):
+        with pytest.raises(AttributeError):
+            setattr(problem, view, [])
+
+
+@given(GROUPS)
+@settings(max_examples=80, deadline=None)
+def test_a_table_marks_a_given_partition_further(case):
+    # the first groups come as a partition, labelled by any member
+    n, groups = case
+    given = DisjointSet(n)
+    for g in groups[: len(groups) // 2]:
+        for t in g[1:]:
+            given.union(g[0], t)
+    table = TermTable({t: given.find(t) for t in range(n)})
+    for g in groups[len(groups) // 2 :]:
+        table.mark_possibly_equal(g)
+    reference = DisjointSet(n)
+    for g in groups:
+        for t in g[1:]:
+            reference.union(g[0], t)
+    assert blocks(table.class_of) == blocks({i: reference.find(i) for i in range(n)})
 
 
 def located(text, line, column, message, tag):

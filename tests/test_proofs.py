@@ -61,6 +61,11 @@ def test_assume_out_of_range():
         check(Assume("x"), 2, HYPS)
     assert type(e.value) is ValueError
     assert str(e.value) == "index 'x' is not an integer"
+    # a term's index may be longer than a numeral of proof text may be
+    with pytest.raises(ProofCheckError, match="hypothesis index 10* out of range"):
+        check(Assume(10**700), 2, HYPS)
+    with pytest.raises(ProofCheckError, match="equality index 10* out of range"):
+        check(Subst(Assume(0), 0, 1, 10**700), 2, HYPS, equalities=[(0, 1)])
 
 
 def test_subrefl_boundary():
