@@ -20,10 +20,13 @@ proof walk writes the proof's text pieces, then `format_proof`, which
 joins them, the path `kequiv solve` takes.  The deep-check rungs time
 `check` of that proof: of its text, the path `kequiv check` takes, and
 of its proof term, which `check` writes as text and judges the same
-way; the term is parsed before the clock starts.  The deep-check-eq
-rungs time `check` of the text of the deepest query's proof on the
-eq-chain, (z, x0, x_n-1), which is almost all `subst` nodes, a law the
-chain's proofs never cite.  The end-to-end rungs write a shape as a
+way; the term is parsed before the clock starts.  The deep-parse rungs
+time `parse_proof` of that text, and the deep-check-fail rungs `check`
+of the text with its first `(assume N)` out of range, which must raise
+ProofCheckError.  The deep-check-eq rungs time `check` of the text of
+the deepest query's proof on the eq-chain, (z, x0, x_n-1), which is
+almost all `subst` nodes, a law the chain's proofs never cite.  The
+end-to-end rungs write a shape as a
 problem file and time `kequiv.cli.main` on it in this process, which
 runs with the cyclic garbage collector paused, as every `kequiv` command
 does: `kequiv solve` on the closed pencil, and `kequiv check` on the
@@ -46,6 +49,7 @@ import gc
 import io
 import math
 import os
+import re
 import tempfile
 import time
 
@@ -60,7 +64,7 @@ from helpers import (
     short_lines_text,
 )
 
-from kequiv import check, format_proof, parse_proof
+from kequiv import ProofCheckError, check, format_proof, parse_proof
 from kequiv.cli import main as kequiv_main
 
 REPEATS = 5
@@ -141,6 +145,29 @@ def deep_check_seconds(n, form, shape="chain"):
     return time.perf_counter() - start
 
 
+def deep_parse_seconds(n):
+    """Seconds to `parse_proof` the deep query's proof text on the chain."""
+    text, _, _, ids = deep_proof(n)
+    gc.collect()
+    start = time.perf_counter()
+    parse_proof(text, ids)
+    return time.perf_counter() - start
+
+
+def deep_check_fail_seconds(n):
+    """Seconds to `check` the deep query's proof text on the chain with its
+    first `(assume N)` out of range, which `check` must refuse."""
+    text, _, context, ids = deep_proof(n)
+    broken = re.sub(r"\(assume \d+\)", f"(assume {len(context[1])})", text, count=1)
+    gc.collect()
+    start = time.perf_counter()
+    try:
+        check(broken, *context, ids=ids)
+    except ProofCheckError:
+        return time.perf_counter() - start
+    raise RuntimeError("check passed a hypothesis index out of range")
+
+
 def control_seconds():
     """Seconds for CONTROL_STEPS updates of a small dict: no kequiv code."""
     counts: dict[int, int] = {}
@@ -215,6 +242,8 @@ def main():
     rungs("deep-query", "query", deep_query_seconds, 1000)
     rungs("deep-check-text", "check", lambda n: deep_check_seconds(n, "text"), 1000)
     rungs("deep-check-tree", "check", lambda n: deep_check_seconds(n, "tree"), 1000)
+    rungs("deep-parse", "parse", deep_parse_seconds, 1000)
+    rungs("deep-check-fail", "check", deep_check_fail_seconds, 1000)
     rungs(
         "deep-check-eq",
         "check",

@@ -27,31 +27,27 @@ work on proofs of any depth; `dataclasses.asdict` recurses, and does not.
 
 The engine builds no proof term: its one proof walk writes a proof's
 text as a list of string pieces, which `format_proof` also takes, and
-joins.  `parse_proof` turns that text into a term.
+joins.
 
-`check` takes proof text or a proof term.  One pass over text, which
-builds no proof term, is the only code that applies the laws; a proof
-term is first written as text with numeral names.  The pass runs no
-regular expression: it splits the text at each '(', one chunk per node
-opening, and a chunk at each ')' it holds, into the stretches between
-parentheses.  Only `project`, `subst` and the leaves split a stretch
-into atoms.  Text that the pass does not read is parsed with
-`parse_proof` for the error's column.  A failing text is read for
-syntax only, by the same shift-reduce building no node, since a later
-syntax error wins over a broken law.
+One pass reads proof text: `parse_proof` builds a proof term with it,
+and `check` judges with it, building none, so it is the only code that
+applies the laws; `check` writes a proof term as text, with numeral
+names, first.  The pass runs no regular expression: it splits the text
+at each '(' and then at each ')' into the stretches between
+parentheses, and only `project`, `subst` and the leaves split a stretch
+into atoms.  After a broken law it reads the rest for syntax only, as a
+later syntax error wins.  Text it gives up on is read again only to
+raise the ProofSyntaxError at its column.
 
-An index in proof text means the same under any limit Python sets on
-the digits `int` converts (PYTHONINTMAXSTRDIGITS): `parse_proof` reads
-it with `numeral`, as a problem file's arities and `kequiv gen`'s
-integer options are read, and the one pass gives up on an index that
-`numeral` refuses.
+An index in proof text is refused if longer than `numeral` allows, so
+it means the same under any limit Python sets on the digits `int`
+converts (PYTHONINTMAXSTRDIGITS).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from operator import index
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -280,12 +276,12 @@ def check(
     """Check `proof` and return the judgment (term set) it establishes.
 
     `proof` is a proof term, or its canonical text with `ids` mapping term
-    names to ids.  Either is judged in one pass over text: a proof term is
-    first written as text by `format_proof`, term ids named by numerals.
-    Malformed input raises before any broken law: a ProofSyntaxError, even
-    one later in the text; for a term, a node of another type or an empty
-    term list (ProofCheckError at that node), or another ValueError of
-    `format_proof`, such as a term id with no name.
+    names to ids.  Either is judged in one pass over text that builds no
+    proof term; a proof term is first written as text, with numerals for
+    names.  Malformed input raises before any broken law: a
+    ProofSyntaxError, even one later in the text; for a term, a node of
+    another type or an empty term list (ProofCheckError at that node), or
+    another ValueError of `format_proof`, such as a term id with no name.
 
     Laws enforced per node:
 
@@ -308,28 +304,24 @@ def check(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if partition is None:
+        partition = {}  # every term a class of its own
+    laws = (k, hypotheses, partition, equalities)
     if isinstance(proof, str):
         if ids is None:
             raise TypeError("checking proof text needs the ids of its term names")
+        conclusion = _judge(proof, ids.__getitem__, laws, _NUMERAL_MAX)
+        if conclusion is None:
+            _read(proof, ids)  # raises the syntax error, if there is one
+    else:
         try:
-            conclusion = _judge(
-                proof, k, hypotheses, partition, equalities, ids.__getitem__
-            )
-        except ProofCheckError:
-            _read(proof, ids, None)  # a syntax error later in the text wins
+            text = format_proof(proof, _NUMERALS)
+        except ValueError:
+            _refuse_textless(proof)
             raise
-        if conclusion is not None:
-            return conclusion
-        # raises the syntax error, or reads what the pass does not, such
-        # as leading whitespace, into a proof term judged below
-        proof = parse_proof(proof, ids)
-    try:
-        text = format_proof(proof, _NUMERALS)
-    except ValueError:
-        _refuse_textless(proof)
-        raise
-    conclusion = _judge(text, k, hypotheses, partition, equalities, int)
-    if conclusion is None:  # the pass reads all that `format_proof` writes
+        # a term's index may be longer than a numeral of proof text may be
+        conclusion = _judge(text, int, laws, len(text))
+    if conclusion is None:
         raise ValueError("malformed hypotheses, partition or equalities")
     return conclusion
 
@@ -496,28 +488,20 @@ _TOKEN = re.compile(r"[()]|[^\s()]+")
 def parse_proof(text: str, ids: Mapping[str, int]) -> ProofTerm:
     """Parse the canonical text form back into a proof term.
 
-    `ids` maps term names to ids; unknown names raise ProofSyntaxError
-    with the offending column.
+    `ids` maps term names to ids.  Malformed text, an unknown name
+    included, raises ProofSyntaxError with the offending column.
     """
-    return _read(text, ids, _NODES)
+    proof = _judge(text, ids.__getitem__, None, _NUMERAL_MAX)
+    if proof is None:
+        _read(text, ids)
+    return proof
 
 
-_NODES = {
-    "assume": Assume,
-    "subrefl": SubRefl,
-    "trans": Trans,
-    "project": Project,
-    "subst": Subst,
-}
+def _read(text: str, ids: Mapping[str, int]) -> None:
+    """Raise the ProofSyntaxError of malformed `text`, at its column.
 
-
-def _read(
-    text: str, ids: Mapping[str, int], nodes: Mapping[str, Callable] | None
-) -> ProofTerm | None:
-    """`parse_proof`, building each node by `nodes[head]`.
-
-    With `nodes` None it builds no node: it raises the ProofSyntaxError
-    `parse_proof` raises, or returns None.
+    A shift-reduce over the tokens that builds nothing; it runs only on
+    text `_judge` gave up on, and returns if that text is well formed.
     """
     # tokens are referred to by index; a column is found only to raise
     tokens = _TOKEN.findall(text)
@@ -528,67 +512,62 @@ def _read(
         return ProofSyntaxError(len(text) + 1 if m is None else m.start() + 1, message)
 
     # a part is the index of an atom, or of the ')' closing a sub-proof
-    subproofs: dict[int, ProofTerm | None] = {}
-
-    def as_int(i: int, what: str) -> int:
+    def as_int(i: int, what: str) -> None:
         if tokens[i] == ")":
             raise error(i, f"expected {what}")
         try:
-            return numeral(tokens[i])
+            numeral(tokens[i])
         except ValueError:
             raise error(i, f"expected {what}, got {tokens[i]!r}") from None
 
-    def as_term(i: int) -> int:
-        if tokens[i] == ")":
-            raise error(i, "expected a term name")
-        try:
-            return ids[tokens[i]]
-        except KeyError:
-            raise error(i, f"unknown term {tokens[i]!r}") from None
+    def as_terms(parts: list[int]) -> None:
+        for i in parts:
+            if tokens[i] == ")":
+                raise error(i, "expected a term name")
+            try:
+                ids[tokens[i]]
+            except KeyError:
+                raise error(i, f"unknown term {tokens[i]!r}") from None
 
-    def as_proof(i: int) -> ProofTerm | None:
-        if tokens[i] != ")":
-            raise error(i, "expected a sub-proof")
-        return subproofs.pop(i)
+    def as_proofs(parts: list[int]) -> None:
+        for i in parts:
+            if tokens[i] != ")":
+                raise error(i, "expected a sub-proof")
 
-    def reduce(h: int, parts: list[int]) -> ProofTerm | None:
+    def reduce(h: int, parts: list[int]) -> None:
         head = tokens[h]
         if head == "assume":
             if len(parts) != 1:
                 raise error(h, "assume takes one hypothesis index")
-            fields = (as_int(parts[0], "a hypothesis index"),)
+            as_int(parts[0], "a hypothesis index")
         elif head == "subrefl":
             if not parts:
                 raise error(h, "subrefl needs at least one term")
-            fields = ([as_term(p) for p in parts],)
+            as_terms(parts)
         elif head == "trans":
             if len(parts) != 2:
                 raise error(h, "trans takes two sub-proofs")
-            fields = (as_proof(parts[0]), as_proof(parts[1]))
+            as_proofs(parts)
         elif head == "project":
             if len(parts) < 2:
                 raise error(h, "project takes a sub-proof and at least one term")
-            fields = (as_proof(parts[0]), [as_term(p) for p in parts[1:]])
+            as_proofs(parts[:1])
+            as_terms(parts[1:])
         elif head == "subst":
             if len(parts) != 4:
                 raise error(
                     h, "subst takes a sub-proof, two terms, and an equality index"
                 )
-            fields = (
-                as_proof(parts[0]),
-                as_term(parts[1]),
-                as_term(parts[2]),
-                as_int(parts[3], "an equality index"),
-            )
+            as_proofs(parts[:1])
+            as_terms(parts[1:3])
+            as_int(parts[3], "an equality index")
         else:
             raise error(h, f"unknown proof constructor {head!r}")
-        return None if nodes is None else nodes[head](*fields)
 
     # Shift-reduce over the tokens; a frame is (h, parts), where h is the
     # index of its head, or of its '(' while it has no head yet.
     frames: list[tuple[int, list[int]]] = []
     done = False
-    root = None
     for i, tok in enumerate(tokens):
         if tok == "(":
             if frames and tokens[frames[-1][0]] == "(":
@@ -600,12 +579,11 @@ def _read(
             h, parts = frames.pop()
             if tokens[h] == "(":
                 raise error(h, "empty proof node")
-            node = reduce(h, parts)
+            reduce(h, parts)
             if frames:
                 frames[-1][1].append(i)
-                subproofs[i] = node
             elif not done:
-                done, root = True, node
+                done = True
             else:
                 raise error(i, "trailing input after proof")
         else:
@@ -620,118 +598,127 @@ def _read(
         raise error(frames[-1][0], "unclosed '('")
     if not done:
         raise error(len(tokens), "empty proof")
-    return root
 
 
-def _failure(stack: list[list], message: str) -> ProofCheckError:
-    """The error at the node whose ')' `_judge` reads, below open `stack`."""
-    return ProofCheckError([(len(f) - 1) // 2 for f in stack], message)
+class _BrokenLaw(Exception):
+    """The message of a law broken at the node whose ')' `_judge` reads."""
 
 
 def _judge(
     text: str,
-    k: int,
-    hypotheses: Sequence[Sequence[int]],
-    partition: Mapping[int, int] | None,
-    equalities: Sequence[tuple[int, int]],
     name_id: Callable[[str], int],
-) -> frozenset[int] | None:
-    """The judgment proof `text` establishes, or None if it does not read it.
+    laws: tuple | None,
+    limit: int,
+) -> ProofTerm | frozenset[int] | None:
+    """Read proof `text` in one pass, or give up on it, returning None.
 
-    One pass over the parentheses: a node's judgment is worked out from
-    its children's when its ')' is read, by the laws `check` enforces, and
-    a broken law raises ProofCheckError at that node.  The text is split
-    at each '(', one chunk per node opening; a chunk holding a ')' is
-    split again, into the node's opening stretch (its head and atoms) and
-    the stretch after each ')' that closes in it.  Stretches are kept as
-    they are; only `project`, `subst` and the leaves split theirs into
-    atoms, and elsewhere a stretch must be whitespace.  It gives up,
-    returning None, on anything `parse_proof` rejects, on the rare valid
-    text it does not read (leading whitespace), and on a malformed log.
-    `name_id` gives a term name's id, or raises KeyError or ValueError.
+    With `laws` None it returns the proof term.  With `laws`, `check`'s
+    (k, hypotheses, partition, equalities), it returns the judgment the
+    proof establishes; the first broken law raises ProofCheckError at its
+    node once the rest is read for shape, names and indices only.  It
+    gives up on the text `parse_proof` refuses, and on a malformed log.
+    `name_id` gives a term name's id, or raises KeyError or ValueError; an
+    index is read by `int` and refused if longer than `limit`.
 
-    An index is read by `int`, which is faster than `numeral`, and comes
-    out the same under any digit limit: one in range that `numeral`
-    would refuse (it has leading zeros) is given up on, and the syntax
-    read after a broken law refuses one out of range.
+    A node's result, node or judgment, is worked out from its children's
+    when its ')' is read.  The text is split at each '(', and a chunk
+    holding a ')' is split again, into the node's opening stretch (its
+    head and atoms) and the stretch after each ')' that closes in it.
+    Only `project`, `subst` and the leaves split a stretch into atoms;
+    elsewhere a stretch must be whitespace.
     """
-    if not text.startswith("("):
-        return None
-    if partition is None:
-        partition = {}  # every term a class of its own
-    class_of = partition.__getitem__
-    n_hyps, n_eqs = len(hypotheses), len(equalities)
-    # an open node is [the stretch after its '(', then per child: judgment,
+    build, judging = laws is None, laws is not None
+    if judging:
+        k, hypotheses, partition, equalities = laws
+        class_of = partition.__getitem__
+        n_hyps, n_eqs = len(hypotheses), len(equalities)
+    failure = None  # (path, message) of the first broken law
+    # an open node is [the stretch after its '(', then per child: result,
     # the stretch after the child's ')'], so a valid node's length says its
     # shape, and an open node is reading its child (len(node) - 1) // 2
     stack: list[list] = []
     node: list | None = None
+    done = False
     root = None
-    fail = partial(_failure, stack)
     chunks = text.split("(")
-    try:
-        for chunk in islice(chunks, 1, None):  # chunks[0] is the empty prefix
-            if node is not None:
-                stack.append(node)
-            elif root is not None:
-                return None  # trailing input
-            if ")" not in chunk:
-                node = [chunk]  # a node with sub-proofs opens
-                continue
-            stretches = chunk.split(")")
-            node = [stretches[0]]
-            for stretch in stretches[1:]:
-                if node is None:
-                    return None  # unbalanced ')'
-                size = len(node)
+    if chunks[0].strip():
+        return None  # text before the first '('
+    for chunk in islice(chunks, 1, None):
+        if node is not None:
+            stack.append(node)
+        elif done:
+            return None  # trailing input
+        if ")" not in chunk:
+            node = [chunk]  # a node with sub-proofs opens
+            continue
+        stretches = chunk.split(")")
+        node = [stretches[0]]
+        for stretch in stretches[1:]:
+            if node is None:
+                return None  # unbalanced ')'
+            size = len(node)
+            try:
                 if size == 5:  # two sub-proofs: trans
-                    if node[0].strip() != "trans" or node[2].strip() or node[4].strip():
+                    if node[0].strip() != "trans" or (node[2] + node[4]).strip():
                         return None
                     x, y = node[1], node[3]
-                    shared = x & y
-                    try:
-                        n = len(set(map(class_of, shared)))
-                    except KeyError:  # an unmapped term is a class of its own
-                        mapped = [t for t in shared if t in partition]
-                        n = len(set(map(class_of, mapped))) + len(shared) - len(mapped)
-                    if n < k:
-                        raise fail(
-                            f"shared terms span {n} distinctness classes, need {k}"
-                        )
-                    judgment = x | y
+                    if judging:
+                        shared = x & y
+                        try:
+                            n = len(set(map(class_of, shared)))
+                        except KeyError:  # an unmapped term is a class of its own
+                            mapped = [t for t in shared if t in partition]
+                            n = len(set(map(class_of, mapped)))
+                            n += len(shared) - len(mapped)
+                        if n < k:
+                            raise _BrokenLaw(
+                                f"shared terms span {n} distinctness classes, need {k}"
+                            )
+                        result = x | y
+                    else:
+                        result = Trans(x, y) if build else None
                 elif size == 3:  # one sub-proof: project or subst
                     kind = node[0].strip()
                     atoms = node[2].split()
                     if kind == "project":
                         if not atoms:
                             return None
-                        judgment = frozenset(map(name_id, atoms))
-                        if not judgment <= node[1]:
-                            raise fail(
+                        terms = frozenset(map(name_id, atoms))
+                        if not judging:
+                            result = Project(node[1], terms) if build else None
+                        elif terms <= node[1]:
+                            result = terms
+                        else:
+                            raise _BrokenLaw(
                                 "projection target is not a subset of the conclusion"
                             )
                     elif kind == "subst":
                         if len(atoms) != 3:
                             return None
-                        frm_name, to_name, e = atoms
-                        frm, to, e = name_id(frm_name), name_id(to_name), int(e)
-                        if not 0 <= e < n_eqs:
-                            raise fail(f"equality index {e} out of range")
-                        if len(atoms[2]) > _NUMERAL_MAX:
+                        frm, to, e = name_id(atoms[0]), name_id(atoms[1]), int(atoms[2])
+                        if len(atoms[2]) > limit:
                             return None
-                        a, b = equalities[e]
-                        if (frm, to) != (a, b) and (to, frm) != (a, b):
-                            raise fail(
-                                f"equality {e} does not relate the substituted terms"
-                            )
-                        try:
-                            if class_of(a) != class_of(b):
-                                raise fail(f"equality {e} equates known-distinct terms")
-                        except KeyError:
-                            pass  # an unmapped term is never known-distinct
-                        judgment = node[1]
-                        if frm in judgment:
-                            judgment = (judgment - {frm}) | {to}
+                        if judging:
+                            if not 0 <= e < n_eqs:
+                                raise _BrokenLaw(f"equality index {e} out of range")
+                            a, b = equalities[e]
+                            if (frm, to) != (a, b) and (to, frm) != (a, b):
+                                raise _BrokenLaw(
+                                    f"equality {e} does not relate the "
+                                    "substituted terms"
+                                )
+                            try:
+                                if class_of(a) != class_of(b):
+                                    raise _BrokenLaw(
+                                        f"equality {e} equates known-distinct terms"
+                                    )
+                            except KeyError:
+                                pass  # an unmapped term is never known-distinct
+                            result = node[1]
+                            if frm in result:
+                                result = (result - {frm}) | {to}
+                        else:
+                            result = Subst(node[1], frm, to, e) if build else None
                     else:
                         return None
                 elif size == 1:  # a leaf: assume or subrefl
@@ -741,32 +728,44 @@ def _judge(
                         if len(head) != 2:
                             return None
                         i = int(head[1])
-                        if not 0 <= i < n_hyps:
-                            raise fail(f"hypothesis index {i} out of range")
-                        if len(head[1]) > _NUMERAL_MAX:
+                        if len(head[1]) > limit:
                             return None
-                        judgment = frozenset(hypotheses[i])
+                        if not judging:
+                            result = Assume(i) if build else None
+                        elif 0 <= i < n_hyps:
+                            result = frozenset(hypotheses[i])
+                        else:
+                            raise _BrokenLaw(f"hypothesis index {i} out of range")
                     elif kind == "subrefl":
                         if len(head) < 2:
                             return None
-                        judgment = frozenset(map(name_id, head[1:]))
-                        if len(judgment) > k:
-                            raise fail(
+                        terms = frozenset(map(name_id, head[1:]))
+                        if not judging:
+                            result = SubRefl(terms) if build else None
+                        elif len(terms) <= k:
+                            result = terms
+                        else:
+                            raise _BrokenLaw(
                                 f"sub-reflexivity allows at most {k} terms, "
-                                f"got {len(judgment)}"
+                                f"got {len(terms)}"
                             )
                     else:
                         return None
                 else:
                     return None
-                if stack:
-                    node = stack.pop()
-                    node.append(judgment)
-                    node.append(stretch)
-                elif stretch.strip():
-                    return None  # trailing input
-                else:
-                    node, root = None, judgment
-    except (KeyError, ValueError):
-        return None  # an unknown term name or a malformed index
-    return root if node is None else None
+            except _BrokenLaw as broken:  # its traceback holds this frame
+                path = [(len(f) - 1) // 2 for f in stack]
+                failure, judging, result = (path, str(broken)), False, None
+            except (KeyError, ValueError):
+                return None  # an unknown term name, a malformed index or log
+            if stack:
+                node = stack.pop()
+                node.append(result)
+                node.append(stretch)
+            elif stretch.strip():
+                return None  # trailing input
+            else:
+                node, done, root = None, True, result
+    if done and failure is not None:
+        raise ProofCheckError(*failure)
+    return root  # None if the text is unclosed or has no '('

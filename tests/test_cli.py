@@ -528,12 +528,13 @@ class TestCheck:
         monkeypatch.setattr(kequiv.proofs, "parse_proof", tree_built)
         assert run(capsys, "check", example, proofs) == (0, "pass\n" * 3, "")
 
-    def test_failing_lines_build_no_proof_tree(
-        self, example, tmp_path, capsys, monkeypatch
-    ):
-        proofs = Path(self.solve_to_file(capsys, tmp_path, example))
-        first, second, third = proofs.read_text().splitlines()
-        # two broken laws, the second followed by a syntax error, which wins
+    def test_failing_lines_build_no_proof_tree(self, tmp_path, capsys, monkeypatch):
+        problem = tmp_path / "example.kq"
+        problem.write_text(EXAMPLE + "query coll a b d\n")
+        proofs = Path(self.solve_to_file(capsys, tmp_path, str(problem)))
+        first, second, third, fourth = proofs.read_text().splitlines()
+        # two broken laws, the second followed by a syntax error, which
+        # wins, and a syntax error alone
         proofs.write_text(
             re.sub(r"\(assume \d+\)", "(assume 99999)", first, count=1)
             + "\n"
@@ -541,8 +542,10 @@ class TestCheck:
             + "\n"
             + third.replace("(trans ", "(trans (assume 99999) ", 1)
             + "\n"
+            + fourth.replace(" a ", " zz ", 1)
+            + "\n"
         )
-        expected = run(capsys, "check", example, str(proofs))
+        expected = run(capsys, "check", str(problem), str(proofs))
         assert expected[0] == 3
         lines = expected[1].splitlines()
         assert lines[0] == (
@@ -550,10 +553,16 @@ class TestCheck:
         )
         assert lines[1] == "pass"
         assert lines[2].startswith("fail: line 3: col ")
+        assert re.fullmatch(r"fail: line 4: col \d+: unknown term 'zz'", lines[3])
+
+        def tree_built(*args, **kwargs):
+            raise AssertionError("check parsed or wrote a proof tree")
 
         def node_built(node, *args, **kwargs):
             raise AssertionError(f"check built a {type(node).__name__} node")
 
+        monkeypatch.setattr(kequiv.proofs, "parse_proof", tree_built)
+        monkeypatch.setattr(kequiv.proofs, "format_proof", tree_built)
         for cls in (
             kequiv.Assume,
             kequiv.SubRefl,
@@ -562,7 +571,7 @@ class TestCheck:
             kequiv.Subst,
         ):
             monkeypatch.setattr(cls, "__init__", node_built)
-        assert run(capsys, "check", example, str(proofs)) == expected
+        assert run(capsys, "check", str(problem), str(proofs)) == expected
 
     def test_entailed_must_be_followed_by_whitespace(self, example, tmp_path, capsys):
         proofs = Path(self.solve_to_file(capsys, tmp_path, example))
@@ -839,6 +848,16 @@ def test_numerals_read_alike_under_any_digit_limit(
     assert not (out and err)
 
 
+def test_readme_library_block_prints_its_proof(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    exec(block, {})
+    # the block shows each line it prints as a comment after the print
+    shown = [line[2:] for line in block.splitlines() if line.startswith("# (")]
+    assert shown and capsys.readouterr().out.splitlines() == shown
+
+
 def test_readme_cli_block_lists_the_parser_subcommands(capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```")[1]
@@ -895,6 +914,13 @@ COMMAND_ENDINGS = {
     "failing-proofs": (
         EXAMPLE,
         "entailed (assume 9)\nentailed ((\nentailed (subrefl a b)\n",
+        0,
+        3,
+    ),
+    # a broken law, then a syntax error, which wins
+    "law-then-syntax-error": (
+        EXAMPLE,
+        "entailed (trans (assume 9) (assume 0)) x\n" + "not-entailed\n" * 2,
         0,
         3,
     ),

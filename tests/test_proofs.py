@@ -127,9 +127,10 @@ def test_terms_outside_the_partition_are_judged_in_one_pass():
     ):
         for partition in ({0: 0}, {1: 1}):
             assert check(text, 2, HYPS, partition, ids=IDS) == {0, 1, 2, 3}
-    # a failing line is still parsed, for a later syntax error, but the
-    # error raised is the one-pass judge's
-    with mock.patch.object(kequiv.proofs, "parse_proof", return_value=None):
+    # a failing line is judged in the same pass, which raises its error
+    with mock.patch.object(
+        kequiv.proofs, "parse_proof", side_effect=AssertionError("tree built")
+    ):
         with pytest.raises(ProofCheckError) as e:
             check("(trans (assume 0) (assume 1))", 2, HYPS, {0: 0}, ids=IDS)
     assert str(e.value) == "at root: shared terms span 1 distinctness classes, need 2"
@@ -252,32 +253,6 @@ class TestSerialization:
     def test_parse_whitespace_insensitive(self):
         got = parse_proof("( project ( assume 0 )  a b )", IDS)
         assert got == Project(Assume(0), frozenset({0, 1}))
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "(assume)",
-            "(assume 0",
-            "assume 0)",
-            "(assume 0) (assume 1)",
-            "(frobnicate 1)",
-            "(subrefl)",
-            "(trans (assume 0))",
-            "(project (assume 0))",
-            "(subst (assume 0) a b)",
-            "(subrefl zz)",
-            "()",
-            "(assume x)",
-        ],
-    )
-    def test_parse_errors_are_located(self, text):
-        # text given to `check` fails exactly as the tree parser does
-        with pytest.raises(ProofSyntaxError) as tree:
-            parse_proof(text, IDS)
-        with pytest.raises(ProofSyntaxError) as e:
-            check(text, 1, [], ids=IDS)
-        assert (e.value.column, str(e.value)) == (tree.value.column, str(tree.value))
 
     @pytest.mark.parametrize(
         "text, column, message",
@@ -542,7 +517,7 @@ PROOF_PIECES = st.sampled_from(
 @settings(max_examples=300, deadline=None)
 def test_parse_proof_fuzz_raises_only_syntax_errors(text):
     try:
-        parse_proof(text, IDS)
+        proof = parse_proof(text, IDS)
     except ProofSyntaxError as e:
         # every error points at the first character of a token, except an
         # empty proof, which points one past the end of the text
@@ -550,6 +525,14 @@ def test_parse_proof_fuzz_raises_only_syntax_errors(text):
         assert e.column in starts or (
             e.column == len(text) + 1 and str(e).endswith(": empty proof")
         )
+        # `check` refuses the text with the same error, before any law
+        with pytest.raises(ProofSyntaxError) as again:
+            check(text, 1, HYPS, ids=IDS)
+        assert (again.value.column, str(again.value)) == (e.column, str(e))
+    else:
+        # the one pass reads only text the token reader raises no error on
+        kequiv.proofs._read(text, IDS)
+        assert parse_proof(format_proof(proof, NAMES), IDS) == proof
 
 
 CONSTRUCTORS = ["assume", "subrefl", "trans", "project", "subst"]
@@ -638,10 +621,10 @@ def perturb(rng, partition, hyps):
 
 def test_text_path_matches_tree_path():
     # `check` on text must agree with `check(parse_proof(text))`: the same
-    # conclusion, or the same error type and message.  Both judge text in
-    # the one pass, so this guards that the pass refuses exactly the text
-    # `parse_proof` refuses, and that it raises the same errors on text as
-    # on the term written back with numeral names
+    # conclusion, or the same error type and message.  Both read text in
+    # the one pass, so this guards that it raises the same errors on text
+    # as on the term written back with numeral names, and that it refuses
+    # exactly the text the token reader `_read` refuses
     seen = collections.Counter()
 
     @given(st.integers(0, 10**6))
@@ -672,6 +655,9 @@ def test_text_path_matches_tree_path():
                     lambda: check(parse_proof(mutant, ids), k, hyps, part, eqs)
                 )
                 assert got == want, mutant
+                refused = isinstance(want, tuple) and want[0] is ProofSyntaxError
+                read = outcome(lambda: kequiv.proofs._read(mutant, ids))
+                assert read == (want if refused else None), mutant
                 if tokens != original:
                     kind = "pass" if isinstance(want, frozenset) else want[0].__name__
                     seen[kind] += 1
@@ -686,12 +672,13 @@ SEPARATORS = [" ", "\t", "\x0c", "\x1c", "\u2028"]
 
 def respace(rng, text):
     """`text` with each space widened to a random run of separators, and
-    such runs put just inside some '(' and just before some ')'."""
+    such runs put before some texts, just inside some '(' and just before
+    some ')'."""
 
     def gap():
         return "".join(rng.choices(SEPARATORS, k=rng.randint(1, 3)))
 
-    out = []
+    out = [gap() if rng.random() < 0.5 else ""]
     for ch in text:
         if ch == " ":
             out.append(gap())
@@ -734,9 +721,11 @@ def test_whitespace_variants_judge_alike(seed):
         hyps = session.hypotheses
         context = (session.k, hyps, session.class_of, session.equalities)
         text = format_proof(proof, names)
-        # read by the pass itself, not by the `parse_proof` fallback
+        # read by the pass itself, leading separators too, with no tree
         with mock.patch.object(
             kequiv.proofs, "parse_proof", side_effect=AssertionError("tree built")
+        ), mock.patch.object(
+            kequiv.proofs, "format_proof", side_effect=AssertionError("tree built")
         ):
             assert check(respace(rng, text), *context, ids=ids) == conclusion
         for form in (tuple, list, frozenset):
