@@ -5,8 +5,8 @@ its asserts, and prints one line per rung, with its best time over
 REPEATS rounds and the range of all of them, plus the growth exponent
 log(t(4n) / t(n)) / log 4 of the best times.  An exponent near 1 is
 linear growth, near 2 quadratic.  Each round times n, 2n and 4n before
-the next round starts, so a slow phase of the host slows every rung of
-a shape, not one.  Each round also times a fixed control, a dict-update
+the next round starts, so a slow phase of the host slows every rung of a
+shape, not one.  Each round also times a fixed control, a dict-update
 loop that runs no kequiv code, and every line gives its best time as a
 multiple of the control's best time as well, so a target can be judged
 against the host's speed.  The eq-first rungs assert the eq-chain's
@@ -14,29 +14,32 @@ equalities before its hypotheses, so every hypothesis is renamed as it
 is asserted.  The short-lines rungs (k = 1, 2, 3) assert n lines of 8
 terms covered by shuffled (k+1)-term windows, the shape of kqbench's
 many-lines workload, and also print the best time per hypothesis in
-microseconds.  The deep-query rungs time the proof of (p0, p1, p_n+1)
-on the asserted chain, which has about n levels: `resolve_query`, whose
-proof walk writes the proof's text pieces, then `format_proof`, which
-joins them, the path `kequiv solve` takes.  The deep-check rungs time
-`check` of that proof: of its text, the path `kequiv check` takes, and
-of its proof term, which `check` writes as text and judges the same
-way; the term is parsed before the clock starts.  The deep-parse rungs
-time `parse_proof` of that text, and the deep-check-fail rungs `check`
-of the text with its first `(assume N)` out of range, which must raise
-ProofCheckError.  The deep-check-eq rungs time `check` of the text of
-the deepest query's proof on the eq-chain, (z, x0, x_n-1), which is
-almost all `subst` nodes, a law the chain's proofs never cite.  The
-end-to-end rungs write a shape as a
-problem file and time `kequiv.cli.main` on it in this process, which
-runs with the cyclic garbage collector paused, as every `kequiv` command
-does: `kequiv solve` on the closed pencil, and `kequiv check` on the
-short-lines shape (k = 2) with the proofs `kequiv solve` gives for it,
-where reading the file is most of the work, as on many-lines; the
-check-short-lines lines also give the time per hypothesis.  The
-short-lines rungs pause it too, since many-lines runs through `kequiv
-solve`: with it on, its heap walks take a share of each hypothesis that
-grows with n.  The other library rungs, the deep query and the control
-included, run with it on.
+microseconds.  The peak-short-lines rung asserts the k = 2 short-lines
+shape under tracemalloc and prints the peak of the memory allocated
+while asserting, in bytes and in bytes per hypothesis; its growth
+exponent near 1 is memory linear in the hypotheses.  The deep-query
+rungs time the proof of (p0, p1, p_n+1) on the asserted chain, which has
+about n levels: `resolve_query`, whose proof walk writes the proof's
+text pieces, then `format_proof`, which joins them, the path `kequiv
+solve` takes.  The deep-check rungs time `check` of that proof: of its
+text, the path `kequiv check` takes, and of its proof term, which
+`check` writes as text and judges the same way; the term is parsed
+before the clock starts.  The deep-parse rungs time `parse_proof` of
+that text, and the deep-check-fail rungs `check` of the text with its
+first `(assume N)` out of range, which must raise ProofCheckError.  The
+deep-check-eq rungs time `check` of the text of the deepest query's
+proof on the eq-chain, (z, x0, x_n-1), which is almost all `subst`
+nodes, a law the chain's proofs never cite.  The end-to-end rungs write
+a shape as a problem file and time `kequiv.cli.main` on it in this
+process, which runs with the cyclic garbage collector paused, as every
+`kequiv` command does: `kequiv solve` on the closed pencil, and `kequiv
+check` on the short-lines shape (k = 2) with the proofs `kequiv solve`
+gives for it, where reading the file is most of the work, as on
+many-lines; the check-short-lines lines also give the time per
+hypothesis.  The short-lines rungs pause it too, since many-lines runs
+through `kequiv solve`: with it on, its heap walks take a share of each
+hypothesis that grows with n.  The other library rungs, the deep query
+and the control included, run with it on.
 
     PYTHONPATH=src:tests python scripts/ladder.py
 """
@@ -52,6 +55,7 @@ import os
 import re
 import tempfile
 import time
+import tracemalloc
 
 from helpers import (
     chain_shape,
@@ -96,6 +100,25 @@ def assert_seconds(build, n, collector=True):
             fn(arg)
         return time.perf_counter() - start
     finally:
+        gc.enable()
+
+
+def peak_bytes(build, n):
+    """tracemalloc's peak, in bytes, while asserting shape `build` at size n.
+
+    The shape is built, its terms interned, before tracing starts, and
+    the cyclic garbage collector is paused, as in the short-lines rungs.
+    """
+    _, steps = build(n)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for fn, arg in steps:
+            fn(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
         gc.enable()
 
 
@@ -197,34 +220,42 @@ def write(directory, name, text):
     return path
 
 
-def rungs(name, what, seconds, n, steps=None):
-    """Time `seconds(size)` at n, 2n and 4n, and the control, in REPEATS
-    interleaved rounds.
+def rungs(name, what, measure, n, steps=None, unit="s"):
+    """Measure `measure(size)` at n, 2n and 4n in REPEATS interleaved
+    rounds, in `unit`: seconds ("s"), with the control timed in each
+    round, or bytes ("B"), which have no control.
 
-    With `steps(size)`, the number of operations timed at that size, each
-    line also gives the best time per operation in microseconds.
+    With `steps(size)`, the number of operations measured at that size,
+    each line also gives the best value per operation, in microseconds
+    or in bytes.
     """
     sizes = (n, 2 * n, 4 * n)
-    times = {size: [] for size in sizes}
+    values = {size: [] for size in sizes}
     control = []
     for _ in range(REPEATS):
         for size in sizes:
-            times[size].append(seconds(size))
-        control.append(control_seconds())
+            values[size].append(measure(size))
+        if unit == "s":
+            control.append(control_seconds())
     for size in sizes:
-        ts = times[size]
-        per = "" if steps is None else f"  {min(ts) / steps(size) * 1e6:6.2f} us/op"
+        best, worst = min(values[size]), max(values[size])
+        if unit == "s":
+            value = f"{best:8.4f} s  (range {best:.4f}-{worst:.4f})"
+            value += f"  {best / min(control):6.2f}x control"
+            per = "" if steps is None else f"  {best / steps(size) * 1e6:6.2f} us/op"
+        else:
+            value = f"{best:10d} B  (range {best}-{worst})"
+            per = "" if steps is None else f"  {best / steps(size):8.1f} B/op"
+        print(f"{name:15} n={size:6d} {what} {value}{per}")
+    growth = math.log(min(values[4 * n]) / min(values[n]), 4)
+    if control:
+        low, high = min(control), max(control)
         print(
-            f"{name:15} n={size:6d} {what} {min(ts):8.4f} s"
-            f"  (range {min(ts):.4f}-{max(ts):.4f})"
-            f"  {min(ts) / min(control):6.2f}x control{per}"
+            f"{name:15} growth exponent {growth:.2f}"
+            f"  control {low:.4f} s (range {low:.4f}-{high:.4f})"
         )
-    growth = math.log(min(times[4 * n]) / min(times[n]), 4)
-    low, high = min(control), max(control)
-    print(
-        f"{name:15} growth exponent {growth:.2f}"
-        f"  control {low:.4f} s (range {low:.4f}-{high:.4f})"
-    )
+    else:
+        print(f"{name:15} growth exponent {growth:.2f}")
 
 
 def main():
@@ -239,6 +270,14 @@ def main():
             1000,
             lambda size: size * (8 - k),
         )
+    rungs(
+        "peak-short-lines",
+        "peak",
+        lambda size: peak_bytes(functools.partial(short_lines_shape, k=2), size),
+        1000,
+        lambda size: size * 6,
+        unit="B",
+    )
     rungs("deep-query", "query", deep_query_seconds, 1000)
     rungs("deep-check-text", "check", lambda n: deep_check_seconds(n, "text"), 1000)
     rungs("deep-check-tree", "check", lambda n: deep_check_seconds(n, "tree"), 1000)

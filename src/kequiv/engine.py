@@ -11,25 +11,27 @@ object, as they share the `TermTable`; a k-set renamed to representatives
 records only (old, representative) pairs, which `explain` expands along
 the proof forest.
 
-Storage.  Every record of the merge history stays in `ksets`, so proofs
-can be extracted later, but only active k-sets hold a term set: one
-mutable *live set* per lineage, named by a handle.  `term2parents` maps
-each term to the handles of the live sets holding it, and `owner` maps a
-handle to its active record.  Each fact makes one record.  A hypothesis
-is stored on its representatives; its `Asserted` record keeps the
-(term, representative) pairs of the terms equalities had retired.  A
-merge absorbs the smaller side into the larger side's live set (union by
-size, Tarjan-style; a tie absorbs the newer side) and re-registers only
-the absorbed terms; its `Merged` record keeps those terms and the anchor
-the two sides share.  A rename edits the live set in place; its
-`Rewritten` record keeps the one (old, new) pair and whether the new
-term was already there.  `explain` reads only these stored pieces, the
-proof-forest reading of the history (Nieuwenhuis & Oliveras, RTA 2005),
-and `KSet.terms` of an inactive record rebuilds the set on demand.  One
-walk extracts every proof and writes its text as it goes, as a list of
-string pieces with every term named, which `format_proof` only joins;
-`parse_proof` reads that text into a proof term for a caller that wants
-a tree.
+Storage.  Every record of the merge history stays in `history`, indexed
+by k-set id, so proofs can be extracted later, but only active k-sets
+hold a term set: one mutable *live set* per lineage, named by a handle
+(`handles[id]`).  `term2parents` maps each term to the handles of the
+live sets holding it, and `owner` maps a handle to its active k-set: a
+k-set is active exactly when `owner` maps its handle back to it.  Each
+fact makes one record.  A hypothesis is stored on its representatives;
+its `Asserted` record keeps the (term, representative) pairs of the
+terms equalities had retired.  A merge absorbs the smaller side into the
+larger side's live set (union by size, Tarjan-style; a tie absorbs the
+newer side) and re-registers only the absorbed terms; its `Merged`
+record keeps those terms and the anchor the two sides share.  A rename
+edits the live set in place; its `Rewritten` record keeps the one (old,
+new) pair and whether the new term was already there.  `explain` reads
+only these stored pieces, the proof-forest reading of the history
+(Nieuwenhuis & Oliveras, RTA 2005), and `terms_of` an inactive k-set
+rebuilds its set on demand.  `ksets` builds read-only `KSet` views of
+the two lists when it is read.  One walk extracts every proof and writes
+its text as it goes, as a list of string pieces with every term named,
+which `format_proof` only joins; `parse_proof` reads that text into a
+proof term for a caller that wants a tree.
 
 Cost.  Let M be the number of terms registered by hypotheses and renames
 (at most k+1 per hypothesis plus one per rename).  An absorbed term
@@ -44,21 +46,20 @@ the parents of the |classes|-k+1 classes with the fewest parent entries
 merge, among the parents of the fused set minus the merged piece with
 the fewest parent entries; each candidate is verified in
 min(|candidate|, |fused|).  The chain, the pencil and the equality chain
-thus assert in O(M log M).  The constant work is two records (`Asserted`
-and `KSet`) and one registration pass over its terms per hypothesis,
+thus assert in O(M log M).  The constant work is one record
+(`Asserted`) and one registration pass over its terms per hypothesis,
 plus a rename scan only once an equality has joined two terms (a renamed
-hypothesis registers only its representatives), two records (`Merged`
-and `KSet`) and one pass over the absorbed terms per merge, and two
-records (`Rewritten` and `KSet`) per k-set a rename edits.  Worst case,
-a term on many lines is still read whole: a hypothesis all of whose
-classes hold such hubs, or a rename into one, reads their parent lists,
-and a candidate that shares fewer than k classes costs its full size, so
-a sequence of such asserts can take quadratic time.
+hypothesis registers only its representatives), one record (`Merged`)
+and one pass over the absorbed terms per merge, and one record
+(`Rewritten`) per k-set a rename edits.  Worst case, a term on many
+lines is still read whole: a hypothesis all of whose classes hold such
+hubs, or a rename into one, reads their parent lists, and a candidate
+that shares fewer than k classes costs its full size, so a sequence of
+such asserts can take quadratic time.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import AbstractSet, Iterable, Mapping, Sequence, Union
@@ -130,35 +131,25 @@ _EXPLAIN, _FUSE, _REWRAP = 0, 1, 2
 
 
 class KSet:
-    """One arena record.
+    """A read-only view of k-set `id` of `session`.
 
-    An active record owns the live term set named by `handle`; `terms` is
-    a read-only copy of it, or, once the record is inactive, its terms
-    rebuilt from the history (see `Session.terms_of`).  Invariant: the
-    engine's objects form no reference cycle, so reference counting frees
-    all of them and `kequiv` commands run with the cycle collector paused
-    (a test enforces this).  That is why a record holds its session by a
-    weak reference; `terms` is therefore readable only while the session
-    is alive, and raises ReferenceError after.  A plain `__slots__` class,
-    not a dataclass, because the engine builds one or two per hypothesis;
-    records compare by identity.
+    `history` is its record and `handle` names its lineage's live set; an
+    active k-set owns that set.  `terms` is a copy of the live set, or,
+    once the k-set is inactive, its terms rebuilt from the history (see
+    `Session.terms_of`).  The session stores each fact once, in its
+    `history` and `handles` lists, and builds views only when
+    `Session.ksets` is read.  Invariant: the engine's objects form no
+    reference cycle, so reference counting frees all of them and `kequiv`
+    commands run with the cycle collector paused (a test enforces this).
+    That is why a view may hold its session but the session never holds
+    a view.  Views compare by identity.
     """
 
-    __slots__ = ("id", "history", "handle", "session", "active")
+    __slots__ = ("session", "id")
 
-    def __init__(
-        self,
-        id: int,
-        history: HistoryNode,
-        handle: int,
-        session: weakref.ReferenceType[Session],
-        active: bool = True,
-    ):
-        self.id = id
-        self.history = history
-        self.handle = handle
+    def __init__(self, session: Session, id: int):
         self.session = session
-        self.active = active
+        self.id = id
 
     def __repr__(self) -> str:
         return (
@@ -167,16 +158,28 @@ class KSet:
         )
 
     @property
+    def history(self) -> HistoryNode:
+        return self.session.history[self.id]
+
+    @property
+    def handle(self) -> int:
+        return self.session.handles[self.id]
+
+    @property
+    def active(self) -> bool:
+        return self.session.owner.get(self.handle) == self.id
+
+    @property
     def terms(self) -> frozenset[int]:
-        session = self.session()
-        if session is None:
-            raise ReferenceError(f"k-set record {self.id} outlived its Session")
-        return frozenset(session.terms_of(self.id))
+        return frozenset(self.session.terms_of(self.id))
 
 
 @dataclass
 class Stats:
-    """A session's instrumentation counters; `Session.stats()` returns a copy."""
+    """A session's instrumentation counters; `Session.stats()` returns a copy.
+
+    `Session.counters` holds only the counts that no structure already holds.
+    """
 
     hypotheses: int = 0
     active: int = 0
@@ -367,17 +370,23 @@ class Session:
             raise ValueError("k must be a positive integer")
         self.k = k
         self.hypotheses: list[tuple[int, ...]] = []
-        self.ksets: list[KSet] = []
+        # k-set id -> its history record, and -> the handle of its live set
+        self.history: list[HistoryNode] = []
+        self.handles: list[int] = []
         # term -> handles of the live sets holding it
         self.term2parents: defaultdict[int, set[int]] = defaultdict(set)
         # handle -> live term set, and handle -> the active record owning it
         self.live: dict[int, set[int]] = {}
         self.owner: dict[int, int] = {}
-        self._ref = weakref.ref(self)
         # both shared with a congruence layer when one manages this session
         self.terms = TermTable(partition)
         self.equalities = Equalities()
         self.counters = Stats()
+
+    @property
+    def ksets(self) -> list[KSet]:
+        """Read-only views of the k-sets, built anew on each read."""
+        return [KSet(self, n) for n in range(len(self.history))]
 
     # ------------------------------------------------------------------
     # terms and the distinctness partition
@@ -422,7 +431,6 @@ class Session:
         self.terms.fixed = True
         i = len(self.hypotheses)
         self.hypotheses.append(xs)
-        self.counters.hypotheses += 1
         terms, history = xs, Asserted(i)
         # an empty forest means no equality joined two terms: nothing to rename
         if self.equalities.forest:
@@ -444,12 +452,11 @@ class Session:
         record, then each result still active is re-merged.
         """
         new = self.equalities.find(old)
-        ksets, live, owner = self.ksets, self.live, self.owner
-        parents, c = self.term2parents, self.counters
+        history, handles, owner = self.history, self.handles, self.owner
+        live, parents, c = self.live, self.term2parents, self.counters
         rewritten = []
         for kid in sorted(owner[h] for h in parents.pop(old, ())):
-            rec = ksets[kid]
-            handle = rec.handle
+            handle = handles[kid]
             terms = live[handle]
             already = new in terms
             terms.discard(old)
@@ -457,16 +464,16 @@ class Session:
                 terms.add(new)
                 parents[new].add(handle)
                 c.registrations += 1
-            rec.active = False
-            n = len(ksets)
-            ksets.append(KSet(n, Rewritten(kid, old, new, already), handle, self._ref))
+            n = len(history)
+            history.append(Rewritten(kid, old, new, already))
+            handles.append(handle)
             owner[handle] = n
             rewritten.append(n)
         if rewritten:
             c.rewrites += len(rewritten)
             c.max_parents = max(c.max_parents, len(parents[new]))
         for n in rewritten:
-            if ksets[n].active:
+            if owner.get(handles[n]) == n:
                 self.find_merges(n, new)
         self.check_counter_bounds()
 
@@ -475,8 +482,9 @@ class Session:
         terms = set(terms)
         if not terms:
             raise ValueError("a k-set needs at least one term")
-        n = len(self.ksets)
-        self.ksets.append(KSet(n, history, n, self._ref))
+        n = len(self.history)
+        self.history.append(history)
+        self.handles.append(n)
         self.live[n] = terms
         self.owner[n] = n
         parents = self.term2parents
@@ -489,18 +497,18 @@ class Session:
                 top = len(ps)
         c.max_parents = top
         c.registrations += len(terms)
-        c.active += 1
         if len(terms) > c.max_kset_size:
             c.max_kset_size = len(terms)
         return n
 
-    def _active(self, n: int) -> KSet:
-        if not 0 <= n < len(self.ksets):
+    def _active(self, n: int) -> int:
+        """The handle of active k-set `n`."""
+        if not 0 <= n < len(self.history):
             raise ValueError(f"unknown k-set id {n}")
-        rec = self.ksets[n]
-        if not rec.active:
+        h = self.handles[n]
+        if self.owner.get(h) != n:
             raise ValueError(f"k-set {n} is not active")
-        return rec
+        return h
 
     def find_merges(self, n: int, renamed: int | None = None) -> None:
         """Fuse k-set `n` with every active k-set it overlaps on >= k classes.
@@ -512,12 +520,12 @@ class Session:
         other k-sets renamed alongside may now overlap on it; otherwise by
         pigeonhole over n's classes, then from the fused set.
         """
-        h = self._active(n).handle
+        h = self._active(n)
         fused = self.live[h]
         parents, live, owner = self.term2parents, self.live, self.owner
         k, classes_of = self.k, self.terms.class_of.__getitem__
         candidates = self._pigeonhole(fused) if renamed is None else parents[renamed]
-        counters = self.counters
+        history, handles, counters = self.history, self.handles, self.counters
         while True:
             counters.find_merges_calls += 1
             # a match shares terms of at least k classes with the fused set;
@@ -535,10 +543,9 @@ class Session:
             pieces: list[frozenset[int]] = []
             for i, m in enumerate(matches):
                 n = self.merge(m, n)
-                rec = self.ksets[n]
-                merged = rec.history
-                if rec.handle != h:  # the fused set was absorbed by a larger match
-                    h, fused, added = rec.handle, live[rec.handle], []
+                merged = history[n]
+                if handles[n] != h:  # the fused set was absorbed by a larger match
+                    h, fused, added = handles[n], live[handles[n]], []
                 added += merged.absorbed_terms - merged.anchor
                 if i == 0 or merged.absorbed == m:
                     pieces.append(merged.absorbed_terms)
@@ -611,28 +618,26 @@ class Session:
         """
         if i1 == i2:
             raise ValueError("cannot merge a k-set with itself")
-        ksets = self.ksets
+        history, handles, owner = self.history, self.handles, self.owner
         for i in (i1, i2):
-            if not 0 <= i < len(ksets):
+            if not 0 <= i < len(history):
                 raise ValueError(f"unknown k-set id {i}")
-        a, b = ksets[i1], ksets[i2]
-        if not (a.active and b.active):
+        ha, hb = handles[i1], handles[i2]
+        if owner.get(ha) != i1 or owner.get(hb) != i2:
             raise ValueError("merge needs two active k-sets")
         live = self.live
-        ta, tb = live[a.handle], live[b.handle]
+        ta, tb = live[ha], live[hb]
         if len(ta) < len(tb) or len(ta) == len(tb) and i1 > i2:
-            small, big, absorbed, into = a, b, ta, tb
+            small, gone, handle, absorbed, into = i1, ha, hb, ta, tb
         else:
-            small, big, absorbed, into = b, a, tb, ta
+            small, gone, handle, absorbed, into = i2, hb, ha, tb, ta
         absorbed_terms = frozenset(absorbed)
         anchor = absorbed_terms & into
         if len(set(map(self.terms.class_of.__getitem__, anchor))) < self.k:
             raise ValueError(
                 f"merge needs {self.k} distinctness classes in the overlap"
             )
-        gone, handle = small.handle, big.handle
-        del live[gone], self.owner[gone]
-        small.active = big.active = False
+        del live[gone], owner[gone]
         # the absorbed terms leave `gone`; those not in the anchor join `handle`
         parents = self.term2parents
         c = self.counters
@@ -645,14 +650,13 @@ class Session:
                 if len(ps) > top:
                     top = len(ps)
         into |= absorbed_terms - anchor
-        n = len(ksets)
-        history = Merged(i1, i2, small.id, absorbed_terms, anchor)
-        ksets.append(KSet(n, history, handle, self._ref))
-        self.owner[handle] = n
+        n = len(history)
+        history.append(Merged(i1, i2, small, absorbed_terms, anchor))
+        handles.append(handle)
+        owner[handle] = n
         c.max_parents = top
         c.registrations += len(absorbed) - len(anchor)
         c.merges += 1
-        c.active -= 1
         if len(into) > c.max_kset_size:
             c.max_kset_size = len(into)
         return n
@@ -668,20 +672,20 @@ class Session:
         renames and the larger side of each merge to a renamed hypothesis,
         then adding back the absorbed sides and renames on the way up.
         """
-        if not 0 <= n < len(self.ksets):
+        if not 0 <= n < len(self.history):
             raise ValueError(f"unknown k-set id {n}")
-        rec = self.ksets[n]
-        if rec.active:
-            return self.live[rec.handle]
+        handle = self.handles[n]
+        if self.owner.get(handle) == n:
+            return self.live[handle]
         layers: list[HistoryNode] = []
-        h = rec.history
+        h = self.history[n]
         while not isinstance(h, Asserted):
             layers.append(h)
             if isinstance(h, Rewritten):
                 n = h.source
             else:
                 n = h.right if h.absorbed == h.left else h.left
-            h = self.ksets[n].history
+            h = self.history[n]
         rename = dict(h.renames).get
         terms = {rename(t, t) for t in self.hypotheses[h.hyp_index]}
         for h in reversed(layers):
@@ -728,7 +732,7 @@ class Session:
         The conclusion is a superset of `xs` when the walk bottoms out in a
         single hypothesis, and exactly `xs` otherwise.
         """
-        if not 0 <= n < len(self.ksets):
+        if not 0 <= n < len(self.history):
             raise ValueError(f"unknown k-set id {n}")
         s = frozenset(xs)
         if not s:
@@ -749,7 +753,7 @@ class Session:
         # source or None under a hypothesis, slot of its opener)).  A fuse's
         # closer is written as it is pushed, and a right side that is a
         # bare hypothesis is written into it, in place of its _EXPLAIN.
-        ksets, hypotheses, path = self.ksets, self.hypotheses, self.equalities.path
+        history, hypotheses, path = self.history, self.hypotheses, self.equalities.path
         names = self.terms.term_names
         tasks: list[tuple] = []
         out: list[str] = []
@@ -757,7 +761,7 @@ class Session:
         hyp = -1
         while True:
             # explain record n, continuing down one side of a merge
-            h = ksets[n].history
+            h = history[n]
             cls = type(h)
             if cls is Merged:
                 # xs lies in the union; the absorbed side holds the part in
@@ -782,7 +786,7 @@ class Session:
                     left, right = anchor | (xs - absorbed), inside
                 out.append("(project (trans ")
                 named = " ".join([names[t] for t in sorted(xs)])
-                r = ksets[h.right].history
+                r = history[h.right]
                 if type(r) is Asserted and not r.renames:
                     # its proof is the bare hypothesis, whatever is asked
                     closer = f" (assume {r.hyp_index})) {named})"
@@ -856,13 +860,15 @@ class Session:
     # introspection
 
     def stats(self) -> Stats:
-        return replace(self.counters)
+        return replace(
+            self.counters, hypotheses=len(self.hypotheses), active=len(self.live)
+        )
 
     def check_counter_bounds(self) -> None:
         """Cheap structural bounds; a violation means an engine bug."""
         c = self.counters
-        n = c.hypotheses
-        if c.active > n:
+        n = len(self.hypotheses)
+        if len(self.live) > n:
             raise EngineInvariantError("more active k-sets than hypotheses")
         if c.merges > max(0, n - 1):
             raise EngineInvariantError("merge count exceeded n-1")
@@ -876,30 +882,26 @@ class Session:
 
         Checks the handle map, then replays the history bottom-up, from
         each hypothesis through every merge and rename, against what each
-        record stores and against its `terms`; then the parent map against
+        record stores and against `terms_of`; then the parent map against
         the live sets, the pairwise overlap invariant of active k-sets, and
         the counter bounds.  Raises EngineInvariantError on the first
         violation.
         """
-        active = [rec for rec in self.ksets if rec.active]
-        if len(active) != self.counters.active:
-            raise EngineInvariantError("active counter out of sync")
-        if {rec.handle: rec.id for rec in active} != self.owner or (
-            self.owner.keys() != self.live.keys()
-        ):
+        handles, owner, live = self.handles, self.owner, self.live
+        # each live set is owned by the latest k-set holding its handle
+        latest = {h: n for n, h in enumerate(handles)}
+        owners = {h: latest.get(h) for h in live}
+        if len(handles) != len(self.history) or owner != owners:
             raise EngineInvariantError("handle map out of sync")
         replay: list[frozenset[int]] = []
-        for rec in self.ksets:
-            h = rec.history
+        for n, h in enumerate(self.history):
             if isinstance(h, Asserted):
                 rename = dict(h.renames).get
                 terms = frozenset(rename(t, t) for t in self.hypotheses[h.hyp_index])
             elif (min(h.left, h.right) if isinstance(h, Merged) else h.source) < 0:
-                raise EngineInvariantError(f"k-set {rec.id} cites a negative k-set id")
-            elif max(h.left, h.right) >= rec.id if isinstance(h, Merged) else (
-                h.source >= rec.id
-            ):
-                raise EngineInvariantError(f"k-set {rec.id} cites a later k-set")
+                raise EngineInvariantError(f"k-set {n} cites a negative k-set id")
+            elif max(h.left, h.right) >= n if isinstance(h, Merged) else h.source >= n:
+                raise EngineInvariantError(f"k-set {n} cites a later k-set")
             elif isinstance(h, Merged):
                 left, right = replay[h.left], replay[h.right]
                 terms = left | right
@@ -907,38 +909,35 @@ class Session:
                     left if h.absorbed == h.left else right
                 ):
                     raise EngineInvariantError(
-                        f"k-set {rec.id} stores the wrong absorbed side"
+                        f"k-set {n} stores the wrong absorbed side"
                     )
                 if h.anchor != left & right:
-                    raise EngineInvariantError(f"k-set {rec.id} stores a wrong anchor")
+                    raise EngineInvariantError(f"k-set {n} stores a wrong anchor")
             else:
                 source = replay[h.source]
                 if h.old not in source or h.already != (h.new in source):
-                    raise EngineInvariantError(
-                        f"k-set {rec.id} misrecords its renamed term"
-                    )
+                    raise EngineInvariantError(f"k-set {n} misrecords its renamed term")
                 terms = source - {h.old} | {h.new}
-            view = rec.terms
+            view = self.terms_of(n)
             if not view:
-                raise EngineInvariantError(f"k-set {rec.id} is empty")
+                raise EngineInvariantError(f"k-set {n} is empty")
             if view != terms:
-                raise EngineInvariantError(
-                    f"k-set {rec.id} disagrees with its history"
-                )
+                raise EngineInvariantError(f"k-set {n} disagrees with its history")
             replay.append(terms)
         expected: dict[int, set[int]] = {}
-        for handle, terms in self.live.items():
+        for handle, terms in live.items():
             for x in terms:
                 expected.setdefault(x, set()).add(handle)
         for x in self.term2parents.keys() | expected.keys():
             if self.term2parents.get(x, set()) != expected.get(x, set()):
                 raise EngineInvariantError(f"parent map out of sync for term {x}")
+        active = sorted(owner.values())
         for i, a in enumerate(active):
             for b in active[i + 1 :]:
-                shared = a.terms & b.terms
+                shared = live[handles[a]] & live[handles[b]]
                 n_classes = len({self.class_of[t] for t in shared})
                 if n_classes >= self.k:
                     raise EngineInvariantError(
-                        f"active k-sets {a.id} and {b.id} share {n_classes} classes"
+                        f"active k-sets {a} and {b} share {n_classes} classes"
                     )
         self.check_counter_bounds()

@@ -197,10 +197,10 @@ class TestNegativeIds:
         a, b, c, d = (s.intern_term(t) for t in "abcd")
         s.assert_hypothesis([a, b, c])
         s.assert_hypothesis([a, b, d])
-        merged = s.ksets[2].history
+        merged = s.history[2]
         assert merged == Merged(0, 1)
         # -2 names record 0 from the end, so the replay alone would agree
-        s.ksets[2].history = replace(merged, left=-2)
+        s.history[2] = replace(merged, left=-2)
         with pytest.raises(EngineInvariantError, match="negative k-set id"):
             s.validate()
 
@@ -485,15 +485,15 @@ class TestInvariants:
             "corruptions = {\n"
             "    'parents': lambda s: s.term2parents[0].add(7),\n"
             "    'empty': lambda s: s.live[0].clear(),\n"
-            "    'anchor': lambda s: setattr(s.ksets[2], 'history',\n"
-            "        replace(s.ksets[2].history, anchor=frozenset({0}))),\n"
-            "    'absorbed': lambda s: setattr(s.ksets[2], 'history',\n"
-            "        replace(s.ksets[2].history, absorbed_terms=frozenset({0, 1, 2}))),\n"
-            "    'handle': lambda s: s.owner.update({s.ksets[2].handle: 1}),\n"
-            "    'already': lambda s: setattr(s.ksets[3], 'history',\n"
-            "        replace(s.ksets[3].history, already=True)),\n"
-            "    'renames': lambda s: setattr(s.ksets[4], 'history',\n"
-            "        replace(s.ksets[4].history, renames=())),\n"
+            "    'anchor': lambda s: s.history.__setitem__(\n"
+            "        2, replace(s.history[2], anchor=frozenset({0}))),\n"
+            "    'absorbed': lambda s: s.history.__setitem__(\n"
+            "        2, replace(s.history[2], absorbed_terms=frozenset({0, 1, 2}))),\n"
+            "    'handle': lambda s: s.owner.update({s.handles[2]: 1}),\n"
+            "    'already': lambda s: s.history.__setitem__(\n"
+            "        3, replace(s.history[3], already=True)),\n"
+            "    'renames': lambda s: s.history.__setitem__(\n"
+            "        4, replace(s.history[4], renames=())),\n"
             "}\n"
             "for corrupt, apply in corruptions.items():\n"
             "    s = Session(2)\n"
@@ -520,7 +520,7 @@ class TestInvariants:
             "s.rename_term(a)\n"
             "del s.equalities.forest[a]\n"
             "try:\n"
-            "    s.explain(len(s.ksets) - 1, [b, c])\n"
+            "    s.explain(len(s.history) - 1, [b, c])\n"
             "except EngineInvariantError as e:\n"
             "    print(__debug__, e)\n"
         )
@@ -605,16 +605,18 @@ def test_mid_scale_oracle_differential(k, partitioned):
         s.validate()
 
 
-def test_record_terms_need_a_live_session():
+def test_views_keep_their_session_alive():
     s = Session(2)
     x = [s.intern_term(t) for t in "abcd"]
     s.assert_hypothesis(x[:3])
     s.assert_hypothesis(x[1:])
-    records = s.ksets
-    assert records[2].terms == frozenset(x) and records[0].terms == frozenset(x[:3])
+    views = s.ksets
+    assert views[0] is not s.ksets[0]
     del s
-    with pytest.raises(ReferenceError, match="outlived its Session"):
-        records[0].terms
+    assert views[2].terms == frozenset(x) and views[0].terms == frozenset(x[:3])
+    assert [v.active for v in views] == [False, False, True]
+    with pytest.raises(AttributeError):
+        views[2].active = False
 
 
 def shape_registrations(build, n):

@@ -176,6 +176,8 @@ class CongruenceMachine(RuleBasedStateMachine):
     def sessions_validate(self):
         for s in self.state.sessions.values():
             s.validate()
+            assert [r.history for r in s.ksets] == s.history
+            assert len(s.handles) == len(s.history)
 
     @invariant()
     def active_sets_match_the_oracle(self):
