@@ -26,20 +26,22 @@ text, the path `kequiv check` takes, and of its proof term, which
 `check` writes as text and judges the same way; the term is parsed
 before the clock starts.  The deep-parse rungs time `parse_proof` of
 that text, and the deep-check-fail rungs `check` of the text with its
-first `(assume N)` out of range, which must raise ProofCheckError.  The
-deep-check-eq rungs time `check` of the text of the deepest query's
-proof on the eq-chain, (z, x0, x_n-1), which is almost all `subst`
-nodes, a law the chain's proofs never cite.  The end-to-end rungs write
-a shape as a problem file and time `kequiv.cli.main` on it in this
-process, which runs with the cyclic garbage collector paused, as every
-`kequiv` command does: `kequiv solve` on the closed pencil, and `kequiv
-check` on the short-lines shape (k = 2) with the proofs `kequiv solve`
-gives for it, where reading the file is most of the work, as on
-many-lines; the check-short-lines lines also give the time per
-hypothesis.  The short-lines rungs pause it too, since many-lines runs
-through `kequiv solve`: with it on, its heap walks take a share of each
-hypothesis that grows with n.  The other library rungs, the deep query
-and the control included, run with it on.
+first `(assume N)` out of range, which must raise ProofCheckError, and
+the deep-check-syntax rungs `check` of the text with its last term name
+misspelled, which must raise ProofSyntaxError.  The deep-check-eq rungs
+time `check` of the text of the deepest query's proof on the eq-chain,
+(z, x0, x_n-1), which is almost all `subst` nodes, a law the chain's
+proofs never cite.  The end-to-end rungs write a shape as a problem file
+and time `kequiv.cli.main` on it in this process, which runs with the
+cyclic garbage collector paused, as every `kequiv` command does:
+`kequiv solve` on the closed pencil, and `kequiv check` on the
+short-lines shape (k = 2) with the proofs `kequiv solve` gives for it,
+where reading the file is most of the work, as on many-lines; the
+check-short-lines lines also give the time per hypothesis.  The
+short-lines rungs pause it too, since many-lines runs through `kequiv
+solve`: with it on, its heap walks take a share of each hypothesis that
+grows with n.  The other library rungs, the deep query and the control
+included, run with it on.
 
     PYTHONPATH=src:tests python scripts/ladder.py
 """
@@ -68,7 +70,13 @@ from helpers import (
     short_lines_text,
 )
 
-from kequiv import ProofCheckError, check, format_proof, parse_proof
+from kequiv import (
+    ProofCheckError,
+    ProofSyntaxError,
+    check,
+    format_proof,
+    parse_proof,
+)
 from kequiv.cli import main as kequiv_main
 
 REPEATS = 5
@@ -191,6 +199,21 @@ def deep_check_fail_seconds(n):
     raise RuntimeError("check passed a hypothesis index out of range")
 
 
+def deep_check_syntax_seconds(n):
+    """Seconds to `check` the deep query's proof text on the chain with its
+    last term name misspelled, which `check` must refuse."""
+    text, _, context, ids = deep_proof(n)
+    at = text.rindex(" p") + 1
+    broken = f"{text[:at]}q{text[at + 1 :]}"
+    gc.collect()
+    start = time.perf_counter()
+    try:
+        check(broken, *context, ids=ids)
+    except ProofSyntaxError:
+        return time.perf_counter() - start
+    raise RuntimeError("check passed an unknown term name")
+
+
 def control_seconds():
     """Seconds for CONTROL_STEPS updates of a small dict: no kequiv code."""
     counts: dict[int, int] = {}
@@ -283,6 +306,7 @@ def main():
     rungs("deep-check-tree", "check", lambda n: deep_check_seconds(n, "tree"), 1000)
     rungs("deep-parse", "parse", deep_parse_seconds, 1000)
     rungs("deep-check-fail", "check", deep_check_fail_seconds, 1000)
+    rungs("deep-check-syntax", "check", deep_check_syntax_seconds, 1000)
     rungs(
         "deep-check-eq",
         "check",

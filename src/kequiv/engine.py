@@ -61,7 +61,7 @@ such asserts can take quadratic time.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping, Sequence, Union
 
 __all__ = [
@@ -70,6 +70,7 @@ __all__ = [
     "Rewritten",
     "HistoryNode",
     "KSet",
+    "Counters",
     "Stats",
     "EngineInvariantError",
     "UnionFind",
@@ -175,14 +176,9 @@ class KSet:
 
 
 @dataclass
-class Stats:
-    """A session's instrumentation counters; `Session.stats()` returns a copy.
+class Counters:
+    """The counts a session keeps as it runs: those no structure holds."""
 
-    `Session.counters` holds only the counts that no structure already holds.
-    """
-
-    hypotheses: int = 0
-    active: int = 0
     merges: int = 0
     find_merges_calls: int = 0
     # hypotheses renamed as they are asserted plus k-sets renamed in place
@@ -192,6 +188,16 @@ class Stats:
     max_parents: int = 0
     # additions of a (term, live set) pair to `term2parents`
     registrations: int = 0
+
+
+@dataclass
+class Stats(Counters):
+    """A session's instrumentation counters, as `Session.stats()` returns
+    them: a copy of `Session.counters`, and the numbers of hypotheses and
+    of active k-sets, read off the session."""
+
+    hypotheses: int = 0
+    active: int = 0
 
 
 class EngineInvariantError(AssertionError):
@@ -381,7 +387,7 @@ class Session:
         # both shared with a congruence layer when one manages this session
         self.terms = TermTable(partition)
         self.equalities = Equalities()
-        self.counters = Stats()
+        self.counters = Counters()
 
     @property
     def ksets(self) -> list[KSet]:
@@ -860,8 +866,10 @@ class Session:
     # introspection
 
     def stats(self) -> Stats:
-        return replace(
-            self.counters, hypotheses=len(self.hypotheses), active=len(self.live)
+        return Stats(
+            **vars(self.counters),
+            hypotheses=len(self.hypotheses),
+            active=len(self.live),
         )
 
     def check_counter_bounds(self) -> None:

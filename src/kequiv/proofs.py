@@ -36,8 +36,9 @@ names, first.  The pass runs no regular expression: it splits the text
 at each '(' and then at each ')' into the stretches between
 parentheses, and only `project`, `subst` and the leaves split a stretch
 into atoms.  After a broken law it reads the rest for syntax only, as a
-later syntax error wins.  Text it gives up on is read again only to
-raise the ProofSyntaxError at its column.
+later syntax error wins.  It is also the only reader of malformed text:
+it raises the first ProofSyntaxError in the text, and works out its
+column only then, from where in the split text the error stands.
 
 An index in proof text is refused if longer than `numeral` allows, so
 it means the same under any limit Python sets on the digits `int`
@@ -46,10 +47,9 @@ converts (PYTHONINTMAXSTRDIGITS).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from itertools import islice
-from operator import index
+from itertools import accumulate, islice, repeat
+from operator import index, sub
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
@@ -279,9 +279,12 @@ def check(
     names to ids.  Either is judged in one pass over text that builds no
     proof term; a proof term is first written as text, with numerals for
     names.  Malformed input raises before any broken law: a
-    ProofSyntaxError, even one later in the text; for a term, a node of
-    another type or an empty term list (ProofCheckError at that node), or
-    another ValueError of `format_proof`, such as a term id with no name.
+    ProofSyntaxError, the first in the text, even if a law is broken
+    before it; for a term, a node of another type or an empty term list
+    (ProofCheckError at that node), or another ValueError of
+    `format_proof`, such as a term id with no name.  A malformed log
+    entry that a node cites raises ValueError, unless a law is broken
+    first.
 
     Laws enforced per node:
 
@@ -310,20 +313,14 @@ def check(
     if isinstance(proof, str):
         if ids is None:
             raise TypeError("checking proof text needs the ids of its term names")
-        conclusion = _judge(proof, ids.__getitem__, laws, _NUMERAL_MAX)
-        if conclusion is None:
-            _read(proof, ids)  # raises the syntax error, if there is one
-    else:
-        try:
-            text = format_proof(proof, _NUMERALS)
-        except ValueError:
-            _refuse_textless(proof)
-            raise
-        # a term's index may be longer than a numeral of proof text may be
-        conclusion = _judge(text, int, laws, len(text))
-    if conclusion is None:
-        raise ValueError("malformed hypotheses, partition or equalities")
-    return conclusion
+        return _judge(proof, ids.__getitem__, laws, _NUMERAL_MAX)
+    try:
+        text = format_proof(proof, _NUMERALS)
+    except ValueError:
+        _refuse_textless(proof)
+        raise
+    # a term's index may be longer than a numeral of proof text may be
+    return _judge(text, int, laws, len(text))
 
 
 class _Numerals:
@@ -482,122 +479,13 @@ class ProofSyntaxError(ValueError):
         super().__init__(f"col {column}: {message}")
 
 
-_TOKEN = re.compile(r"[()]|[^\s()]+")
-
-
 def parse_proof(text: str, ids: Mapping[str, int]) -> ProofTerm:
     """Parse the canonical text form back into a proof term.
 
     `ids` maps term names to ids.  Malformed text, an unknown name
     included, raises ProofSyntaxError with the offending column.
     """
-    proof = _judge(text, ids.__getitem__, None, _NUMERAL_MAX)
-    if proof is None:
-        _read(text, ids)
-    return proof
-
-
-def _read(text: str, ids: Mapping[str, int]) -> None:
-    """Raise the ProofSyntaxError of malformed `text`, at its column.
-
-    A shift-reduce over the tokens that builds nothing; it runs only on
-    text `_judge` gave up on, and returns if that text is well formed.
-    """
-    # tokens are referred to by index; a column is found only to raise
-    tokens = _TOKEN.findall(text)
-
-    def error(i: int, message: str) -> ProofSyntaxError:
-        # the column of token i, or one past the end of the text
-        m = next(islice(_TOKEN.finditer(text), i, None), None)
-        return ProofSyntaxError(len(text) + 1 if m is None else m.start() + 1, message)
-
-    # a part is the index of an atom, or of the ')' closing a sub-proof
-    def as_int(i: int, what: str) -> None:
-        if tokens[i] == ")":
-            raise error(i, f"expected {what}")
-        try:
-            numeral(tokens[i])
-        except ValueError:
-            raise error(i, f"expected {what}, got {tokens[i]!r}") from None
-
-    def as_terms(parts: list[int]) -> None:
-        for i in parts:
-            if tokens[i] == ")":
-                raise error(i, "expected a term name")
-            try:
-                ids[tokens[i]]
-            except KeyError:
-                raise error(i, f"unknown term {tokens[i]!r}") from None
-
-    def as_proofs(parts: list[int]) -> None:
-        for i in parts:
-            if tokens[i] != ")":
-                raise error(i, "expected a sub-proof")
-
-    def reduce(h: int, parts: list[int]) -> None:
-        head = tokens[h]
-        if head == "assume":
-            if len(parts) != 1:
-                raise error(h, "assume takes one hypothesis index")
-            as_int(parts[0], "a hypothesis index")
-        elif head == "subrefl":
-            if not parts:
-                raise error(h, "subrefl needs at least one term")
-            as_terms(parts)
-        elif head == "trans":
-            if len(parts) != 2:
-                raise error(h, "trans takes two sub-proofs")
-            as_proofs(parts)
-        elif head == "project":
-            if len(parts) < 2:
-                raise error(h, "project takes a sub-proof and at least one term")
-            as_proofs(parts[:1])
-            as_terms(parts[1:])
-        elif head == "subst":
-            if len(parts) != 4:
-                raise error(
-                    h, "subst takes a sub-proof, two terms, and an equality index"
-                )
-            as_proofs(parts[:1])
-            as_terms(parts[1:3])
-            as_int(parts[3], "an equality index")
-        else:
-            raise error(h, f"unknown proof constructor {head!r}")
-
-    # Shift-reduce over the tokens; a frame is (h, parts), where h is the
-    # index of its head, or of its '(' while it has no head yet.
-    frames: list[tuple[int, list[int]]] = []
-    done = False
-    for i, tok in enumerate(tokens):
-        if tok == "(":
-            if frames and tokens[frames[-1][0]] == "(":
-                raise error(i, "expected a proof constructor")
-            frames.append((i, []))
-        elif tok == ")":
-            if not frames:
-                raise error(i, "unbalanced ')'")
-            h, parts = frames.pop()
-            if tokens[h] == "(":
-                raise error(h, "empty proof node")
-            reduce(h, parts)
-            if frames:
-                frames[-1][1].append(i)
-            elif not done:
-                done = True
-            else:
-                raise error(i, "trailing input after proof")
-        else:
-            if not frames:
-                raise error(i, "proof must start with '('")
-            h, parts = frames[-1]
-            if tokens[h] == "(":
-                frames[-1] = (i, parts)
-            else:
-                parts.append(i)
-    if frames:
-        raise error(frames[-1][0], "unclosed '('")
-    if not done:
-        raise error(len(tokens), "empty proof")
+    return _judge(text, ids.__getitem__, None, _NUMERAL_MAX)
 
 
 class _BrokenLaw(Exception):
@@ -609,30 +497,34 @@ def _judge(
     name_id: Callable[[str], int],
     laws: tuple | None,
     limit: int,
-) -> ProofTerm | frozenset[int] | None:
-    """Read proof `text` in one pass, or give up on it, returning None.
+) -> ProofTerm | frozenset[int]:
+    """Read proof `text` in one pass.
 
     With `laws` None it returns the proof term.  With `laws`, `check`'s
     (k, hypotheses, partition, equalities), it returns the judgment the
     proof establishes; the first broken law raises ProofCheckError at its
-    node once the rest is read for shape, names and indices only.  It
-    gives up on the text `parse_proof` refuses, and on a malformed log.
-    `name_id` gives a term name's id, or raises KeyError or ValueError; an
-    index is read by `int` and refused if longer than `limit`.
+    node once the rest is read for shape, names and indices only.  A
+    malformed log (hypotheses, partition or equalities) raises ValueError
+    in its place, if it comes first.  Malformed text raises the first
+    ProofSyntaxError in the text, before any of these.  `name_id` gives a
+    term name's id, or raises KeyError or ValueError; an index is read by
+    `int` and refused if longer than `limit`.
 
     A node's result, node or judgment, is worked out from its children's
     when its ')' is read.  The text is split at each '(', and a chunk
     holding a ')' is split again, into the node's opening stretch (its
     head and atoms) and the stretch after each ')' that closes in it.
     Only `project`, `subst` and the leaves split a stretch into atoms;
-    elsewhere a stretch must be whitespace.
+    elsewhere a stretch must be whitespace.  Where a syntax error is
+    found, its column is worked out only to raise it (see `_refusal`).
     """
     build, judging = laws is None, laws is not None
     if judging:
         k, hypotheses, partition, equalities = laws
         class_of = partition.__getitem__
         n_hyps, n_eqs = len(hypotheses), len(equalities)
-    failure = None  # (path, message) of the first broken law
+    # the error class and arguments of the first broken law or malformed log
+    failure = None
     # an open node is [the stretch after its '(', then per child: result,
     # the stretch after the child's ')'], so a valid node's length says its
     # shape, and an open node is reading its child (len(node) - 1) // 2
@@ -641,26 +533,29 @@ def _judge(
     done = False
     root = None
     chunks = text.split("(")
-    if chunks[0].strip():
-        return None  # text before the first '('
-    for chunk in islice(chunks, 1, None):
+    before = chunks[0].lstrip()
+    if before:  # a token before the first '('
+        message = "unbalanced ')'" if before[0] == ")" else "proof must start with '('"
+        raise ProofSyntaxError(len(chunks[0]) - len(before) + 1, message)
+    rest = islice(chunks, 1, None)
+    for chunk in rest:
         if node is not None:
             stack.append(node)
-        elif done:
-            return None  # trailing input
         if ")" not in chunk:
             node = [chunk]  # a node with sub-proofs opens
             continue
         stretches = chunk.split(")")
-        node = [stretches[0]]
-        for stretch in stretches[1:]:
+        cuts = iter(stretches)
+        node = [next(cuts)]
+        for stretch in cuts:
             if node is None:
-                return None  # unbalanced ')'
+                at = _closing(chunks, rest, stretches, cuts)[1] + 1
+                raise ProofSyntaxError(at, "unbalanced ')'")
             size = len(node)
             try:
                 if size == 5:  # two sub-proofs: trans
                     if node[0].strip() != "trans" or (node[2] + node[4]).strip():
-                        return None
+                        raise ValueError  # a malformed node
                     x, y = node[1], node[3]
                     if judging:
                         shared = x & y
@@ -682,7 +577,7 @@ def _judge(
                     atoms = node[2].split()
                     if kind == "project":
                         if not atoms:
-                            return None
+                            raise ValueError  # a malformed node
                         terms = frozenset(map(name_id, atoms))
                         if not judging:
                             result = Project(node[1], terms) if build else None
@@ -694,10 +589,10 @@ def _judge(
                             )
                     elif kind == "subst":
                         if len(atoms) != 3:
-                            return None
+                            raise ValueError  # a malformed node
                         frm, to, e = name_id(atoms[0]), name_id(atoms[1]), int(atoms[2])
                         if len(atoms[2]) > limit:
-                            return None
+                            raise ValueError  # a malformed node
                         if judging:
                             if not 0 <= e < n_eqs:
                                 raise _BrokenLaw(f"equality index {e} out of range")
@@ -720,16 +615,16 @@ def _judge(
                         else:
                             result = Subst(node[1], frm, to, e) if build else None
                     else:
-                        return None
+                        raise ValueError  # a malformed node
                 elif size == 1:  # a leaf: assume or subrefl
                     head = node[0].split()
                     kind = head[0] if head else None
                     if kind == "assume":
                         if len(head) != 2:
-                            return None
+                            raise ValueError  # a malformed node
                         i = int(head[1])
                         if len(head[1]) > limit:
-                            return None
+                            raise ValueError  # a malformed node
                         if not judging:
                             result = Assume(i) if build else None
                         elif 0 <= i < n_hyps:
@@ -738,7 +633,7 @@ def _judge(
                             raise _BrokenLaw(f"hypothesis index {i} out of range")
                     elif kind == "subrefl":
                         if len(head) < 2:
-                            return None
+                            raise ValueError  # a malformed node
                         terms = frozenset(map(name_id, head[1:]))
                         if not judging:
                             result = SubRefl(terms) if build else None
@@ -750,22 +645,139 @@ def _judge(
                                 f"got {len(terms)}"
                             )
                     else:
-                        return None
+                        raise ValueError  # a malformed node
                 else:
-                    return None
+                    raise ValueError  # a malformed node
             except _BrokenLaw as broken:  # its traceback holds this frame
                 path = [(len(f) - 1) // 2 for f in stack]
-                failure, judging, result = (path, str(broken)), False, None
+                failure = ProofCheckError, path, str(broken)
+                judging, result = False, None
             except (KeyError, ValueError):
-                return None  # an unknown term name, a malformed index or log
+                # the node's syntax error, or, if it has none, a malformed
+                # log entry it cites
+                fault = _fault(node, name_id, limit)
+                if fault is not None:
+                    ci, at = _closing(chunks, rest, stretches, cuts)
+                    raise _refusal(chunks, ci, at, stack, node, *fault)
+                message = "malformed hypotheses, partition or equalities"
+                failure, judging, result = (ValueError, message), False, None
             if stack:
                 node = stack.pop()
                 node.append(result)
                 node.append(stretch)
-            elif stretch.strip():
-                return None  # trailing input
-            else:
+            elif not done and not stretch.strip():
                 node, done, root = None, True, result
-    if done and failure is not None:
-        raise ProofCheckError(*failure)
-    return root  # None if the text is unclosed or has no '('
+            else:  # a second proof closes, or a token follows the proof
+                at = _closing(chunks, rest, stretches, cuts)[1] + 1
+                if done:
+                    raise ProofSyntaxError(at, "trailing input after proof")
+                at += 1 + len(stretch) - len(stretch.lstrip())
+                raise ProofSyntaxError(at, "proof must start with '('")
+    if node is not None:  # the text ends inside a node: at its head, if any
+        opening = node[0]
+        at, message = len(opening) - len(opening.lstrip()), "unclosed '('"
+        if at == len(opening):  # else at its '(', or its first child's
+            at, message = (-1, message) if len(node) == 1 else (at, _NO_HEAD)
+        raise _refusal(chunks, len(chunks) - 1, len(text), stack, node, 0, at, message)
+    if not done:
+        raise ProofSyntaxError(len(text) + 1, "empty proof")
+    if failure is not None:
+        error, *args = failure
+        raise error(*args)
+    return root
+
+
+# a part of a node, as a syntax error names it
+_PROOF, _TERM = "a sub-proof", "a term name"
+# each constructor's parts, the last repeated if "..." follows it, and the
+# syntax error of a node with too few or too many
+_SHAPES = {
+    "assume": (("a hypothesis index",), "assume takes one hypothesis index"),
+    "subrefl": ((_TERM, ...), "subrefl needs at least one term"),
+    "trans": ((_PROOF, _PROOF), "trans takes two sub-proofs"),
+    "project": (
+        (_PROOF, _TERM, ...),
+        "project takes a sub-proof and at least one term",
+    ),
+    "subst": (
+        (_PROOF, _TERM, _TERM, "an equality index"),
+        "subst takes a sub-proof, two terms, and an equality index",
+    ),
+}
+_NO_HEAD = "expected a proof constructor"
+
+
+def _fault(node: list, name_id: Callable[[str], int], limit: int) -> tuple | None:
+    """The syntax error of a node whose ')' `_judge` reads, as (j, k,
+    message) at offset k of its stretch j (-1: the parenthesis before it),
+    or None.  A node with a head is checked for its arity, then for each
+    part, an atom or a sub-proof's ')', in text order."""
+    parts = []  # (j, k, atom), or (j, -1, None) for sub-proof j
+    for j, stretch in enumerate(node[::2]):
+        if j:
+            parts.append((j, -1, None))
+        k = 0
+        for atom in stretch.split():
+            k = stretch.index(atom, k)
+            parts.append((j, k, atom))
+            k += len(atom)
+    if not parts or parts[0][0]:  # no head: at its '(', or its first child's
+        return (0, len(node[0]), _NO_HEAD) if parts else (0, -1, "empty proof node")
+    (_, at, head), *parts = parts
+    if head not in _SHAPES:
+        return 0, at, f"unknown proof constructor {head!r}"
+    kinds, arity = _SHAPES[head]
+    if kinds[-1] is ...:  # the part before it repeats to the end
+        kinds = kinds[:-1] + kinds[-2:-1] * (len(parts) - len(kinds) + 1)
+    if len(parts) != len(kinds):
+        return 0, at, arity
+    for (j, k, atom), kind in zip(parts, kinds):
+        if (atom is None) != (kind is _PROOF):
+            return j, k, f"expected {kind}"
+        if kind is _TERM and not _reads(name_id, atom):
+            return j, k, f"unknown term {atom!r}"
+        if kind not in (_PROOF, _TERM) and (len(atom) > limit or not _reads(int, atom)):
+            return j, k, f"expected {kind}, got {atom!r}"
+    return None
+
+
+def _reads(read: Callable[[str], int], atom: str) -> bool:
+    """Whether `read` takes `atom` without a KeyError or ValueError."""
+    try:
+        read(atom)
+    except (KeyError, ValueError):
+        return False
+    return True
+
+
+def _closing(chunks: list[str], rest, stretches: list[str], cuts) -> tuple[int, int]:
+    """The index of the chunk `_judge` reads, and the text offset of the ')'
+    before the stretch it reads, from the chunks and stretches left."""
+    ci = len(chunks) - 1 - len(list(rest))
+    m = len(stretches) - 1 - len(list(cuts))
+    return ci, sum(map(len, chunks[:ci])) + ci + sum(map(len, stretches[:m])) + m - 1
+
+
+def _refusal(chunks, ci, end, stack, node, j, k, message) -> ProofSyntaxError:
+    """The ProofSyntaxError at offset k of stretch j of `node`, the node
+    `_judge` reads in chunks[ci], whose last stretch ends at text offset
+    `end`; but a node on `stack` with no head is met first, at its first
+    sub-proof's '('."""
+    depth = len(stack)
+    for d, frame in enumerate(stack):
+        if not frame[0].strip():
+            depth, node, j, k, message = d, frame, 0, len(frame[0]), _NO_HEAD
+            break
+    else:
+        if j == len(node) // 2:
+            return ProofSyntaxError(end - len(node[-1]) + k + 1, message)
+    # chunks[c] opens a node at the depth of the one chunks[c - 1] opens,
+    # plus one, less the ')' between them; depths[i] is that of chunks[i + 1]
+    closed = accumulate(map(str.count, islice(chunks, 1, ci), repeat(")")), initial=0)
+    depths = list(map(sub, range(ci), closed))
+    starts = list(accumulate(map(len, islice(chunks, ci)), initial=0))
+    # `node` opens at the last chunk at its depth, and stretch j ends at
+    # the '(' of its child j + 1, the (j + 1)th chunk one deeper after it
+    opening = ci - depths[::-1].index(depth)
+    ends = [starts[i + 1] + i for i in range(opening, ci) if depths[i] == depth + 1]
+    return ProofSyntaxError(ends[j] - len(node[2 * j]) + k + 1, message)

@@ -18,7 +18,13 @@ from kequiv.congruence import CongruenceState
 from kequiv.engine import Session
 from kequiv.oracle import closure_sets, covered
 from kequiv.problem import generate, intern_problem, parse_text
-from kequiv.proofs import ProofCheckError, check, format_proof, parse_proof
+from kequiv.proofs import (
+    ProofCheckError,
+    ProofSyntaxError,
+    check,
+    format_proof,
+    parse_proof,
+)
 from helpers import chain_text, eq_chain_text, eq_first_text, pencil_closed_text
 
 EXAMPLE = """\
@@ -655,6 +661,22 @@ class TestCheck:
         assert e.value.message == message
         where = "root" + ".0" * 8 + " ... " + ".0" * 8 + f" (depth {n})"
         assert str(e.value) == f"at {where}: {message}"
+        code, out, err = run(capsys, "check", str(path), str(proofs))
+        assert (code, out, err) == (3, f"fail: line 1: {e.value}\n", "")
+        assert len(out.encode()) < 300
+
+    def test_deep_syntax_error_prints_a_bounded_line(self, tmp_path, capsys):
+        # a 200,000-deep `project` nest around a leaf with an unknown name
+        n = 200_000
+        path = tmp_path / "deep.kq"
+        path.write_text("rel coll 2\nhyp coll a b c\nquery coll a b\n")
+        text = "(project " * n + "(subrefl zz)" + " a)" * n
+        proofs = tmp_path / "deep.proofs"
+        proofs.write_text(f"entailed {text}\n")
+        column = len("(project ") * n + len("(subrefl ") + 1
+        with pytest.raises(ProofSyntaxError) as e:
+            check(text, 2, [(0, 1, 2)], ids={"a": 0, "b": 1, "c": 2})
+        assert str(e.value) == f"col {column}: unknown term 'zz'"
         code, out, err = run(capsys, "check", str(path), str(proofs))
         assert (code, out, err) == (3, f"fail: line 1: {e.value}\n", "")
         assert len(out.encode()) < 300

@@ -426,6 +426,17 @@ class TestStats:
         st = Session(3).stats()
         assert (st.merges, st.find_merges_calls, st.max_kset_size) == (0, 0, 0)
 
+    def test_stored_counters_hold_no_structure_counts(self):
+        # the numbers of hypotheses and of active k-sets are read off the
+        # session, so no stored counter can lag behind them
+        s = Session(2)
+        s.assert_hypothesis([s.intern_term(c) for c in "abc"])
+        st = s.stats()
+        assert (st.hypotheses, st.active) == (1, 1)
+        assert not hasattr(s.counters, "hypotheses")
+        assert not hasattr(s.counters, "active")
+        assert {**vars(s.counters), "hypotheses": 1, "active": 1} == vars(st)
+
     def test_chain_merges_n_minus_one(self):
         n = 40
         s = Session(2)
