@@ -21,14 +21,15 @@ exponent near 1 is memory linear in the hypotheses.  The deep-query
 rungs time the proof of (p0, p1, p_n+1) on the asserted chain, which has
 about n levels: `resolve_query`, whose proof walk writes the proof's
 text pieces, then `format_proof`, which joins them, the path `kequiv
-solve` takes.  The deep-check rungs time `check` of that proof: of its
-text, the path `kequiv check` takes, and of its proof term, which
-`check` writes as text and judges the same way; the term is parsed
-before the clock starts.  The deep-parse rungs time `parse_proof` of
-that text, and the deep-check-fail rungs `check` of the text with its
-first `(assume N)` out of range, which must raise ProofCheckError, and
-the deep-check-syntax rungs `check` of the text with its last term name
-misspelled, which must raise ProofSyntaxError.  The deep-check-eq rungs
+solve` takes.  The deep-check-text rungs time `check` of that proof's
+text, the path `kequiv check` takes, the deep-check-fail rungs `check`
+of the text with its first `(assume N)` out of range, which must raise
+ProofCheckError, and the deep-check-syntax rungs `check` of the text
+with its last term name misspelled, which must raise ProofSyntaxError.
+Each round times deep-check-syntax and deep-check-text alternately at
+each size, so that a slow phase of the host slows both, and the
+deep-check-syntax lines also give the median over the rounds of each
+round's ratio of the two.  The deep-check-eq rungs
 time `check` of the text of the deepest query's proof on the eq-chain,
 (z, x0, x_n-1), which is almost all `subst` nodes, a law the chain's
 proofs never cite.  The end-to-end rungs write a shape as a problem file
@@ -55,6 +56,7 @@ import io
 import math
 import os
 import re
+import statistics
 import tempfile
 import time
 import tracemalloc
@@ -70,13 +72,7 @@ from helpers import (
     short_lines_text,
 )
 
-from kequiv import (
-    ProofCheckError,
-    ProofSyntaxError,
-    check,
-    format_proof,
-    parse_proof,
-)
+from kequiv import ProofCheckError, ProofSyntaxError, check, format_proof
 from kequiv.cli import main as kequiv_main
 
 REPEATS = 5
@@ -150,8 +146,8 @@ DEEP_QUERIES = {
 
 @functools.cache
 def deep_proof(n, shape="chain"):
-    """The deep query's proof on `shape` at size n, as text and as a
-    proof term, with the context `check` judges it in and the term ids."""
+    """The deep query's proof text on `shape` at size n, with the context
+    `check` judges it in and the term ids."""
     build, query = DEEP_QUERIES[shape]
     session, steps = build(n)
     for fn, arg in steps:
@@ -160,35 +156,22 @@ def deep_proof(n, shape="chain"):
     pieces = session.resolve_query([ids[name] for name in query(n)])
     text = format_proof(pieces, session.term_names)
     context = (session.k, session.hypotheses, session.class_of, session.equalities)
-    return text, parse_proof(text, ids), context, ids
+    return text, context, ids
 
 
-def deep_check_seconds(n, form, shape="chain"):
-    """Seconds to `check` the deep query's proof on `shape` at size n,
-    given as `form`, "text" or "tree"."""
-    text, tree, context, ids = deep_proof(n, shape)
+def deep_check_seconds(n, shape="chain"):
+    """Seconds to `check` the deep query's proof text on `shape` at size n."""
+    text, context, ids = deep_proof(n, shape)
     gc.collect()
     start = time.perf_counter()
-    if form == "text":
-        check(text, *context, ids=ids)
-    else:
-        check(tree, *context)
-    return time.perf_counter() - start
-
-
-def deep_parse_seconds(n):
-    """Seconds to `parse_proof` the deep query's proof text on the chain."""
-    text, _, _, ids = deep_proof(n)
-    gc.collect()
-    start = time.perf_counter()
-    parse_proof(text, ids)
+    check(text, *context, ids=ids)
     return time.perf_counter() - start
 
 
 def deep_check_fail_seconds(n):
     """Seconds to `check` the deep query's proof text on the chain with its
     first `(assume N)` out of range, which `check` must refuse."""
-    text, _, context, ids = deep_proof(n)
+    text, context, ids = deep_proof(n)
     broken = re.sub(r"\(assume \d+\)", f"(assume {len(context[1])})", text, count=1)
     gc.collect()
     start = time.perf_counter()
@@ -202,7 +185,7 @@ def deep_check_fail_seconds(n):
 def deep_check_syntax_seconds(n):
     """Seconds to `check` the deep query's proof text on the chain with its
     last term name misspelled, which `check` must refuse."""
-    text, _, context, ids = deep_proof(n)
+    text, context, ids = deep_proof(n)
     at = text.rindex(" p") + 1
     broken = f"{text[:at]}q{text[at + 1 :]}"
     gc.collect()
@@ -243,21 +226,33 @@ def write(directory, name, text):
     return path
 
 
-def rungs(name, what, measure, n, steps=None, unit="s"):
+def rungs(name, what, measure, n, steps=None, unit="s", against=None):
     """Measure `measure(size)` at n, 2n and 4n in REPEATS interleaved
     rounds, in `unit`: seconds ("s"), with the control timed in each
     round, or bytes ("B"), which have no control.
 
     With `steps(size)`, the number of operations measured at that size,
     each line also gives the best value per operation, in microseconds
-    or in bytes.
+    or in bytes.  With `against`, a (name, measure) pair, each round
+    times that measure too, alternately with `measure` at each size and
+    first in every other round, and each line also gives the median over
+    the rounds of the ratio of the two.
     """
     sizes = (n, 2 * n, 4 * n)
     values = {size: [] for size in sizes}
+    ratios = {size: [] for size in sizes}
     control = []
-    for _ in range(REPEATS):
+    for r in range(REPEATS):
         for size in sizes:
-            values[size].append(measure(size))
+            if against is None:
+                values[size].append(measure(size))
+                continue
+            if r % 2:  # the reference first in every other round
+                reference, value = against[1](size), measure(size)
+            else:
+                value, reference = measure(size), against[1](size)
+            values[size].append(value)
+            ratios[size].append(value / reference)
         if unit == "s":
             control.append(control_seconds())
     for size in sizes:
@@ -266,6 +261,9 @@ def rungs(name, what, measure, n, steps=None, unit="s"):
             value = f"{best:8.4f} s  (range {best:.4f}-{worst:.4f})"
             value += f"  {best / min(control):6.2f}x control"
             per = "" if steps is None else f"  {best / steps(size) * 1e6:6.2f} us/op"
+            if against is not None:
+                ratio = statistics.median(ratios[size])
+                per += f"  {ratio:5.2f}x {against[0]} (median of rounds)"
         else:
             value = f"{best:10d} B  (range {best}-{worst})"
             per = "" if steps is None else f"  {best / steps(size):8.1f} B/op"
@@ -302,17 +300,16 @@ def main():
         unit="B",
     )
     rungs("deep-query", "query", deep_query_seconds, 1000)
-    rungs("deep-check-text", "check", lambda n: deep_check_seconds(n, "text"), 1000)
-    rungs("deep-check-tree", "check", lambda n: deep_check_seconds(n, "tree"), 1000)
-    rungs("deep-parse", "parse", deep_parse_seconds, 1000)
+    rungs("deep-check-text", "check", deep_check_seconds, 1000)
     rungs("deep-check-fail", "check", deep_check_fail_seconds, 1000)
-    rungs("deep-check-syntax", "check", deep_check_syntax_seconds, 1000)
     rungs(
-        "deep-check-eq",
+        "deep-check-syntax",
         "check",
-        lambda n: deep_check_seconds(n, "text", "eq-chain"),
+        deep_check_syntax_seconds,
         1000,
+        against=("deep-check-text", deep_check_seconds),
     )
+    rungs("deep-check-eq", "check", lambda n: deep_check_seconds(n, "eq-chain"), 1000)
     deep_proof.cache_clear()
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}

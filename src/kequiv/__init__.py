@@ -24,14 +24,8 @@ from .engine import (
 from .oracle import closure_sets, covered, minimal_supports, oracle_entailed, saturate
 from .problem import ParseError, Problem, generate, intern_problem, parse_path, parse_text
 from .proofs import (
-    Assume,
     ProofCheckError,
     ProofSyntaxError,
-    ProofTerm,
-    Project,
-    SubRefl,
-    Subst,
-    Trans,
     check,
     format_proof,
     parse_proof,
@@ -50,12 +44,6 @@ __all__ = [
     "Stats",
     "EngineInvariantError",
     "Equalities",
-    "Assume",
-    "SubRefl",
-    "Trans",
-    "Project",
-    "Subst",
-    "ProofTerm",
     "ProofCheckError",
     "ProofSyntaxError",
     "check",

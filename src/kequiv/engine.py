@@ -30,8 +30,8 @@ only these stored pieces, the proof-forest reading of the history
 rebuilds its set on demand.  `ksets` builds read-only `KSet` views of
 the two lists when it is read.  One walk extracts every proof and writes
 its text as it goes, as a list of string pieces with every term named,
-which `format_proof` only joins; `parse_proof` reads that text into a
-proof term for a caller that wants a tree.
+which `format_proof` only joins; that text is the proof, which `check`
+judges.
 
 Cost.  Let M be the number of terms registered by hypotheses and renames
 (at most k+1 per hypothesis plus one per rename).  An absorbed term

@@ -1,4 +1,4 @@
-"""Proof terms for joint-relatedness facts and an independent checker.
+"""Proof text for joint-relatedness facts, and an independent checker.
 
 A proof concludes a *judgment*: a finite, nonempty set of terms asserted to
 be jointly related (every (k+1)-subset of the judgment satisfies the
@@ -7,7 +7,7 @@ the arity parameter k, the distinctness partition, and the equality log; it
 shares no state with the engine that produced the proof, so it can be used
 to audit the engine's answers.
 
-This module also owns the canonical text form of proofs:
+A proof is text, in one canonical form:
 
     (assume N)
     (subrefl t1 ... tm)
@@ -15,30 +15,19 @@ This module also owns the canonical text form of proofs:
     (project P t1 ... tm)
     (subst P a b N)
 
-where terms are rendered by name and N is a log index.
+where terms are rendered by name and N is a log index.  The engine's one
+proof walk writes a proof's text as a list of string pieces, which
+`format_proof` joins.
 
-The five node classes (`Assume`, `SubRefl`, `Trans`, `Project`, `Subst`)
-are frozen dataclasses on one small base class: assigning a field raises
-AttributeError, and a `terms` field is stored as a frozenset.  The base
-class gives the structural `==`, `hash` and `repr`, with a dataclass's
-results.  Those three and `pickle`/`copy.deepcopy` walk the tree over an
-explicit stack (pickling writes it as one flat postfix tuple), so they
-work on proofs of any depth; `dataclasses.asdict` recurses, and does not.
-
-The engine builds no proof term: its one proof walk writes a proof's
-text as a list of string pieces, which `format_proof` also takes, and
-joins.
-
-One pass reads proof text: `parse_proof` builds a proof term with it,
-and `check` judges with it, building none, so it is the only code that
-applies the laws; `check` writes a proof term as text, with numeral
-names, first.  The pass runs no regular expression: it splits the text
-at each '(' and then at each ')' into the stretches between
-parentheses, and only `project`, `subst` and the leaves split a stretch
-into atoms.  After a broken law it reads the rest for syntax only, as a
-later syntax error wins.  It is also the only reader of malformed text:
-it raises the first ProofSyntaxError in the text, and works out its
-column only then, from where in the split text the error stands.
+One pass reads proof text: `check` judges with it, so it is the only code
+that applies the laws, and `parse_proof` reads with it for syntax only.
+The pass runs no regular expression: it splits the text at each '(' and
+then at each ')' into the stretches between parentheses, and only
+`project`, `subst` and the leaves split a stretch into atoms.  After a
+broken law it reads the rest for syntax only, as a later syntax error
+wins.  It is also the only reader of malformed text: it raises the first
+ProofSyntaxError in the text, and works out its column only then, from
+where in the split text the error stands.
 
 An index in proof text is refused if longer than `numeral` allows, so
 it means the same under any limit Python sets on the digits `int`
@@ -47,18 +36,11 @@ converts (PYTHONINTMAXSTRDIGITS).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
-from operator import index, sub
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from operator import sub
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
-    "Assume",
-    "SubRefl",
-    "Trans",
-    "Project",
-    "Subst",
-    "ProofTerm",
     "ProofCheckError",
     "ProofSyntaxError",
     "check",
@@ -81,162 +63,6 @@ def numeral(token: str) -> int:
     if len(token) > _NUMERAL_MAX:
         raise ValueError(f"invalid literal for int() with base 10: {token!r}")
     return int(token)
-
-
-class _Node:
-    """Base of the proof node classes.
-
-    A node's fields are its `__match_args__`, its `_kids` sub-proofs
-    first.  `==`, `hash` and `repr` give what a frozen dataclass gives,
-    and they and pickling read the tree over an explicit stack, so a proof
-    of any depth survives them.
-    """
-
-    _kids = 0
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return _postfix(self) == _postfix(other)
-
-    def __hash__(self):
-        # the hash of the tuple of field values, each sub-proof's hash
-        # standing in for the sub-proof
-        return _fold(
-            _postfix(self),
-            lambda cls, kids, data: hash((*map(_Lane, kids), *data)),
-            hash,
-        )
-
-    def __repr__(self):
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, str):
-                out.append(node)
-                continue
-            parts = [f"{type(node).__qualname__}("]
-            for i, name in enumerate(node.__match_args__):
-                value = getattr(node, name)
-                parts.append(f", {name}=" if i else f"{name}=")
-                parts.append(value if isinstance(value, _Node) else repr(value))
-            parts.append(")")
-            stack += reversed(parts)
-        return "".join(out)
-
-    def __reduce__(self):
-        return _from_postfix, (tuple(_postfix(self)),)
-
-
-class _TermsNode(_Node):
-    """A node with a `terms` field, which is stored as a frozenset."""
-
-    def __post_init__(self):
-        if not isinstance(self.terms, frozenset):
-            object.__setattr__(self, "terms", frozenset(self.terms))
-
-
-# the node classes are frozen dataclasses with `_Node`'s ==, hash and repr
-_node = dataclass(frozen=True, eq=False, repr=False)
-
-
-@_node
-class Assume(_Node):
-    """Cites hypothesis `hyp_index`; concludes the set of its terms."""
-
-    hyp_index: int
-
-
-@_node
-class SubRefl(_TermsNode):
-    """Concludes `terms` outright; valid only for at most k terms."""
-
-    terms: frozenset[int]
-
-
-@_node
-class Trans(_Node):
-    """Fuses two judgments that share k known-distinct terms; concludes the union."""
-
-    left: ProofTerm
-    right: ProofTerm
-    _kids = 2
-
-
-@_node
-class Project(_TermsNode):
-    """Restricts a judgment to the subset `terms`."""
-
-    inner: ProofTerm
-    terms: frozenset[int]
-    _kids = 1
-
-
-@_node
-class Subst(_Node):
-    """Rewrites term `frm` to `to`, citing entry `eq_index` of the equality log."""
-
-    inner: ProofTerm
-    frm: int
-    to: int
-    eq_index: int
-    _kids = 1
-
-
-class _Lane:
-    """Stands, in a tuple, for an object whose hash is already known."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int) -> None:
-        self.value = value
-
-    def __hash__(self) -> int:
-        return self.value
-
-
-def _postfix(root: ProofTerm) -> list[tuple]:
-    """The tree as one flat list in postfix order.
-
-    A node gives (class, *its other fields) after the entries of its
-    sub-proofs; a sub-proof field that holds no node gives (None, value).
-    """
-    out = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, _Node):
-            out.append((None, node))
-            continue
-        fields = [getattr(node, name) for name in node.__match_args__]
-        out.append((type(node), *fields[node._kids :]))
-        stack += fields[: node._kids]  # the first sub-proof is read last
-    out.reverse()
-    return out
-
-
-def _fold(entries: Iterable[tuple], node, plain):
-    """Evaluate a postfix list bottom-up: `node(cls, kids, data)` for a
-    node's entry, `plain(value)` for a (None, value) one."""
-    stack: list = []
-    for cls, *data in entries:
-        if cls is None:
-            stack.append(plain(data[0]))
-            continue
-        cut = len(stack) - cls._kids
-        kids = stack[cut:]
-        del stack[cut:]
-        stack.append(node(cls, kids, data))
-    (root,) = stack
-    return root
-
-
-def _from_postfix(entries: tuple) -> ProofTerm:
-    return _fold(entries, lambda cls, kids, data: cls(*kids, *data), lambda v: v)
-
-
-ProofTerm = Union[Assume, SubRefl, Trans, Project, Subst]
 
 
 class ProofCheckError(Exception):
@@ -265,26 +91,29 @@ def _dotted(path: tuple[int, ...]) -> str:
     return "".join(f".{i}" for i in path)
 
 
+class ProofSyntaxError(ValueError):
+    """Malformed proof text; `column` is 1-based."""
+
+    def __init__(self, column: int, message: str):
+        self.column = column
+        super().__init__(f"col {column}: {message}")
+
+
 def check(
-    proof: ProofTerm | str,
+    proof: str,
     k: int,
     hypotheses: Sequence[Sequence[int]],
     partition: Mapping[int, int] | None = None,
     equalities: Sequence[tuple[int, int]] = (),
-    ids: Mapping[str, int] | None = None,
+    *,
+    ids: Mapping[str, int],
 ) -> frozenset[int]:
-    """Check `proof` and return the judgment (term set) it establishes.
+    """Check proof text and return the judgment (term set) it establishes.
 
-    `proof` is a proof term, or its canonical text with `ids` mapping term
-    names to ids.  Either is judged in one pass over text that builds no
-    proof term; a proof term is first written as text, with numerals for
-    names.  Malformed input raises before any broken law: a
-    ProofSyntaxError, the first in the text, even if a law is broken
-    before it; for a term, a node of another type or an empty term list
-    (ProofCheckError at that node), or another ValueError of
-    `format_proof`, such as a term id with no name.  A malformed log
-    entry that a node cites raises ValueError, unless a law is broken
-    first.
+    `ids` maps the text's term names to ids.  The text is judged in one
+    pass.  Malformed text raises the first ProofSyntaxError in it, even
+    if a law is broken before it.  A malformed log entry that a node
+    cites raises ValueError, unless a law is broken first.
 
     Laws enforced per node:
 
@@ -309,183 +138,42 @@ def check(
         raise ValueError("k must be at least 1")
     if partition is None:
         partition = {}  # every term a class of its own
-    laws = (k, hypotheses, partition, equalities)
-    if isinstance(proof, str):
-        if ids is None:
-            raise TypeError("checking proof text needs the ids of its term names")
-        return _judge(proof, ids.__getitem__, laws, _NUMERAL_MAX)
-    try:
-        text = format_proof(proof, _NUMERALS)
-    except ValueError:
-        _refuse_textless(proof)
-        raise
-    # a term's index may be longer than a numeral of proof text may be
-    return _judge(text, int, laws, len(text))
+    return _judge(proof, ids.__getitem__, (k, hypotheses, partition, equalities))
 
 
-class _Numerals:
-    """Names each term id by its numeral, which `int` reads back."""
+def used_hypotheses(text: str) -> frozenset[int]:
+    """The indices N of the `(assume N)` leaves of proof `text`.
 
-    def __getitem__(self, t) -> str:
-        return str(index(t))
-
-
-_NUMERALS = _Numerals()
-
-
-def _refuse_textless(proof: ProofTerm) -> None:
-    """Raise ProofCheckError at the first node, in text order, that
-    `format_proof` cannot write: a node of another type, or an empty term
-    list."""
-    # one path list, cut to each node's depth; an entry is (its parent's
-    # path length, (its child index,) or () at the root, the node)
-    path: list[int] = []
-    stack: list = [(0, (), proof)]
-    while stack:
-        depth, i, node = stack.pop()
-        path[depth:] = i
-        cls = type(node)
-        if cls not in (Assume, SubRefl, Trans, Project, Subst):
-            raise ProofCheckError(path, f"unknown proof node {node!r}")
-        if cls in (SubRefl, Project) and not node.terms:
-            raise ProofCheckError(path, "empty judgment")
-        for j in reversed(range(cls._kids)):
-            stack.append((len(path), (j,), getattr(node, cls.__match_args__[j])))
-
-
-def used_hypotheses(proof: ProofTerm) -> frozenset[int]:
-    """Indices of all hypotheses cited by `assume` nodes in the proof.
-
-    Anything but one of the five node classes raises ValueError.
+    The text is split as `check` splits it: at each '(', then at
+    whitespace, as `str.split` reads it.  It must be well formed, as
+    `parse_proof` accepts it.
     """
-    out: set[int] = set()
-    stack = [proof]
-    while stack:
-        node = stack.pop()
-        node_type = type(node)
-        if node_type is Assume:
-            out.add(node.hyp_index)
-        elif node_type is Trans:
-            stack.append(node.left)
-            stack.append(node.right)
-        elif node_type is Project or node_type is Subst:
-            stack.append(node.inner)
-        elif node_type is not SubRefl:
-            raise ValueError(f"unknown proof node {node!r}")
+    out = set()
+    for chunk in islice(text.split("("), 1, None):
+        head = chunk.partition(")")[0].split()
+        if len(head) == 2 and head[0] == "assume":
+            out.add(int(head[1]))
     return frozenset(out)
 
 
-def format_proof(proof: ProofTerm | list[str], names: Sequence[str]) -> str:
-    """Render a proof in the canonical text form, terms by name.
+def format_proof(pieces: Iterable[str], names: Sequence[str]) -> str:
+    """The canonical text of the proof that an engine query returned.
 
-    `proof` is a proof term, or the pieces of its text, already named (as
-    the engine's queries return them), which are only joined.  Term
-    lists are emitted in ascending term-id order, which makes the output
-    deterministic for a fixed session.  A term id with no name, an index
-    that is not an integer, or an empty term list, raises ValueError.
+    `pieces` is the proof's text pieces, every term already named, so
+    they are only joined; `names`, the term names of the session that
+    answered, is not read.
     """
-    if type(proof) is list:
-        return "".join(proof)
-    out: list[str] = []
-    emit = out.append
-    # the text that closes each open node, and the right sub-proofs of
-    # open `trans` nodes, which are still to render
-    stack: list = []
-    node = proof
-    while True:
-        # open `node`, descending to its first sub-proof
-        cls = type(node)
-        if cls is Assume:
-            emit(f"(assume {_integer(node.hyp_index)})")
-        elif cls is Project:
-            emit("(project ")
-            stack.append(" " + " ".join(_term_names(node, names)) + ")")
-            node = node.inner
-            continue
-        elif cls is Trans:
-            emit("(trans ")
-            stack.append(")")
-            stack.append(node.right)
-            node = node.left
-            continue
-        elif cls is Subst:
-            frm, to = _term_names(node, names)
-            emit("(subst ")
-            stack.append(f" {frm} {to} {_integer(node.eq_index)})")
-            node = node.inner
-            continue
-        elif cls is SubRefl:
-            emit("(subrefl " + " ".join(_term_names(node, names)) + ")")
-        else:
-            raise ValueError(f"unknown proof node {node!r}")
-        # `node` was a leaf: close nodes up to the next right sub-proof
-        while stack:
-            item = stack.pop()
-            if type(item) is str:
-                emit(item)
-            else:
-                emit(" ")
-                node = item
-                break
-        else:
-            return "".join(out)
+    return "".join(pieces)
 
 
-def _term_names(node: Subst | SubRefl | Project, names: Sequence[str]) -> list[str]:
-    """The names of `node`'s term ids, in the order they are rendered.
-
-    An empty term list, or a term id with no name, raises ValueError.  A
-    negative id, which names[-1] would not refuse, or one that is not a
-    number, is refused before one past the end of `names`.
-    """
-    if type(node) is Subst:
-        ids = [node.frm, node.to]
-    elif not node.terms:
-        raise ValueError(f"{type(node).__name__.lower()} needs at least one term")
-    else:
-        try:
-            ids = sorted(node.terms)
-        except TypeError:  # an id that is not a number, refused below
-            ids = list(node.terms)
-    for t in ids:
-        try:
-            if t >= 0:
-                continue
-        except TypeError:  # not a number
-            pass
-        raise ValueError(f"no name for term id {t!r}")
-    out = []
-    for t in ids:
-        try:
-            out.append(names[t])
-        except (IndexError, TypeError):
-            raise ValueError(f"no name for term id {t!r}") from None
-    return out
-
-
-def _integer(value) -> int:
-    """A hypothesis or equality index, which must be an integer."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"index {value!r} is not an integer") from None
-
-
-class ProofSyntaxError(ValueError):
-    """Malformed proof text; `column` is 1-based."""
-
-    def __init__(self, column: int, message: str):
-        self.column = column
-        super().__init__(f"col {column}: {message}")
-
-
-def parse_proof(text: str, ids: Mapping[str, int]) -> ProofTerm:
-    """Parse the canonical text form back into a proof term.
+def parse_proof(text: str, ids: Mapping[str, int]) -> str:
+    """Read proof text for syntax only, and return it.
 
     `ids` maps term names to ids.  Malformed text, an unknown name
-    included, raises ProofSyntaxError with the offending column.
+    included, raises the first ProofSyntaxError in it, as `check` does.
     """
-    return _judge(text, ids.__getitem__, None, _NUMERAL_MAX)
+    _judge(text, ids.__getitem__, None)
+    return text
 
 
 class _BrokenLaw(Exception):
@@ -496,29 +184,28 @@ def _judge(
     text: str,
     name_id: Callable[[str], int],
     laws: tuple | None,
-    limit: int,
-) -> ProofTerm | frozenset[int]:
+) -> frozenset[int] | None:
     """Read proof `text` in one pass.
 
-    With `laws` None it returns the proof term.  With `laws`, `check`'s
-    (k, hypotheses, partition, equalities), it returns the judgment the
-    proof establishes; the first broken law raises ProofCheckError at its
-    node once the rest is read for shape, names and indices only.  A
-    malformed log (hypotheses, partition or equalities) raises ValueError
-    in its place, if it comes first.  Malformed text raises the first
-    ProofSyntaxError in the text, before any of these.  `name_id` gives a
-    term name's id, or raises KeyError or ValueError; an index is read by
-    `int` and refused if longer than `limit`.
+    With `laws` None it reads for syntax only, and returns None.  With
+    `laws`, `check`'s (k, hypotheses, partition, equalities), it returns
+    the judgment the proof establishes; the first broken law raises
+    ProofCheckError at its node once the rest is read for shape, names and
+    indices only.  A malformed log (hypotheses, partition or equalities)
+    raises ValueError in its place, if it comes first.  Malformed text
+    raises the first ProofSyntaxError in the text, before any of these.
+    `name_id` gives a term name's id, or raises KeyError or ValueError; an
+    index is read by `int` and refused if longer than `_NUMERAL_MAX`.
 
-    A node's result, node or judgment, is worked out from its children's
-    when its ')' is read.  The text is split at each '(', and a chunk
-    holding a ')' is split again, into the node's opening stretch (its
-    head and atoms) and the stretch after each ')' that closes in it.
-    Only `project`, `subst` and the leaves split a stretch into atoms;
-    elsewhere a stretch must be whitespace.  Where a syntax error is
+    A node's judgment is worked out from its children's when its ')' is
+    read.  The text is split at each '(', and a chunk holding a ')' is
+    split again, into the node's opening stretch (its head and atoms) and
+    the stretch after each ')' that closes in it.  Only `project`, `subst`
+    and the leaves split a stretch into atoms; elsewhere a stretch must be
+    whitespace.  Where a syntax error is
     found, its column is worked out only to raise it (see `_refusal`).
     """
-    build, judging = laws is None, laws is not None
+    judging = laws is not None
     if judging:
         k, hypotheses, partition, equalities = laws
         class_of = partition.__getitem__
@@ -531,7 +218,9 @@ def _judge(
     stack: list[list] = []
     node: list | None = None
     done = False
-    root = None
+    # the judgment of the node that last closed, which stays None when
+    # reading for syntax only
+    result = root = None
     chunks = text.split("(")
     before = chunks[0].lstrip()
     if before:  # a token before the first '('
@@ -556,8 +245,8 @@ def _judge(
                 if size == 5:  # two sub-proofs: trans
                     if node[0].strip() != "trans" or (node[2] + node[4]).strip():
                         raise ValueError  # a malformed node
-                    x, y = node[1], node[3]
                     if judging:
+                        x, y = node[1], node[3]
                         shared = x & y
                         try:
                             n = len(set(map(class_of, shared)))
@@ -570,8 +259,6 @@ def _judge(
                                 f"shared terms span {n} distinctness classes, need {k}"
                             )
                         result = x | y
-                    else:
-                        result = Trans(x, y) if build else None
                 elif size == 3:  # one sub-proof: project or subst
                     kind = node[0].strip()
                     atoms = node[2].split()
@@ -579,20 +266,17 @@ def _judge(
                         if not atoms:
                             raise ValueError  # a malformed node
                         terms = frozenset(map(name_id, atoms))
-                        if not judging:
-                            result = Project(node[1], terms) if build else None
-                        elif terms <= node[1]:
+                        if judging:
+                            if not terms <= node[1]:
+                                raise _BrokenLaw(
+                                    "projection target is not a subset of the "
+                                    "conclusion"
+                                )
                             result = terms
-                        else:
-                            raise _BrokenLaw(
-                                "projection target is not a subset of the conclusion"
-                            )
                     elif kind == "subst":
-                        if len(atoms) != 3:
+                        if len(atoms) != 3 or len(atoms[2]) > _NUMERAL_MAX:
                             raise ValueError  # a malformed node
                         frm, to, e = name_id(atoms[0]), name_id(atoms[1]), int(atoms[2])
-                        if len(atoms[2]) > limit:
-                            raise ValueError  # a malformed node
                         if judging:
                             if not 0 <= e < n_eqs:
                                 raise _BrokenLaw(f"equality index {e} out of range")
@@ -612,38 +296,30 @@ def _judge(
                             result = node[1]
                             if frm in result:
                                 result = (result - {frm}) | {to}
-                        else:
-                            result = Subst(node[1], frm, to, e) if build else None
                     else:
                         raise ValueError  # a malformed node
                 elif size == 1:  # a leaf: assume or subrefl
                     head = node[0].split()
                     kind = head[0] if head else None
                     if kind == "assume":
-                        if len(head) != 2:
+                        if len(head) != 2 or len(head[1]) > _NUMERAL_MAX:
                             raise ValueError  # a malformed node
                         i = int(head[1])
-                        if len(head[1]) > limit:
-                            raise ValueError  # a malformed node
-                        if not judging:
-                            result = Assume(i) if build else None
-                        elif 0 <= i < n_hyps:
+                        if judging:
+                            if not 0 <= i < n_hyps:
+                                raise _BrokenLaw(f"hypothesis index {i} out of range")
                             result = frozenset(hypotheses[i])
-                        else:
-                            raise _BrokenLaw(f"hypothesis index {i} out of range")
                     elif kind == "subrefl":
                         if len(head) < 2:
                             raise ValueError  # a malformed node
                         terms = frozenset(map(name_id, head[1:]))
-                        if not judging:
-                            result = SubRefl(terms) if build else None
-                        elif len(terms) <= k:
+                        if judging:
+                            if len(terms) > k:
+                                raise _BrokenLaw(
+                                    f"sub-reflexivity allows at most {k} terms, "
+                                    f"got {len(terms)}"
+                                )
                             result = terms
-                        else:
-                            raise _BrokenLaw(
-                                f"sub-reflexivity allows at most {k} terms, "
-                                f"got {len(terms)}"
-                            )
                     else:
                         raise ValueError  # a malformed node
                 else:
@@ -655,7 +331,7 @@ def _judge(
             except (KeyError, ValueError):
                 # the node's syntax error, or, if it has none, a malformed
                 # log entry it cites
-                fault = _fault(node, name_id, limit)
+                fault = _fault(node, name_id)
                 if fault is not None:
                     ci, at = _closing(chunks, rest, stretches, cuts)
                     raise _refusal(chunks, ci, at, stack, node, *fault)
@@ -707,7 +383,7 @@ _SHAPES = {
 _NO_HEAD = "expected a proof constructor"
 
 
-def _fault(node: list, name_id: Callable[[str], int], limit: int) -> tuple | None:
+def _fault(node: list, name_id: Callable[[str], int]) -> tuple | None:
     """The syntax error of a node whose ')' `_judge` reads, as (j, k,
     message) at offset k of its stretch j (-1: the parenthesis before it),
     or None.  A node with a head is checked for its arity, then for each
@@ -736,7 +412,7 @@ def _fault(node: list, name_id: Callable[[str], int], limit: int) -> tuple | Non
             return j, k, f"expected {kind}"
         if kind is _TERM and not _reads(name_id, atom):
             return j, k, f"unknown term {atom!r}"
-        if kind not in (_PROOF, _TERM) and (len(atom) > limit or not _reads(int, atom)):
+        if kind not in (_PROOF, _TERM) and not _reads(numeral, atom):
             return j, k, f"expected {kind}, got {atom!r}"
     return None
 

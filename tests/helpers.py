@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 from kequiv import (
     CongruenceState,
@@ -12,20 +13,8 @@ from kequiv import (
     closure_sets,
     covered,
     format_proof,
-    parse_proof,
 )
 from kequiv.problem import relation_name_for
-from kequiv.proofs import Assume, Project, SubRefl, Subst, Trans
-
-
-def proof_tree(pieces, owner):
-    """The proof term of the text pieces an engine query returned, or None.
-
-    `owner` is the Session or CongruenceState whose term table named them.
-    """
-    if pieces is None:
-        return None
-    return parse_proof(format_proof(pieces, owner.term_names), owner.terms.term_ids)
 
 
 def check_text(pieces, session):
@@ -91,8 +80,8 @@ def run_differential(k, n_terms, hyps, class_of, proof_sink=None):
     """Compare the engine against the saturation oracle on all atom queries.
 
     Returns the list of mismatching queries (empty means agreement).  Every
-    proof the engine emits is checked as text; `proof_sink` collects
-    (proof term, conclusion, session) triples for further abuse.
+    proof the engine emits is checked; `proof_sink` collects (proof text,
+    conclusion, session) triples for further abuse.
     """
     s = build_session(k, n_terms, hyps, class_of)
     family = closure_sets(k, hyps, class_of)
@@ -106,7 +95,7 @@ def run_differential(k, n_terms, hyps, class_of, proof_sink=None):
             conclusion = check_text(proof, s)
             assert conclusion == frozenset(combo)
             if proof_sink is not None:
-                proof_sink.append((proof_tree(proof, s), conclusion, s))
+                proof_sink.append((format_proof(proof, s.term_names), conclusion, s))
     s.validate()
     return mismatches
 
@@ -158,7 +147,7 @@ def run_congruence_differential(k, n_terms, class_of, statements, proof_sink=Non
 
     The oracle sees the atoms and the query with every term rewritten to
     its final representative.  Returns mismatching queries; every proof
-    is checked as text, and `proof_sink` collects as `run_differential`.
+    is checked, and `proof_sink` collects as `run_differential`.
     """
     state = build_congruence(k, n_terms, class_of, statements)
     session = state.sessions["r"]
@@ -180,7 +169,8 @@ def run_congruence_differential(k, n_terms, class_of, statements, proof_sink=Non
             conclusion = check_text(proof, session)
             assert conclusion == frozenset(canon)
             if proof_sink is not None:
-                proof_sink.append((proof_tree(proof, state), conclusion, session))
+                text = format_proof(proof, state.term_names)
+                proof_sink.append((text, conclusion, session))
     session.validate()
     return mismatches
 
@@ -232,50 +222,53 @@ def equality_path(n_terms, equalities, frm, to):
     return path[::-1]
 
 
-def _paths(proof):
-    out = [((), proof)]
-    stack = [((), proof)]
-    while stack:
-        path, node = stack.pop()
-        children = ()
-        if isinstance(node, Trans):
-            children = (node.left, node.right)
-        elif isinstance(node, (Project, Subst)):
-            children = (node.inner,)
-        for i, child in enumerate(children):
-            out.append((path + (i,), child))
-            stack.append((path + (i,), child))
+def _nodes(text):
+    """Each node of canonical proof text, outermost first, as [start, end,
+    head, atoms, children]: its span text[start:end], its constructor, its
+    atoms after the head, and its sub-proofs' nodes."""
+    out = []
+    stack = []
+    for m in re.finditer(r"[()]|[^\s()]+", text):
+        token = m.group()
+        if token == "(":
+            node = [m.start(), None, None, [], []]
+            if stack:
+                stack[-1][4].append(node)
+            stack.append(node)
+            out.append(node)
+        elif token == ")":
+            stack.pop()[1] = m.end()
+        elif stack[-1][2] is None:
+            stack[-1][2] = token
+        else:
+            stack[-1][3].append(token)
     return out
 
 
-def _rebuild(proof, path, replacement):
-    if not path:
-        return replacement
-    i, rest = path[0], path[1:]
-    if isinstance(proof, Trans):
-        if i == 0:
-            return Trans(_rebuild(proof.left, rest, replacement), proof.right)
-        return Trans(proof.left, _rebuild(proof.right, rest, replacement))
-    if isinstance(proof, Project):
-        return Project(_rebuild(proof.inner, rest, replacement), proof.terms)
-    if isinstance(proof, Subst):
-        return Subst(
-            _rebuild(proof.inner, rest, replacement),
-            proof.frm,
-            proof.to,
-            proof.eq_index,
-        )
-    raise AssertionError("path into a leaf")
+def mutate_proof(rng, text, conclusion, session):
+    """One random single-node mutation of proof `text` that must be
+    rejected by a law or change the root conclusion.
 
+    Returns (mutant text, ids), where `ids` is the session's name -> id
+    map plus the fresh names the mutant may cite, each a term no
+    hypothesis or equality mentions, so that no mutant is refused for an
+    unknown name.
+    """
+    ids = dict(session.terms.term_ids)
+    fresh = []
+    for j in range(session.k + 1):
+        name = f"fresh{j}"
+        assert name not in ids
+        ids[name] = len(session.term_names) + j
+        fresh.append(name)
+    start, end, head, atoms, children = rng.choice(_nodes(text))
+    root = start == 0
 
-def mutate_proof(rng, proof, conclusion, session):
-    """One random single-node mutation that must be rejected or change the
-    root conclusion.  Returns the mutated proof or None when the chosen
-    node offers no determinate mutation."""
-    fresh = len(session.term_names) + 1000 + rng.randrange(1000)
-    path, node = rng.choice(_paths(proof))
-    if isinstance(node, Assume):
-        if not path:
+    def replace(node):
+        return text[:start] + node + text[end:], ids
+
+    if head == "assume":
+        if root:
             # in-range retarget only when the conclusion visibly changes
             others = [
                 j
@@ -283,43 +276,32 @@ def mutate_proof(rng, proof, conclusion, session):
                 if frozenset(h) != conclusion
             ]
             if others and rng.random() < 0.5:
-                return _rebuild(proof, path, Assume(rng.choice(others)))
-        return _rebuild(proof, path, Assume(len(session.hypotheses) + 7))
-    if isinstance(node, SubRefl):
-        grown = set(node.terms)
-        while len(grown) <= session.k:
-            grown.add(fresh)
-            fresh += 1
-        return _rebuild(proof, path, SubRefl(frozenset(grown)))
-    if isinstance(node, Trans):
+                return replace(f"(assume {rng.choice(others)})")
+        return replace(f"(assume {len(session.hypotheses) + 7})")
+    if head == "subrefl":
+        grown = atoms + fresh[: session.k + 1 - len(atoms)]
+        return replace("(subrefl " + " ".join(grown) + ")")
+    inner = [text[child[0] : child[1]] for child in children]
+    if head == "trans":
         # a foreign singleton shares nothing with the sibling conclusion
-        side = rng.randrange(2)
-        stub = SubRefl(frozenset({fresh}))
-        repl = Trans(stub, node.right) if side == 0 else Trans(node.left, stub)
-        return _rebuild(proof, path, repl)
-    if isinstance(node, Project):
-        if not path and len(node.terms) > 1 and rng.random() < 0.5:
-            shrunk = set(node.terms)
-            shrunk.remove(rng.choice(sorted(shrunk)))
-            return _rebuild(proof, path, Project(node.inner, frozenset(shrunk)))
-        widened = node.terms | {fresh}
-        return _rebuild(proof, path, Project(node.inner, widened))
-    if isinstance(node, Subst):
-        bad = [
-            e
-            for e, pair in enumerate(session.equalities)
-            if set(pair) != {node.frm, node.to}
-        ]
-        if bad:
-            return _rebuild(
-                proof, path, Subst(node.inner, node.frm, node.to, rng.choice(bad))
-            )
-        return _rebuild(
-            proof,
-            path,
-            Subst(node.inner, node.frm, node.to, len(session.equalities) + 3),
-        )
-    return None
+        inner[rng.randrange(2)] = f"(subrefl {rng.choice(fresh)})"
+        return replace("(trans " + " ".join(inner) + ")")
+    if head == "project":
+        terms = list(atoms)
+        if root and len(terms) > 1 and rng.random() < 0.5:
+            terms.remove(rng.choice(terms))
+        else:
+            terms.append(rng.choice(fresh))
+        return replace("(project " + " ".join(inner + terms) + ")")
+    assert head == "subst", head
+    frm, to, _ = atoms
+    bad = [
+        e
+        for e, pair in enumerate(session.equalities)
+        if set(pair) != {ids[frm], ids[to]}
+    ]
+    e = rng.choice(bad) if bad else len(session.equalities) + 3
+    return replace(f"(subst {inner[0]} {frm} {to} {e})")
 
 
 # Workload shapes for growth checks.  Each builder interns the terms of one

@@ -7,6 +7,7 @@ import time
 
 from kequiv import (
     Merged,
+    ProofCheckError,
     Session,
     check,
     closure_sets,
@@ -22,7 +23,6 @@ from helpers import (
     build_session,
     check_text,
     mutate_proof,
-    proof_tree,
     random_congruence_instance,
     random_instance,
     run_congruence_differential,
@@ -132,12 +132,13 @@ def test_c4_union_find_specialization():
         for a, b in hyps:
             dsu.union(a, b)
         for a, b in itertools.combinations(range(n_terms), 2):
-            proof = proof_tree(s.resolve_query((a, b)), s)
+            proof = s.resolve_query((a, b))
             if (proof is not None) != (dsu.find(a) == dsu.find(b)):
                 mismatches += 1
             if proof is not None:
-                assert check(proof, 1, s.hypotheses, s.class_of) == {a, b}
-                PROOF_POOL.append((proof, frozenset((a, b)), s))
+                assert check_text(proof, s) == {a, b}
+                text = format_proof(proof, s.term_names)
+                PROOF_POOL.append((text, frozenset((a, b)), s))
         s.validate()
     _report("C4 k=1 union-find", mismatches == 0, f"{mismatches} mismatches")
 
@@ -152,7 +153,7 @@ def test_c5_proof_soundness_fuzzing():
     for proof, conclusion, session in pool:
         got = check(
             proof, session.k, session.hypotheses, session.class_of,
-            session.equalities,
+            session.equalities, ids=session.terms.term_ids,
         )
         assert got == conclusion
         rechecked += 1
@@ -160,16 +161,14 @@ def test_c5_proof_soundness_fuzzing():
     unsound = 0
     while mutations < 1000:
         proof, conclusion, session = rng.choice(pool)
-        mutant = mutate_proof(rng, proof, conclusion, session)
-        if mutant is None:
-            continue
+        mutant, ids = mutate_proof(rng, proof, conclusion, session)
         mutations += 1
         try:
             got = check(
                 mutant, session.k, session.hypotheses, session.class_of,
-                session.equalities,
+                session.equalities, ids=ids,
             )
-        except Exception:
+        except ProofCheckError:
             continue
         if got == conclusion:
             unsound += 1
@@ -278,10 +277,11 @@ def test_c8_explain_minimality_measured():
             return covered(k, query, cache[indices])
 
         for combo in itertools.combinations(range(n_terms), k + 1):
-            proof = proof_tree(s.resolve_query(combo), s)
+            proof = s.resolve_query(combo)
             if proof is None:
                 continue
-            used = tuple(sorted(used_hypotheses(proof)))
+            text = format_proof(proof, s.term_names)
+            used = tuple(sorted(used_hypotheses(text)))
             total += 1
             is_minimal = entails(used, combo) and all(
                 not entails(tuple(j for j in used if j != drop), combo)

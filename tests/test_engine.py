@@ -2,6 +2,7 @@ import functools
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -18,7 +19,6 @@ from kequiv import (
     Merged,
     Rewritten,
     Session,
-    SubRefl,
     check,
     closure_sets,
     covered,
@@ -35,7 +35,6 @@ from helpers import (
     eq_first_shape,
     pencil_closed_shape,
     pencil_shape,
-    proof_tree,
     random_congruence_instance,
     run_differential,
     short_lines_shape,
@@ -244,13 +243,12 @@ class TestQueries:
         s = Session(2)
         a, b = s.intern_term("a"), s.intern_term("b")
         assert s.resolve_query([a, a, b]) == ["(subrefl a b)"]
-        assert proof_tree(s.resolve_query([a, a, b]), s) == SubRefl({a, b})
 
     def test_table_query_uses_two_hypotheses(self):
         s, ids = table_session()
-        proof = proof_tree(s.resolve_query([ids[c] for c in "abd"]), s)
+        proof = format_proof(s.resolve_query([ids[c] for c in "abd"]), s.term_names)
         assert used_hypotheses(proof) == {0, 4}
-        assert check(proof, 2, s.hypotheses, s.class_of) == {
+        assert check(proof, 2, s.hypotheses, s.class_of, ids=ids) == {
             ids[c] for c in "abd"
         }
 
@@ -311,9 +309,9 @@ class TestExplain:
 
     def test_subset_branch_single_hypothesis(self):
         s, ids = table_session()
-        proof = proof_tree(s.explain(8, [ids[c] for c in "fge"]), s)
+        proof = format_proof(s.explain(8, [ids[c] for c in "fge"]), s.term_names)
         assert used_hypotheses(proof) == {2}
-        assert check(proof, 2, s.hypotheses, s.class_of) >= {
+        assert check(proof, 2, s.hypotheses, s.class_of, ids=ids) >= {
             ids[c] for c in "efg"
         }
 
@@ -382,17 +380,17 @@ class TestExplain:
             one.explain(5, [0])
 
     def test_whole_kset_explain_cites_everything(self):
-        s, _ = table_session()
-        proof = proof_tree(s.explain(8, range(7)), s)
+        s, ids = table_session()
+        proof = format_proof(s.explain(8, range(7)), s.term_names)
         assert used_hypotheses(proof) == {0, 1, 2, 3, 4}
-        assert check(proof, 2, s.hypotheses, s.class_of) == set(range(7))
+        assert check(proof, 2, s.hypotheses, s.class_of, ids=ids) == set(range(7))
 
 
 class TestKfunEq:
     def test_equal_anchors_trivial(self):
         s = Session(2)
         a, b = s.intern_term("a"), s.intern_term("b")
-        assert proof_tree(s.kfun_eq([a, b], [a, b]), s) == SubRefl({a, b})
+        assert s.kfun_eq([a, b], [a, b]) == ["(subrefl a b)"]
 
     def test_table_lines_coincide(self):
         s, ids = table_session()
@@ -715,8 +713,8 @@ def test_rename_scan_is_exact():
 
 
 # The proof walk's one output: the text pieces every query returns join
-# to canonical text, which `format_proof` writes again from the tree that
-# `parse_proof` reads, and which checks, on every path.
+# to canonical text, which `parse_proof` reads, and which checks, on every
+# path.
 
 
 def solve_text(session, xs):
@@ -735,9 +733,25 @@ def solve_text(session, xs):
 
 
 def assert_canonical(session, text):
-    """`text` is what `format_proof` writes for the tree read from it."""
-    tree = parse_proof(text, session.terms.term_ids)
-    assert format_proof(tree, session.term_names) == text
+    """`text` reads as proof text, and is canonical: its tokens are
+    parted by single spaces, none next to a parenthesis's inner side,
+    and each `subrefl` or `project` lists its terms once each, in
+    ascending id order."""
+    ids = session.terms.term_ids
+    assert parse_proof(text, ids) == text
+    tokens = re.findall(r"[()]|[^\s()]+", text)
+    assert " ".join(tokens).replace("( ", "(").replace(" )", ")") == text
+    open_nodes = []  # the head and term atoms of each open node
+    for token in tokens:
+        if token == "(":
+            open_nodes.append([])
+        elif token == ")":
+            head, *atoms = open_nodes.pop()
+            if head in ("subrefl", "project"):
+                terms = [ids[atom] for atom in atoms]
+                assert terms == sorted(set(terms)), text
+        else:
+            open_nodes[-1].append(token)
 
 
 def explain_texts(session, rng, records, texts):
