@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kequiv
 import kequiv.problem
+import kequiv.proofs
 from kequiv.cli import cmd_check, cmd_solve, main
 from kequiv.congruence import CongruenceState
 from kequiv.engine import Session
@@ -273,7 +274,7 @@ class TestSolve:
         assert code == 0
         assert [l.split()[0] for l in out.splitlines()] == ["entailed"] * 2
 
-    def test_solve_proofs_of_bare_and_renamed_hypotheses(self, tmp_path, capsys):
+    def test_solve_builds_no_proof_nodes(self, tmp_path, capsys, monkeypatch):
         # a query answered by one hypothesis, bare and through renames, and
         # queries of at most k terms; a query that reaches the proof walk
         # has more than k terms, so one hypothesis concludes exactly it and
@@ -285,6 +286,8 @@ class TestSolve:
         )
         subrefl = "rel coll 2\nhyp coll a b c\nquery coll a b\nquery coll c c\n"
         files = {
+            "example": EXAMPLE,
+            "chain": chain_text(300),
             "eq-chain": eq_chain_text(60),
             "one-hypothesis": one_hypothesis,
             "subrefl": subrefl,
@@ -303,6 +306,17 @@ class TestSolve:
             "entailed (subrefl c)",
         ]
         assert "(subst (subst " in expected["eq-chain"][1]
+
+        # solve writes the text the engine's pieces join to: it never reads
+        # a proof back or judges one
+        def proof_read(*args, **kwargs):
+            raise AssertionError("solve read or judged a proof")
+
+        monkeypatch.setattr(kequiv.proofs, "parse_proof", proof_read)
+        monkeypatch.setattr(kequiv.proofs, "check", proof_read)
+        monkeypatch.setattr(kequiv.cli, "check", proof_read)
+        for name in files:
+            assert run(capsys, "solve", str(tmp_path / f"{name}.kq")) == expected[name]
 
     def test_solve_prints_what_query_atom_returns(self, tmp_path, capsys, monkeypatch):
         # solve asks `CongruenceState.query_atom` once per query, in file
@@ -505,7 +519,20 @@ class TestCheck:
         assert err == "error: terms 'a' and 'b' are known distinct\n"
         assert run(capsys, "solve", str(path))[1:] == ("", err)
 
-    def test_failing_lines_report_their_first_fault(self, tmp_path, capsys):
+    def test_passing_lines_build_no_proof_tree(
+        self, example, tmp_path, capsys, monkeypatch
+    ):
+        # `check` judges each line in one pass; `parse_proof`, the
+        # syntax-only reading of the same scan, is never run beside it
+        proofs = self.solve_to_file(capsys, tmp_path, example)
+
+        def second_read(*args, **kwargs):
+            raise AssertionError("check read a passing line twice")
+
+        monkeypatch.setattr(kequiv.proofs, "parse_proof", second_read)
+        assert run(capsys, "check", example, proofs) == (0, "pass\n" * 3, "")
+
+    def test_failing_lines_build_no_proof_tree(self, tmp_path, capsys, monkeypatch):
         problem = tmp_path / "example.kq"
         problem.write_text(EXAMPLE + "query coll a b d\n")
         proofs = Path(self.solve_to_file(capsys, tmp_path, str(problem)))
@@ -531,6 +558,15 @@ class TestCheck:
         assert lines[1] == "pass"
         assert lines[2].startswith("fail: line 3: col ")
         assert re.fullmatch(r"fail: line 4: col \d+: unknown term 'zz'", lines[3])
+
+        # a failing line, too, is judged in one pass: no second reading
+        # for syntax and no proof written back out
+        def second_read(*args, **kwargs):
+            raise AssertionError("check read or wrote a failing line again")
+
+        monkeypatch.setattr(kequiv.proofs, "parse_proof", second_read)
+        monkeypatch.setattr(kequiv.proofs, "format_proof", second_read)
+        assert run(capsys, "check", str(problem), str(proofs)) == expected
 
     def test_entailed_must_be_followed_by_whitespace(self, example, tmp_path, capsys):
         proofs = Path(self.solve_to_file(capsys, tmp_path, example))
