@@ -17,7 +17,12 @@ many-lines workload, and also print the best time per hypothesis in
 microseconds.  The peak-short-lines rung asserts the k = 2 short-lines
 shape under tracemalloc and prints the peak of the memory allocated
 while asserting, in bytes and in bytes per hypothesis; its growth
-exponent near 1 is memory linear in the hypotheses.  The deep-query
+exponent near 1 is memory linear in the hypotheses.  The
+peak-solve-short-lines rung writes the same shape as a problem file and
+prints the peak of the memory allocated by `kequiv solve` on it in this
+process, per hypothesis too: the parse and the term table count there,
+which peak-short-lines, whose terms are interned before tracing, cannot
+see.  The deep-query
 rungs time the proof of (p0, p1, p_n+1) on the asserted chain, which has
 about n levels: `resolve_query`, whose proof walk writes the proof's
 text pieces, then `format_proof`, which joins them, the path `kequiv
@@ -124,6 +129,20 @@ def peak_bytes(build, n):
     finally:
         tracemalloc.stop()
         gc.enable()
+
+
+def solve_peak_bytes(path):
+    """tracemalloc's peak, in bytes, over `kequiv solve` of the problem file
+    at `path` in this process, its output sent to the null device."""
+    gc.collect()
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        tracemalloc.start()
+        try:
+            if kequiv_main(["solve", path]) != 0:
+                raise RuntimeError(f"kequiv solve {path} failed")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 def deep_query_seconds(n):
@@ -330,6 +349,14 @@ def main():
                 kequiv_main(["solve", problem])
             proofs = write(tmp, f"short-lines-{size}.proofs", out.getvalue())
             files[size] = (problem, proofs)
+        rungs(
+            "peak-solve-short-lines",
+            "peak",
+            lambda size: solve_peak_bytes(files[size][0]),
+            1000,
+            lambda size: size * 6,
+            unit="B",
+        )
         rungs(
             "check-short-lines",
             "check",

@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from .congruence import CongruenceState, InconsistentEqualityError
-from .engine import UnionFind
+from .engine import TermTable, UnionFind
 from .problem import (
     ParseError,
     Problem,
@@ -55,11 +55,10 @@ def _int(text: str) -> int:
 
 
 def _build_state(problem: Problem) -> CongruenceState:
-    """The closure of the problem's facts; the state's term ids are the
-    problem's, since it interns the names in id order."""
-    state = CongruenceState(problem.relations)
-    for name in problem.term_order:
-        state.intern_term(name)
+    """The closure of the problem's facts, over a term table that adopts
+    the problem's names and ids."""
+    terms = TermTable.from_names(problem.term_order, problem.term_ids)
+    state = CongruenceState(problem.relations, terms)
     for group in problem.class_ids:
         state.mark_possibly_equal(group)
     for rel, xs in problem.facts:

@@ -26,11 +26,12 @@ class CongruenceState:
     """Shared term universe plus one closure session per relation.
 
     One writer, like the sessions it owns.  Every session reads the
-    state's term table and equalities, so ids agree across relations.
+    state's term table (`terms`, a new empty one when not given) and
+    equalities, so ids agree across relations.
     """
 
-    def __init__(self, relations: Mapping[str, int]):
-        self.terms = TermTable()
+    def __init__(self, relations: Mapping[str, int], terms: TermTable | None = None):
+        self.terms = TermTable() if terms is None else terms
         self.equalities = Equalities()
         self.sessions: dict[str, Session] = {}
         for name, k in relations.items():

@@ -14,10 +14,13 @@ the proof forest.
 Storage.  Every record of the merge history stays in `history`, indexed
 by k-set id, so proofs can be extracted later, but only active k-sets
 hold a term set: one mutable *live set* per lineage, named by a handle
-(`handles[id]`).  `term2parents` maps each term to the handles of the
-live sets holding it, and `owner` maps a handle to its active k-set: a
-k-set is active exactly when `owner` maps its handle back to it.  Each
-fact makes one record.  A hypothesis is stored on its representatives;
+(`handles[id]`).  `term2parents` maps each term to the handle of the one
+live set holding it, bare, or to a set of the handles of two or more
+(`parents_of` reads both); `owner` maps a handle to its active k-set: a
+k-set is active exactly when `owner` maps its handle back to it.  The
+`TermTable` may adopt a parsed problem's name list and name -> id map
+(`TermTable.from_names`), so the names are stored once.  Each fact makes
+one record.  A hypothesis is stored on its representatives;
 its `Asserted` record keeps the (term, representative) pairs of the
 terms equalities had retired.  A merge absorbs the smaller side into the
 larger side's live set (union by size, Tarjan-style; a tie absorbs the
@@ -60,9 +63,8 @@ such asserts can take quadratic time.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Mapping, Sequence, Union
+from typing import AbstractSet, Collection, Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "Asserted",
@@ -267,6 +269,16 @@ class TermTable:
             if head != t:
                 self.mark_possibly_equal((head, t))
 
+    @classmethod
+    def from_names(cls, term_names: list[str], term_ids: dict[str, int]) -> TermTable:
+        """A table that adopts a numbered name list and its name -> id map,
+        not copies, with each term in its own class, labelled by its id."""
+        table = cls()
+        table.term_names, table.term_ids = term_names, term_ids
+        table.class_of = dict(zip(term_ids.values(), term_ids.values()))
+        table._next_class = len(term_names)
+        return table
+
     def intern_term(self, name: str) -> int:
         """Map a name to a dense term id, idempotently."""
         tid = self.term_ids.get(name)
@@ -379,8 +391,8 @@ class Session:
         # k-set id -> its history record, and -> the handle of its live set
         self.history: list[HistoryNode] = []
         self.handles: list[int] = []
-        # term -> handles of the live sets holding it
-        self.term2parents: defaultdict[int, set[int]] = defaultdict(set)
+        # term -> the handle of its one live set, or a set of two or more
+        self.term2parents: dict[int, int | set[int]] = {}
         # handle -> live term set, and handle -> the active record owning it
         self.live: dict[int, set[int]] = {}
         self.owner: dict[int, int] = {}
@@ -461,23 +473,28 @@ class Session:
         history, handles, owner = self.history, self.handles, self.owner
         live, parents, c = self.live, self.term2parents, self.counters
         rewritten = []
-        for kid in sorted(owner[h] for h in parents.pop(old, ())):
+        for kid in sorted(owner[h] for h in self.parents_of(old)):
             handle = handles[kid]
             terms = live[handle]
             already = new in terms
             terms.discard(old)
             if not already:
                 terms.add(new)
-                parents[new].add(handle)
+                ps = parents.setdefault(new, handle)
+                if type(ps) is not int:
+                    ps.add(handle)
+                elif ps != handle:
+                    parents[new] = {ps, handle}
                 c.registrations += 1
             n = len(history)
             history.append(Rewritten(kid, old, new, already))
             handles.append(handle)
             owner[handle] = n
             rewritten.append(n)
+        parents.pop(old, None)
         if rewritten:
             c.rewrites += len(rewritten)
-            c.max_parents = max(c.max_parents, len(parents[new]))
+            c.max_parents = max(c.max_parents, len(self.parents_of(new)))
         for n in rewritten:
             if owner.get(handles[n]) == n:
                 self.find_merges(n, new)
@@ -495,10 +512,15 @@ class Session:
         self.owner[n] = n
         parents = self.term2parents
         c = self.counters
-        top = c.max_parents
+        top = max(c.max_parents, 1)
         for x in terms:
-            ps = parents[x]
-            ps.add(n)
+            ps = parents.setdefault(x, n)
+            if type(ps) is int:
+                if ps == n:
+                    continue
+                parents[x] = ps = {ps, n}
+            else:
+                ps.add(n)
             if len(ps) > top:
                 top = len(ps)
         c.max_parents = top
@@ -506,6 +528,11 @@ class Session:
         if len(terms) > c.max_kset_size:
             c.max_kset_size = len(terms)
         return n
+
+    def parents_of(self, t: int) -> Collection[int]:
+        """The handles of the live sets holding term `t`; do not modify."""
+        ps = self.term2parents.get(t, ())
+        return (ps,) if type(ps) is int else ps
 
     def _active(self, n: int) -> int:
         """The handle of active k-set `n`."""
@@ -528,9 +555,9 @@ class Session:
         """
         h = self._active(n)
         fused = self.live[h]
-        parents, live, owner = self.term2parents, self.live, self.owner
+        parents_of, live, owner = self.parents_of, self.live, self.owner
         k, classes_of = self.k, self.terms.class_of.__getitem__
-        candidates = self._pigeonhole(fused) if renamed is None else parents[renamed]
+        candidates = self._pigeonhole(fused) if renamed is None else parents_of(renamed)
         history, handles, counters = self.history, self.handles, self.counters
         while True:
             counters.find_merges_calls += 1
@@ -557,7 +584,7 @@ class Session:
                     pieces.append(merged.absorbed_terms)
             candidates = self._fused_candidates(fused, added, pieces)
             if renamed is not None:
-                candidates |= parents[renamed]
+                candidates.update(parents_of(renamed))
 
     def _pigeonhole(self, terms: AbstractSet[int]) -> set[int]:
         """Handles of the live sets that may share k classes with `terms`.
@@ -569,8 +596,8 @@ class Session:
         parents = self.term2parents
         load: dict[int, int] = {}
         for t in terms:
-            c = class_of[t]
-            load[c] = load.get(c, 0) + len(parents[t])
+            c, ps = class_of[t], parents[t]
+            load[c] = load.get(c, 0) + (1 if type(ps) is int else len(ps))
         spare = len(load) - self.k + 1
         if spare <= 0:
             return set()
@@ -578,7 +605,10 @@ class Session:
         out: set[int] = set()
         for t in terms:
             if class_of[t] in chosen:
-                out |= parents[t]
+                if type(ps := parents[t]) is int:
+                    out.add(ps)
+                else:
+                    out |= ps
         return out
 
     def _fused_candidates(
@@ -599,13 +629,13 @@ class Session:
         best_terms: list[int] = added
         best = 0
         for t in added:
-            best += len(parents[t])
+            best += 1 if type(ps := parents[t]) is int else len(ps)
         for piece in pieces:
             total = 0
             terms = []
             for t in fused:
                 if t not in piece:
-                    total += len(parents[t])
+                    total += 1 if type(ps := parents[t]) is int else len(ps)
                     if total >= best:
                         break
                     terms.append(t)
@@ -613,7 +643,10 @@ class Session:
                 best_terms, best = terms, total
         out: set[int] = set()
         for t in best_terms:
-            out |= parents[t]
+            if type(ps := parents[t]) is int:
+                out.add(ps)
+            else:
+                out |= ps
         return out
 
     def merge(self, i1: int, i2: int) -> int:
@@ -646,21 +679,25 @@ class Session:
         del live[gone], owner[gone]
         # the absorbed terms leave `gone`; those not in the anchor join `handle`
         parents = self.term2parents
-        c = self.counters
-        top = c.max_parents
-        for x in absorbed:
+        moved = absorbed_terms - anchor
+        for x in moved:
+            ps = parents[x]
+            if type(ps) is int:
+                parents[x] = handle
+            else:
+                ps.discard(gone)
+                ps.add(handle)
+        for x in anchor:
             ps = parents[x]
             ps.discard(gone)
-            if x not in anchor:
-                ps.add(handle)
-                if len(ps) > top:
-                    top = len(ps)
-        into |= absorbed_terms - anchor
+            if len(ps) == 1:
+                parents[x] = ps.pop()
+        into |= moved
         n = len(history)
         history.append(Merged(i1, i2, small, absorbed_terms, anchor))
         handles.append(handle)
         owner[handle] = n
-        c.max_parents = top
+        c = self.counters
         c.registrations += len(absorbed) - len(anchor)
         c.merges += 1
         if len(into) > c.max_kset_size:
@@ -721,10 +758,10 @@ class Session:
         if len(s) <= self.k:
             names = self.term_names
             return ["(subrefl " + " ".join([names[t] for t in sorted(s)]) + ")"]
-        parents = [self.term2parents.get(x) for x in s]
+        parents = [self.parents_of(x) for x in s]
         if not all(parents):
             return None
-        common = min(parents, key=len).intersection(*parents)
+        common = set(min(parents, key=len)).intersection(*parents)
         if not common:
             return None
         # a proof that is one hypothesis needs no `project`: the hypothesis
@@ -937,8 +974,11 @@ class Session:
             for x in terms:
                 expected.setdefault(x, set()).add(handle)
         for x in self.term2parents.keys() | expected.keys():
-            if self.term2parents.get(x, set()) != expected.get(x, set()):
+            if set(self.parents_of(x)) != expected.get(x, set()):
                 raise EngineInvariantError(f"parent map out of sync for term {x}")
+            ps = self.term2parents[x]
+            if type(ps) is not int and (type(ps) is not set or len(ps) < 2):
+                raise EngineInvariantError(f"term {x} has a non-canonical parent entry")
         active = sorted(owner.values())
         for i, a in enumerate(active):
             for b in active[i + 1 :]:

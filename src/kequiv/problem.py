@@ -258,8 +258,7 @@ class InternedProblem:
 
 def intern_problem(problem: Problem) -> InternedProblem:
     """Split the problem's facts and mark its `class` groups."""
-    n = len(problem.term_order)
-    table = TermTable(dict(zip(range(n), range(n))))  # each term its own class
+    table = TermTable.from_names(problem.term_order, problem.term_ids)
     for group in problem.class_ids:
         table.mark_possibly_equal(group)
     facts = problem.facts

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import kequiv
 import kequiv.problem
 import kequiv.proofs
-from kequiv.cli import cmd_check, cmd_solve, main
+from kequiv.cli import _build_state, cmd_check, cmd_solve, main
 from kequiv.congruence import CongruenceState
 from kequiv.engine import Session
 from kequiv.oracle import closure_sets, covered
@@ -224,6 +224,23 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(path))
         assert code == 2
         assert "distinct" in err
+
+    def test_state_adopts_the_problem_term_table(self, tmp_path, capsys):
+        # one table: the state's names and ids are the problem's own, and
+        # its class labels are those `kequiv check` marks for the same file
+        problem = parse_text(EQ_FIRST)
+        state = _build_state(problem)
+        assert state.terms.term_ids is problem.term_ids
+        assert state.terms.term_names is problem.term_order
+        assert state.class_of == intern_problem(problem).class_of
+        # an `eq` across two classes is still refused, by both commands
+        path = tmp_path / "c.kq"
+        path.write_text("rel coll 2\nclass a b\nclass c d\nhyp coll a c e\neq b d\n")
+        proofs = tmp_path / "proofs.txt"
+        proofs.write_text("")
+        err = "error: terms 'b' and 'd' are known distinct\n"
+        assert run(capsys, "solve", str(path)) == (2, "", err)
+        assert run(capsys, "check", str(path), str(proofs)) == (2, "", err)
 
     def test_usage_error_exit_one(self, capsys):
         with pytest.raises(SystemExit) as e:

@@ -52,7 +52,7 @@ def snapshot(state):
         {
             name: (
                 [(r.id, r.terms, r.history, r.active) for r in s.ksets],
-                {t: set(ps) for t, ps in s.term2parents.items()},
+                {t: set(s.parents_of(t)) for t in s.term2parents},
                 list(s.hypotheses),
                 s.stats(),
             )
