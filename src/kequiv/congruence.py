@@ -47,10 +47,6 @@ class CongruenceState:
     def term_names(self) -> list[str]:
         return self.terms.term_names
 
-    @property
-    def class_of(self) -> dict[int, int]:
-        return self.terms.class_of
-
     def intern_term(self, name: str) -> int:
         return self.terms.intern_term(name)
 
@@ -79,7 +75,7 @@ class CongruenceState:
         for x in (a, b):
             if not 0 <= x < len(self.term_names):
                 raise ValueError(f"unknown term id {x}")
-        if self.class_of[a] != self.class_of[b]:
+        if self.terms.class_of[a] != self.terms.class_of[b]:
             raise InconsistentEqualityError(
                 f"terms {self.term_names[a]!r} and {self.term_names[b]!r} "
                 "are known distinct"
@@ -101,12 +97,6 @@ class CongruenceState:
         which `format_proof` joins (see `Session.resolve_query`).
         """
         return self._session(relation).resolve_query(xs)
-
-    def query_kfun_eq(
-        self, relation: str, x1: Iterable[int], x2: Iterable[int]
-    ) -> bool:
-        """Whether two k-term anchor sets name the same object, modulo equality."""
-        return self._session(relation).kfun_eq(x1, x2) is not None
 
     def _session(self, relation: str) -> Session:
         try:

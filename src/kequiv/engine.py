@@ -136,16 +136,15 @@ _EXPLAIN, _FUSE, _REWRAP = 0, 1, 2
 class KSet:
     """A read-only view of k-set `id` of `session`.
 
-    `history` is its record and `handle` names its lineage's live set; an
-    active k-set owns that set.  `terms` is a copy of the live set, or,
-    once the k-set is inactive, its terms rebuilt from the history (see
-    `Session.terms_of`).  The session stores each fact once, in its
-    `history` and `handles` lists, and builds views only when
-    `Session.ksets` is read.  Invariant: the engine's objects form no
-    reference cycle, so reference counting frees all of them and `kequiv`
-    commands run with the cycle collector paused (a test enforces this).
-    That is why a view may hold its session but the session never holds
-    a view.  Views compare by identity.
+    `history` is its record; an active k-set owns its lineage's live set.
+    `terms` is a copy of the live set, or, once the k-set is inactive, its
+    terms rebuilt from the history (see `Session.terms_of`).  The session
+    stores each fact once, in its `history` and `handles` lists, and builds
+    views only when `Session.ksets` is read.  Invariant: the engine's
+    objects form no reference cycle, so reference counting frees all of
+    them and `kequiv` commands run with the cycle collector paused (a test
+    enforces this).  That is why a view may hold its session but the
+    session never holds a view.  Views compare by identity.
     """
 
     __slots__ = ("session", "id")
@@ -156,8 +155,7 @@ class KSet:
 
     def __repr__(self) -> str:
         return (
-            f"KSet(id={self.id!r}, history={self.history!r}, "
-            f"handle={self.handle!r}, active={self.active!r})"
+            f"KSet(id={self.id!r}, history={self.history!r}, active={self.active!r})"
         )
 
     @property
@@ -165,12 +163,8 @@ class KSet:
         return self.session.history[self.id]
 
     @property
-    def handle(self) -> int:
-        return self.session.handles[self.id]
-
-    @property
     def active(self) -> bool:
-        return self.session.owner.get(self.handle) == self.id
+        return self.session.owner.get(self.session.handles[self.id]) == self.id
 
     @property
     def terms(self) -> frozenset[int]:
@@ -420,9 +414,6 @@ class Session:
     def intern_term(self, name: str) -> int:
         return self.terms.intern_term(name)
 
-    def term_id(self, name: str) -> int:
-        return self.terms.term_ids[name]
-
     def mark_possibly_equal(self, terms: Iterable[int]) -> None:
         self.terms.mark_possibly_equal(terms)
 
@@ -457,7 +448,7 @@ class Session:
             if renames:
                 terms, history = map(find, xs), Asserted(i, renames)
                 self.counters.rewrites += 1
-        self.find_merges(self.new_kset(terms, history))
+        self._find_merges(self._new_kset(terms, history))
         self.check_counter_bounds()
         return i
 
@@ -497,14 +488,12 @@ class Session:
             c.max_parents = max(c.max_parents, len(self.parents_of(new)))
         for n in rewritten:
             if owner.get(handles[n]) == n:
-                self.find_merges(n, new)
+                self._find_merges(n, new)
         self.check_counter_bounds()
 
-    def new_kset(self, terms: Iterable[int], history: HistoryNode) -> int:
+    def _new_kset(self, terms: Iterable[int], history: HistoryNode) -> int:
         """Append an active k-set record with a new live set of `terms`."""
         terms = set(terms)
-        if not terms:
-            raise ValueError("a k-set needs at least one term")
         n = len(self.history)
         self.history.append(history)
         self.handles.append(n)
@@ -534,16 +523,7 @@ class Session:
         ps = self.term2parents.get(t, ())
         return (ps,) if type(ps) is int else ps
 
-    def _active(self, n: int) -> int:
-        """The handle of active k-set `n`."""
-        if not 0 <= n < len(self.history):
-            raise ValueError(f"unknown k-set id {n}")
-        h = self.handles[n]
-        if self.owner.get(h) != n:
-            raise ValueError(f"k-set {n} is not active")
-        return h
-
-    def find_merges(self, n: int, renamed: int | None = None) -> None:
+    def _find_merges(self, n: int, renamed: int | None = None) -> None:
         """Fuse k-set `n` with every active k-set it overlaps on >= k classes.
 
         Repeats on the fused result until no overlap remains, merging each
@@ -553,7 +533,7 @@ class Session:
         other k-sets renamed alongside may now overlap on it; otherwise by
         pigeonhole over n's classes, then from the fused set.
         """
-        h = self._active(n)
+        h = self.handles[n]
         fused = self.live[h]
         parents_of, live, owner = self.parents_of, self.live, self.owner
         k, classes_of = self.k, self.terms.class_of.__getitem__
@@ -575,7 +555,7 @@ class Session:
             added: list[int] = []
             pieces: list[frozenset[int]] = []
             for i, m in enumerate(matches):
-                n = self.merge(m, n)
+                n = self._merge(m, n)
                 merged = history[n]
                 if handles[n] != h:  # the fused set was absorbed by a larger match
                     h, fused, added = handles[n], live[handles[n]], []
@@ -649,21 +629,16 @@ class Session:
                 out |= ps
         return out
 
-    def merge(self, i1: int, i2: int) -> int:
+    def _merge(self, i1: int, i2: int) -> int:
         """Replace two active k-sets by their union; returns the new id.
 
-        The smaller side's terms are absorbed into the larger side's live
-        set (on a tie, the newer side's), so only they are re-registered.
+        `_find_merges` passes two distinct active k-sets that share terms of
+        k classes.  The smaller side's terms are absorbed into the larger
+        side's live set (on a tie, the newer side's), so only they are
+        re-registered.
         """
-        if i1 == i2:
-            raise ValueError("cannot merge a k-set with itself")
         history, handles, owner = self.history, self.handles, self.owner
-        for i in (i1, i2):
-            if not 0 <= i < len(history):
-                raise ValueError(f"unknown k-set id {i}")
         ha, hb = handles[i1], handles[i2]
-        if owner.get(ha) != i1 or owner.get(hb) != i2:
-            raise ValueError("merge needs two active k-sets")
         live = self.live
         ta, tb = live[ha], live[hb]
         if len(ta) < len(tb) or len(ta) == len(tb) and i1 > i2:
@@ -673,7 +648,7 @@ class Session:
         absorbed_terms = frozenset(absorbed)
         anchor = absorbed_terms & into
         if len(set(map(self.terms.class_of.__getitem__, anchor))) < self.k:
-            raise ValueError(
+            raise EngineInvariantError(
                 f"merge needs {self.k} distinctness classes in the overlap"
             )
         del live[gone], owner[gone]

@@ -328,9 +328,9 @@ def _judge(
                 path = [(len(f) - 1) // 2 for f in stack]
                 failure = ProofCheckError, path, str(broken)
                 judging, result = False, None
-            except (KeyError, ValueError):
+            except (KeyError, ValueError, TypeError):
                 # the node's syntax error, or, if it has none, a malformed
-                # log entry it cites
+                # log entry it cites (a wrong type raises TypeError)
                 fault = _fault(node, name_id)
                 if fault is not None:
                     ci, at = _closing(chunks, rest, stretches, cuts)

@@ -232,7 +232,7 @@ class TestSolve:
         state = _build_state(problem)
         assert state.terms.term_ids is problem.term_ids
         assert state.terms.term_names is problem.term_order
-        assert state.class_of == intern_problem(problem).class_of
+        assert state.terms.class_of == intern_problem(problem).class_of
         # an `eq` across two classes is still refused, by both commands
         path = tmp_path / "c.kq"
         path.write_text("rel coll 2\nclass a b\nclass c d\nhyp coll a c e\neq b d\n")
@@ -519,7 +519,8 @@ class TestCheck:
         def engine_called(*args, **kwargs):
             raise AssertionError("check ran the closure engine")
 
-        monkeypatch.setattr(Session, "find_merges", engine_called)
+        monkeypatch.setattr(Session, "assert_hypothesis", engine_called)
+        monkeypatch.setattr(Session, "rename_term", engine_called)
         monkeypatch.setattr(CongruenceState, "assert_atom", engine_called)
         code, out, _ = run(capsys, "check", example, proofs)
         assert code == 0

@@ -165,8 +165,9 @@ class TestApplications:
         state, ids = self.table_state()
         # "ab" and "cd" included: every anchor pair names the one line
         anchors = list(itertools.combinations(ids.values(), 2))
+        session = state.sessions["coll"]
         assert all(
-            state.query_kfun_eq("coll", x1, x2) for x1 in anchors for x2 in anchors
+            session.kfun_eq(x1, x2) is not None for x1 in anchors for x2 in anchors
         )
 
     def test_disjoint_facts_stay_apart(self):
@@ -177,35 +178,32 @@ class TestApplications:
             list(itertools.combinations([ids[c] for c in line], 2))
             for line in ("abc", "def")
         ]
+        session = state.sessions["coll"]
         for i, j in itertools.product(range(2), repeat=2):
             for x1 in lines[i]:
                 for x2 in lines[j]:
-                    assert state.query_kfun_eq("coll", x1, x2) == (i == j)
+                    assert (session.kfun_eq(x1, x2) is not None) == (i == j)
 
     def test_kfun_eq_agreement(self):
         state, ids = self.table_state()
         session = state.sessions["coll"]
         for x1, x2 in [("ab", "fg"), ("ab", "ef"), ("ab", "ab"), ("ce", "dg")]:
-            got = state.query_kfun_eq(
-                "coll", [ids[c] for c in x1], [ids[c] for c in x2]
-            )
-            want = session.kfun_eq(
-                [ids[c] for c in x1], [ids[c] for c in x2]
-            ) is not None
-            assert got == want and got
+            # the same line exactly when the four points are one atom
+            got = session.kfun_eq([ids[c] for c in x1], [ids[c] for c in x2])
+            want = state.query_atom("coll", [ids[c] for c in x1 + x2])
+            assert got == want and got is not None
 
     def test_kfun_eq_disjoint_lines_false(self):
         state, ids = state_with("abcdef")
         state.assert_atom("coll", [ids[c] for c in "abc"])
         state.assert_atom("coll", [ids[c] for c in "def"])
-        assert not state.query_kfun_eq(
-            "coll", [ids["a"], ids["b"]], [ids["d"], ids["e"]]
-        )
+        session = state.sessions["coll"]
+        assert session.kfun_eq([ids["a"], ids["b"]], [ids["d"], ids["e"]]) is None
 
     def test_kfun_eq_size_check(self):
         state, ids = self.table_state()
         with pytest.raises(ValueError):
-            state.query_kfun_eq("coll", [ids["a"]], [ids["b"], ids["c"]])
+            state.sessions["coll"].kfun_eq([ids["a"]], [ids["b"], ids["c"]])
 
 
 class TestMultiRelation:
@@ -223,7 +221,7 @@ class TestMultiRelation:
         state = CongruenceState({"coll": 2, "cycl": 3})
         a, b = state.intern_term("a"), state.intern_term("b")
         c = state.sessions["coll"].intern_term("c")
-        assert state.sessions["cycl"].term_id("c") == state.term_id("c") == c
+        assert state.sessions["cycl"].terms.term_ids["c"] == state.term_id("c") == c
         state.assert_atom("coll", [a, b, c])
         assert state.query_atom("coll", [a, b, c]) is not None
 

@@ -131,11 +131,6 @@ class TestAssert:
 
 
 class TestArena:
-    def test_first_kset_id_zero(self):
-        s = Session(2)
-        ids = [s.intern_term(c) for c in "abc"]
-        assert s.new_kset(ids, Asserted(0)) == 0
-
     def test_table_arena_ids(self):
         s, _ = table_session()
         assert len(s.ksets) == 9
@@ -157,12 +152,13 @@ class TestArena:
         assert s.stats().active == before
         assert names(s, s.ksets[-1].terms) == "abcd"
 
-    def test_merge_contract_violations(self):
-        s, _ = table_session()
-        with pytest.raises(ValueError):
-            s.merge(8, 8)
-        with pytest.raises(ValueError):
-            s.merge(0, 8)  # 0 is inactive
+    def test_merge_needs_k_shared_classes(self):
+        # only an engine bug asks to merge k-sets sharing fewer than k
+        # classes; the session is left as it was
+        s = two_record_session()
+        with pytest.raises(EngineInvariantError, match="needs 2 distinctness classes"):
+            s._merge(0, 1)
+        s.validate()
 
 
 def two_record_session():
@@ -177,21 +173,10 @@ def two_record_session():
 class TestNegativeIds:
     # a negative id must not reach a record from the end of `ksets`
 
-    def test_merge(self):
-        s = two_record_session()
-        with pytest.raises(ValueError, match="unknown k-set id -2"):
-            s.merge(0, -2)  # -2 would be record 0 itself
-        s.validate()
-
     def test_terms_of(self):
         s = two_record_session()
         with pytest.raises(ValueError, match="unknown k-set id -1"):
             s.terms_of(-1)
-
-    def test_find_merges(self):
-        s = two_record_session()
-        with pytest.raises(ValueError, match="unknown k-set id -1"):
-            s.find_merges(-1)
 
     def test_validate_rejects_a_cited_negative_id(self):
         s = Session(2)
@@ -204,6 +189,29 @@ class TestNegativeIds:
         s.history[2] = replace(merged, left=-2)
         with pytest.raises(EngineInvariantError, match="negative k-set id"):
             s.validate()
+
+
+def test_public_surface():
+    # the engine's steps (new k-set, merge search, merge) stay private, so
+    # a caller reaches k-set storage only through these names
+    def public(obj):
+        return {n for n in dir(obj) if not n.startswith("_")}
+
+    s = Session(2)
+    s.assert_hypothesis([s.intern_term(c) for c in "abc"])
+    assert public(s) == {
+        "k", "hypotheses", "history", "handles", "term2parents", "live",
+        "owner", "terms", "equalities", "counters", "ksets", "term_names",
+        "class_of", "intern_term", "mark_possibly_equal", "assert_hypothesis",
+        "rename_term", "parents_of", "terms_of", "resolve_query", "explain",
+        "kfun_eq", "stats", "check_counter_bounds", "validate",
+    }
+    assert public(s.ksets[0]) == {"session", "id", "history", "active", "terms"}
+    assert public(CongruenceState({"coll": 2})) == {
+        "terms", "equalities", "sessions", "term_names", "intern_term",
+        "term_id", "mark_possibly_equal", "assert_atom", "assert_eq",
+        "query_atom",
+    }
 
 
 class TestFindMergesWithPartition:
@@ -536,6 +544,14 @@ class TestInvariants:
             "    s.explain(len(s.history) - 1, [b, c])\n"
             "except EngineInvariantError as e:\n"
             "    print(__debug__, e)\n"
+            "s = Session(2)\n"
+            "x = [s.intern_term(t) for t in 'abcde']\n"
+            "s.assert_hypothesis(x[:3])\n"
+            "s.assert_hypothesis(x[2:])\n"
+            "try:\n"
+            "    s._merge(0, 1)\n"
+            "except EngineInvariantError as e:\n"
+            "    print(__debug__, e)\n"
         )
         src = os.path.dirname(os.path.dirname(kequiv.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -558,6 +574,7 @@ class TestInvariants:
             "False k-set 3 misrecords its renamed term\n"
             "False k-set 4 disagrees with its history\n"
             "False no equality path between renamed terms\n"
+            "False merge needs 2 distinctness classes in the overlap\n"
         )
         assert issubclass(EngineInvariantError, AssertionError)
 

@@ -101,7 +101,7 @@ def test_one_partition_three_readers(case):
             reference.union(g[0], t)
     want = blocks({i: reference.find(i) for i in range(n)})
     assert blocks(interned.class_of) == want
-    assert blocks(state.class_of) == want
+    assert blocks(state.terms.class_of) == want
     for session in state.sessions.values():
         assert blocks(session.class_of) == want
     assert blocks(Session(2, interned.class_of).class_of) == want

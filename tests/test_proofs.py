@@ -469,6 +469,24 @@ def test_syntax_error_wins_over_an_earlier_fault():
     assert str(e.value) == "malformed hypotheses, partition or equalities"
 
 
+def test_malformed_log_entries_raise_value_error():
+    # a log entry of the wrong type is as malformed as one of the wrong
+    # shape: a hypothesis that is no term list, an equality that is no
+    # pair, a partition class that cannot be counted
+    for text, hyps, partition, eqs in [
+        ("(assume 0)", [5], None, ()),
+        ("(subst (assume 0) a b 0)", HYPS, None, [3]),
+        ("(trans (assume 0) (assume 4))", HYPS, {t: [t] for t in range(7)}, ()),
+    ]:
+        with pytest.raises(ValueError) as e:
+            check(text, 2, hyps, partition, eqs, ids=IDS)
+        assert type(e.value) is ValueError
+        assert str(e.value) == "malformed hypotheses, partition or equalities"
+    # a syntax error later on the line still wins
+    with pytest.raises(ProofSyntaxError, match="col 27: expected a hypothesis index, got 'zz'"):
+        check("(trans (assume 0) (assume zz))", 2, [5], ids=IDS)
+
+
 CONSTRUCTORS = ["assume", "subrefl", "trans", "project", "subst"]
 # "" only ever lands next to a parenthesis, where it splits nothing
 SPACES = [" ", "  ", "\t", "\x1c", "\u3000"]
