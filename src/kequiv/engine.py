@@ -30,11 +30,13 @@ edits the live set in place; its `Rewritten` record keeps the one (old,
 new) pair and whether the new term was already there.  `explain` reads
 only these stored pieces, the proof-forest reading of the history
 (Nieuwenhuis & Oliveras, RTA 2005), and `terms_of` an inactive k-set
-rebuilds its set on demand.  `ksets` builds read-only `KSet` views of
-the two lists when it is read.  One walk extracts every proof and writes
-its text as it goes, as a list of string pieces with every term named,
-which `format_proof` only joins; that text is the proof, which `check`
-judges.
+rebuilds its set on demand.  `ksets` builds a `KSet` snapshot of each
+record when it is read.  The engine's objects form no reference cycle,
+so reference counting frees all of them and `kequiv` commands run with
+the cycle collector paused (a test enforces this).  One walk extracts
+every proof and writes its text as it goes, as a list of string pieces
+with every term named, which `format_proof` only joins; that text is the
+proof, which `check` judges.
 
 Cost.  Let M be the number of terms registered by hypotheses and renames
 (at most k+1 per hypothesis plus one per rename).  An absorbed term
@@ -64,7 +66,7 @@ such asserts can take quadratic time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Collection, Iterable, Mapping, Sequence, Union
+from typing import AbstractSet, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "Asserted",
@@ -82,7 +84,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Asserted:
     """The k-set came from hypothesis `hyp_index`, renamed to representatives.
 
@@ -95,7 +97,7 @@ class Asserted:
     renames: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Merged:
     """The k-set is the union of two earlier k-sets (both ids smaller).
 
@@ -113,7 +115,7 @@ class Merged:
     anchor: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Rewritten:
     """The k-set is k-set `source` with `old` renamed to its representative.
 
@@ -127,48 +129,20 @@ class Rewritten:
     already: bool
 
 
-HistoryNode = Union[Asserted, Merged, Rewritten]
+HistoryNode = Asserted | Merged | Rewritten
 
 # the kinds of `Session._explain`'s tasks
 _EXPLAIN, _FUSE, _REWRAP = 0, 1, 2
 
 
-class KSet:
-    """A read-only view of k-set `id` of `session`.
+class KSet(NamedTuple):
+    """A snapshot of k-set `id`: its record, whether it is active, and its
+    terms (see `Session.terms_of`)."""
 
-    `history` is its record; an active k-set owns its lineage's live set.
-    `terms` is a copy of the live set, or, once the k-set is inactive, its
-    terms rebuilt from the history (see `Session.terms_of`).  The session
-    stores each fact once, in its `history` and `handles` lists, and builds
-    views only when `Session.ksets` is read.  Invariant: the engine's
-    objects form no reference cycle, so reference counting frees all of
-    them and `kequiv` commands run with the cycle collector paused (a test
-    enforces this).  That is why a view may hold its session but the
-    session never holds a view.  Views compare by identity.
-    """
-
-    __slots__ = ("session", "id")
-
-    def __init__(self, session: Session, id: int):
-        self.session = session
-        self.id = id
-
-    def __repr__(self) -> str:
-        return (
-            f"KSet(id={self.id!r}, history={self.history!r}, active={self.active!r})"
-        )
-
-    @property
-    def history(self) -> HistoryNode:
-        return self.session.history[self.id]
-
-    @property
-    def active(self) -> bool:
-        return self.session.owner.get(self.session.handles[self.id]) == self.id
-
-    @property
-    def terms(self) -> frozenset[int]:
-        return frozenset(self.session.terms_of(self.id))
+    id: int
+    history: HistoryNode
+    active: bool
+    terms: frozenset[int]
 
 
 @dataclass
@@ -397,8 +371,12 @@ class Session:
 
     @property
     def ksets(self) -> list[KSet]:
-        """Read-only views of the k-sets, built anew on each read."""
-        return [KSet(self, n) for n in range(len(self.history))]
+        """A snapshot of each k-set, built anew on each read."""
+        owner, handles, terms_of = self.owner, self.handles, self.terms_of
+        return [
+            KSet(n, h, owner.get(handles[n]) == n, frozenset(terms_of(n)))
+            for n, h in enumerate(self.history)
+        ]
 
     # ------------------------------------------------------------------
     # terms and the distinctness partition
@@ -458,9 +436,12 @@ class Session:
         Active k-sets hold only representatives, and `old` was one until
         the last union, so it is their one renamed term.  Each is renamed
         in place, in ascending id order, under a one-pair `Rewritten`
-        record, then each result still active is re-merged.
+        record, then each result still active is re-merged.  Raises
+        ValueError, editing nothing, when `old` is still a representative.
         """
         new = self.equalities.find(old)
+        if new == old:
+            raise ValueError(f"term {old} is still its own representative")
         history, handles, owner = self.history, self.handles, self.owner
         live, parents, c = self.live, self.term2parents, self.counters
         rewritten = []

@@ -74,9 +74,9 @@ class Problem:
     (relation, ids) and `class_ids` the `class` lines as id tuples.
 
     `statements`, `queries` and `classes` are the same lines by name, as
-    `Atom`/`Equality`, `Query` and name tuples.  They are read-only views,
-    built from the ids on first read and then kept; `kequiv solve` and
-    `kequiv check` never read them.
+    `Atom`/`Equality`, `Query` and name tuples.  They are read-only, built
+    from the ids on each read; `kequiv solve` and `kequiv check` never
+    read them.
     """
 
     relations: dict[str, int] = field(default_factory=dict)
@@ -85,9 +85,6 @@ class Problem:
     facts: list[tuple[str | None, tuple[int, ...]]] = field(default_factory=list)
     query_ids: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
     class_ids: list[tuple[int, ...]] = field(default_factory=list)
-    _views: dict[str, list] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def _names(self, xs: tuple[int, ...]) -> tuple[str, ...]:
         names = self.term_order
@@ -95,30 +92,19 @@ class Problem:
 
     @property
     def statements(self) -> list[Atom | Equality]:
-        view = self._views.get("statements")
-        if view is None:
-            names = self._names
-            view = self._views["statements"] = [
-                Equality(*names(xs)) if rel is None else Atom(rel, names(xs))
-                for rel, xs in self.facts
-            ]
-        return view
+        names = self._names
+        return [
+            Equality(*names(xs)) if rel is None else Atom(rel, names(xs))
+            for rel, xs in self.facts
+        ]
 
     @property
     def queries(self) -> list[Query]:
-        view = self._views.get("queries")
-        if view is None:
-            view = self._views["queries"] = [
-                Query(rel, self._names(xs)) for rel, xs in self.query_ids
-            ]
-        return view
+        return [Query(rel, self._names(xs)) for rel, xs in self.query_ids]
 
     @property
     def classes(self) -> list[tuple[str, ...]]:
-        view = self._views.get("classes")
-        if view is None:
-            view = self._views["classes"] = list(map(self._names, self.class_ids))
-        return view
+        return list(map(self._names, self.class_ids))
 
 
 class ParseError(Exception):

@@ -206,7 +206,9 @@ def test_public_surface():
         "rename_term", "parents_of", "terms_of", "resolve_query", "explain",
         "kfun_eq", "stats", "check_counter_bounds", "validate",
     }
-    assert public(s.ksets[0]) == {"session", "id", "history", "active", "terms"}
+    assert public(s.ksets[0]) == {
+        "id", "history", "active", "terms", "count", "index"
+    }
     assert public(CongruenceState({"coll": 2})) == {
         "terms", "equalities", "sessions", "term_names", "intern_term",
         "term_id", "mark_possibly_equal", "assert_atom", "assert_eq",
@@ -752,6 +754,20 @@ def test_rename_scan_is_exact():
     session.validate()
 
 
+def test_rename_of_a_representative_is_refused():
+    # `old` must be a retired representative: renaming a term that is
+    # still its own would drop it from its k-sets
+    s = Session(2)
+    a, b, c = (s.intern_term(t) for t in "abc")
+    s.assert_hypothesis([a, b, c])
+    before = (list(s.history), dict(s.term2parents), s.stats())
+    with pytest.raises(ValueError, match="still its own representative"):
+        s.rename_term(a)
+    assert (list(s.history), dict(s.term2parents), s.stats()) == before
+    assert s.resolve_query([a, b, c]) == ["(assume 0)"]
+    s.validate()
+
+
 # The proof walk's one output: the text pieces every query returns join
 # to canonical text, which `parse_proof` reads, and which checks, on every
 # path.
@@ -837,7 +853,7 @@ def test_program_text_equals_tree_text():
             text = solve_text(session, combo)
             pieces = state.query_atom("r", combo)
             assert text == (pieces and format_proof(pieces, state.term_names))
-        explain_texts(session, rng, range(len(session.ksets)), texts)
+        explain_texts(session, rng, range(len(session.history)), texts)
         kinds |= rewritten_kinds(session)
     assert kinds == {
         "assert-time, one pair",
@@ -897,7 +913,7 @@ def test_program_text_equals_tree_text_on_shapes(build, n):
         queries.append(rng.sample(sorted(session.terms_of(rng.choice(active))), 3))
     entailed = [q for q in queries if solve_text(session, q) is not None]
     assert len(entailed) >= 90
-    explain_texts(session, rng, rng.sample(range(len(session.ksets)), 30), [])
+    explain_texts(session, rng, rng.sample(range(len(session.history)), 30), [])
 
 
 def test_program_renders_a_ten_thousand_level_proof():

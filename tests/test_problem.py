@@ -184,8 +184,6 @@ def test_ids_and_named_views_agree(case):
     classes = [ns for h, _, ns in lines if h == "class"]
     assert list(map(names, problem.class_ids)) == classes
     assert problem.classes == classes
-    # the views are built once and kept
-    assert problem.statements is problem.statements
     assert interned == reference_interning(problem)
 
 
