@@ -44,6 +44,11 @@ cyclic garbage collector paused, as every `kequiv` command does:
 short-lines shape (k = 2) with the proofs `kequiv solve` gives for it,
 where reading the file is most of the work, as on many-lines; the
 check-short-lines lines also give the time per hypothesis.  The
+check-eq-chain rungs time `kequiv check` on the eq-chain with four
+queries, two of them naming members of its equality class, and the
+proofs `kequiv solve` gives for it: the rung that runs the checker's
+own grouping of the file's `class` lines and its union-find over the
+equality log.  The
 short-lines rungs pause it too, since many-lines runs through `kequiv
 solve`: with it on, its heap walks take a share of each hypothesis that
 grows with n.  The other library rungs, the deep query and the control
@@ -68,6 +73,7 @@ import tracemalloc
 
 from helpers import (
     chain_shape,
+    eq_chain_check_text,
     eq_chain_shape,
     eq_first_shape,
     pencil_closed_shape,
@@ -245,6 +251,22 @@ def write(directory, name, text):
     return path
 
 
+def solved_files(directory, name, text_of, sizes):
+    """For each size, write `text_of(size)` as a problem file in
+    `directory` and the proofs `kequiv solve` gives for it beside it;
+    return {size: (problem path, proofs path)}."""
+    files = {}
+    for size in sizes:
+        problem = write(directory, f"{name}-{size}.kq", text_of(size))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            if kequiv_main(["solve", problem]) != 0:
+                raise RuntimeError(f"kequiv solve {problem} failed")
+        proofs = write(directory, f"{name}-{size}.proofs", out.getvalue())
+        files[size] = (problem, proofs)
+    return files
+
+
 def rungs(name, what, measure, n, steps=None, unit="s", against=None):
     """Measure `measure(size)` at n, 2n and 4n in REPEATS interleaved
     rounds, in `unit`: seconds ("s"), with the control timed in each
@@ -341,14 +363,7 @@ def main():
             lambda size: command_seconds("solve", paths[size]),
             4000,
         )
-        files = {}
-        for size in (1000, 2000, 4000):
-            problem = write(tmp, f"short-lines-{size}.kq", short_lines_text(size))
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                kequiv_main(["solve", problem])
-            proofs = write(tmp, f"short-lines-{size}.proofs", out.getvalue())
-            files[size] = (problem, proofs)
+        files = solved_files(tmp, "short-lines", short_lines_text, (1000, 2000, 4000))
         rungs(
             "peak-solve-short-lines",
             "peak",
@@ -363,6 +378,13 @@ def main():
             lambda size: command_seconds("check", *files[size]),
             1000,
             lambda size: size * 6,
+        )
+        chains = solved_files(tmp, "eq-chain", eq_chain_check_text, (1000, 2000, 4000))
+        rungs(
+            "check-eq-chain",
+            "check",
+            lambda size: command_seconds("check", *chains[size]),
+            1000,
         )
 
 

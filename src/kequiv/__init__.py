@@ -19,7 +19,6 @@ from .engine import (
     Rewritten,
     Session,
     Stats,
-    UnionFind,
 )
 from .oracle import closure_sets, covered, minimal_supports, oracle_entailed, saturate
 from .problem import ParseError, Problem, generate, intern_problem, parse_path, parse_text
@@ -57,7 +56,6 @@ __all__ = [
     "minimal_supports",
     "CongruenceState",
     "InconsistentEqualityError",
-    "UnionFind",
     "Problem",
     "ParseError",
     "parse_text",

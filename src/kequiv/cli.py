@@ -17,14 +17,16 @@ import sys
 from typing import Sequence
 
 from .congruence import CongruenceState, InconsistentEqualityError
-from .engine import TermTable, UnionFind
+from .engine import TermTable
 from .problem import (
     ParseError,
     Problem,
+    find,
     generate,
     intern_problem,
     parse_path,
     split_lines,
+    union,
 )
 from .proofs import ProofCheckError, ProofSyntaxError, check, format_proof, numeral
 
@@ -108,13 +110,14 @@ def cmd_check(args) -> int:
     # everything the checker needs comes from the file, not from the engine
     interned = intern_problem(problem)
     names, class_of = interned.term_names, interned.class_of
-    uf = UnionFind()
+    # the equality log's blocks, which a conclusion must share with its query
+    blocks: dict[int, int] = {}
     for a, b in interned.equalities:
         if class_of[a] != class_of[b]:
             return _fail(
                 f"terms {names[a]!r} and {names[b]!r} are known distinct", EXIT_GUARD
             )
-        uf.union(a, b)
+        union(blocks, a, b)
     # frozen once here: `frozenset()` of a frozenset is that frozenset, so
     # each `assume` that cites a hypothesis takes it without a copy
     hypotheses = {rel: [] for rel in interned.relations}
@@ -138,7 +141,6 @@ def cmd_check(args) -> int:
             print(f"fail: line {lineno}: no proof given")
             ok = False
             continue
-        expected = frozenset(uf.find(t) for t in xs)
         try:
             conclusion = check(
                 fields[1],
@@ -152,7 +154,7 @@ def cmd_check(args) -> int:
             print(f"fail: line {lineno}: {e}")
             ok = False
             continue
-        if conclusion != expected:
+        if {find(blocks, t) for t in conclusion} != {find(blocks, t) for t in xs}:
             print(f"fail: line {lineno}: conclusion does not match the query")
             ok = False
             continue

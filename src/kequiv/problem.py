@@ -20,7 +20,6 @@ import re
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .engine import TermTable
 from .proofs import numeral
 
 __all__ = [
@@ -34,6 +33,8 @@ __all__ = [
     "split_lines",
     "InternedProblem",
     "intern_problem",
+    "find",
+    "union",
     "generate",
     "relation_name_for",
     "MAX_TERM_SLOTS",
@@ -230,7 +231,8 @@ class InternedProblem:
     """A problem with names resolved to dense ids, engine independent.
 
     `term_names` and `term_ids` are the problem's own `term_order` and
-    `term_ids`, not copies.
+    `term_ids`, not copies.  `class_of` labels each class by a root of the
+    checker's own `union`, not the engine's: only its blocks mean anything.
     """
 
     relations: dict[str, int]
@@ -242,17 +244,34 @@ class InternedProblem:
     queries: list[tuple[str, tuple[int, ...]]]
 
 
+def find(parent: dict[int, int], x: int) -> int:
+    """x's root in the union-find forest `parent`, halving the path; a
+    term absent from `parent`, or its own parent, is a root."""
+    while (p := parent.get(x, x)) != x:
+        parent[x] = x = parent.get(p, p)
+    return x
+
+
+def union(parent: dict[int, int], a: int, b: int) -> None:
+    """Join the blocks of a and b in the forest `parent`; a's root stays."""
+    parent[find(parent, b)] = find(parent, a)
+
+
 def intern_problem(problem: Problem) -> InternedProblem:
-    """Split the problem's facts and mark its `class` groups."""
-    table = TermTable.from_names(problem.term_order, problem.term_ids)
-    for group in problem.class_ids:
-        table.mark_possibly_equal(group)
+    """Split the problem's facts and group its `class` lines, with no
+    engine code; only the terms that `class` lines name are relabelled."""
+    ids, groups = problem.term_ids.values(), problem.class_ids
+    class_of = dict(zip(ids, ids))
+    for group in groups:
+        for t in group[1:]:
+            union(class_of, group[0], t)
+    class_of.update((t, find(class_of, t)) for group in groups for t in group)
     facts = problem.facts
     return InternedProblem(
         relations=dict(problem.relations),
         term_names=problem.term_order,
         term_ids=problem.term_ids,
-        class_of=table.class_of,
+        class_of=class_of,
         atoms=[fact for fact in facts if fact[0] is not None],
         equalities=[xs for rel, xs in facts if rel is None],
         queries=list(problem.query_ids),

@@ -100,6 +100,14 @@ def run_differential(k, n_terms, hyps, class_of, proof_sink=None):
     return mismatches
 
 
+def blocks(class_of):
+    """The partition that a class map's labels draw, as sorted id lists."""
+    by_class = {}
+    for t, c in class_of.items():
+        by_class.setdefault(c, set()).add(t)
+    return sorted(sorted(b) for b in by_class.values())
+
+
 def class_groups(class_of):
     by_class = {}
     for t, c in class_of.items():
@@ -434,6 +442,14 @@ def eq_chain_text(n):
         if i:
             lines.append(f"eq q{i - 1} q{i}")
     return _problem(lines, [f"z x0 x{n - 1}", "x0 x1 w"])
+
+
+def eq_chain_check_text(n):
+    """`eq_chain_text` with two more queries that name members of the q
+    class, so their proofs name the class's representative (n >= 2)."""
+    return eq_chain_text(n) + (
+        f"query coll q{n - 1} x0 x{n // 2}\nquery coll q0 q{n // 2} z x1\n"
+    )
 
 
 def eq_first_text(n):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import gc
 import hashlib
 import os
@@ -15,7 +16,7 @@ import kequiv.problem
 import kequiv.proofs
 from kequiv.cli import _build_state, cmd_check, cmd_solve, main
 from kequiv.congruence import CongruenceState
-from kequiv.engine import Session
+from kequiv.engine import Session, TermTable, UnionFind
 from kequiv.oracle import closure_sets, covered
 from kequiv.problem import generate, intern_problem, parse_text
 from kequiv.proofs import (
@@ -24,7 +25,14 @@ from kequiv.proofs import (
     check,
     format_proof,
 )
-from helpers import chain_text, eq_chain_text, eq_first_text, pencil_closed_text
+from helpers import (
+    blocks,
+    chain_text,
+    eq_chain_check_text,
+    eq_chain_text,
+    eq_first_text,
+    pencil_closed_text,
+)
 
 EXAMPLE = """\
 rel coll 2
@@ -227,12 +235,12 @@ class TestSolve:
 
     def test_state_adopts_the_problem_term_table(self, tmp_path, capsys):
         # one table: the state's names and ids are the problem's own, and
-        # its class labels are those `kequiv check` marks for the same file
+        # its classes are those `kequiv check` groups for the same file
         problem = parse_text(EQ_FIRST)
         state = _build_state(problem)
         assert state.terms.term_ids is problem.term_ids
         assert state.terms.term_names is problem.term_order
-        assert state.terms.class_of == intern_problem(problem).class_of
+        assert blocks(state.terms.class_of) == blocks(intern_problem(problem).class_of)
         # an `eq` across two classes is still refused, by both commands
         path = tmp_path / "c.kq"
         path.write_text("rel coll 2\nclass a b\nclass c d\nhyp coll a c e\neq b d\n")
@@ -526,6 +534,57 @@ class TestCheck:
         assert code == 0
         assert out.splitlines() == ["pass"] * 3
 
+    def test_a_query_matches_modulo_equality(self, tmp_path, capsys):
+        # a conclusion may name any member of a query term's equality class
+        path = tmp_path / "m.kq"
+        path.write_text(
+            "rel coll 2\nclass a b\neq a b\nhyp coll a c d\nquery coll b c d\n"
+        )
+        proofs = tmp_path / "proofs.txt"
+        for proof in ("(subst (assume 0) a b 0)", "(assume 0)"):
+            proofs.write_text(f"entailed {proof}\n")
+            assert run(capsys, "check", str(path), str(proofs)) == (0, "pass\n", "")
+        proofs.write_text("entailed (subrefl c d)\n")
+        assert run(capsys, "check", str(path), str(proofs)) == (
+            3,
+            "fail: line 1: conclusion does not match the query\n",
+            "",
+        )
+
+    def test_a_broken_engine_partition_cannot_pass_its_proofs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # with its partition ungrouped, the engine joins two hypotheses
+        # through a and b, which the `class` line makes possibly equal
+        path = tmp_path / "p.kq"
+        path.write_text(
+            "rel coll 2\nclass a b\nhyp coll a b c\nhyp coll a b d\n"
+            "query coll a b c d\n"
+        )
+        monkeypatch.setattr(TermTable, "mark_possibly_equal", lambda self, terms: None)
+        proofs = self.solve_to_file(capsys, tmp_path, str(path))
+        wrong = "entailed (project (trans (assume 0) (assume 1)) a b c d)\n"
+        assert Path(proofs).read_text() == wrong
+        fail = "at root.0: shared terms span 1 distinctness classes, need 2"
+        assert run(capsys, "check", str(path), proofs) == (
+            3,
+            f"fail: line 1: {fail}\n",
+            "",
+        )
+
+    def test_proofs_under_another_tie_rule_pass(self, tmp_path, capsys, monkeypatch):
+        # on a tie the engine's union-find keeps a's root; with the operands
+        # swapped it keeps b's, and the proofs name other representatives
+        path = tmp_path / "eq.kq"
+        path.write_text(eq_chain_check_text(12))
+        default = Path(self.solve_to_file(capsys, tmp_path, str(path))).read_text()
+        with monkeypatch.context() as m:
+            union = UnionFind.union
+            m.setattr(UnionFind, "union", lambda self, a, b: union(self, b, a))
+            proofs = self.solve_to_file(capsys, tmp_path, str(path))
+        assert Path(proofs).read_text() != default
+        assert run(capsys, "check", str(path), proofs) == (0, "pass\n" * 4, "")
+
     def test_inconsistent_equality_exit_two(self, tmp_path, capsys):
         path = tmp_path / "c.kq"
         path.write_text("rel coll 2\nhyp coll a b c\neq a b\nquery coll a b c\n")
@@ -755,6 +814,53 @@ hyp coll a d g
 hyp coll b c d
 query coll a b d
 """
+
+
+def engine_names(tree):
+    """The names a module binds by importing kequiv.engine or
+    kequiv.congruence, or anything from them, in any form."""
+    engine = {"kequiv.engine", "kequiv.congruence"}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {
+                a.asname or a.name.split(".")[0] for a in node.names if a.name in engine
+            }
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is from within the package
+            parts = ["kequiv"] * (node.level > 0) + [node.module or ""]
+            module = ".".join(parts).strip(".")
+            names |= {
+                a.asname or a.name
+                for a in node.names
+                if module in engine or f"{module}.{a.name}" in engine
+            }
+    return names
+
+
+def test_the_check_path_runs_no_engine_code():
+    # read statically, since importing any module runs the package's
+    # `__init__`, which imports everything
+    src = Path(kequiv.__file__).resolve().parent
+    for module in ("problem.py", "proofs.py"):
+        assert engine_names(ast.parse((src / module).read_text())) == set(), module
+    cli = ast.parse((src / "cli.py").read_text())
+    imported = engine_names(cli)
+    assert {"CongruenceState", "TermTable"} <= imported
+    (body,) = [
+        node
+        for node in cli.body
+        if isinstance(node, ast.FunctionDef) and node.name == "cmd_check"
+    ]
+    named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    assert named and not named & imported
+    # and the reading sees each form of import
+    for text in (
+        "from . import engine",
+        "import kequiv.congruence as c",
+        "from kequiv.engine import X",
+    ):
+        assert engine_names(ast.parse(text)) == {text.split()[-1]}
 
 
 def test_commands_build_no_named_statements(tmp_path, capsys, monkeypatch):

@@ -9,8 +9,8 @@ from kequiv import (
     CongruenceState,
     InconsistentEqualityError,
     Rewritten,
-    UnionFind,
 )
+from kequiv.engine import UnionFind
 from helpers import (
     build_congruence,
     check_text,

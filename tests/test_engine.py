@@ -638,7 +638,7 @@ def test_mid_scale_oracle_differential(k, partitioned):
         s.validate()
 
 
-def test_views_keep_their_session_alive():
+def test_snapshots_outlive_their_session():
     s = Session(2)
     x = [s.intern_term(t) for t in "abcd"]
     s.assert_hypothesis(x[:3])

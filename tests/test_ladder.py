@@ -10,7 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import chain_shape, short_lines_shape, short_lines_text
+from helpers import (
+    chain_shape,
+    eq_chain_check_text,
+    short_lines_shape,
+    short_lines_text,
+)
 
 LADDER = Path(__file__).resolve().parent.parent / "scripts" / "ladder.py"
 
@@ -66,3 +71,13 @@ def test_ladder_measures_and_rungs(ladder, tmp_path, capsys):
         r"chain +growth exponent -?[\d.]+  control [\d.]+ s \(range [\d.]+-[\d.]+\)",
         printed[3],
     ), printed[3]
+
+
+def test_check_eq_chain_measure(ladder, tmp_path):
+    files = ladder.solved_files(tmp_path, "eq-chain", eq_chain_check_text, (20, 40))
+    assert sorted(files) == [20, 40]
+    for size, (problem, proofs) in files.items():
+        assert Path(problem).name == f"eq-chain-{size}.kq"
+        verdicts = [line.split()[0] for line in Path(proofs).read_text().splitlines()]
+        assert verdicts == ["entailed", "not-entailed", "entailed", "entailed"]
+        assert ladder.command_seconds("check", problem, proofs) > 0

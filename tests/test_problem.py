@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kequiv import (
     CongruenceState,
+    Equalities,
     ParseError,
     Session,
     generate,
@@ -14,8 +16,8 @@ from kequiv import (
     parse_text,
 )
 from kequiv.engine import TermTable
-from kequiv.problem import Atom, Equality, InternedProblem, Query
-from helpers import DisjointSet
+from kequiv.problem import Atom, Equality, InternedProblem, Query, find, union
+from helpers import DisjointSet, blocks
 
 EXAMPLE = """\
 # five collinearity facts over seven points
@@ -57,13 +59,6 @@ def test_interning_collapses_classes():
     a, b, c, d = (interned.term_ids[t] for t in "abcd")
     assert cls[a] == cls[b] == cls[c]
     assert cls[d] != cls[a]
-
-
-def blocks(class_of):
-    by_class = {}
-    for t, c in class_of.items():
-        by_class.setdefault(c, set()).add(t)
-    return sorted(sorted(b) for b in by_class.values())
 
 
 # a number of terms n and groups of term ids below n
@@ -184,7 +179,41 @@ def test_ids_and_named_views_agree(case):
     classes = [ns for h, _, ns in lines if h == "class"]
     assert list(map(names, problem.class_ids)) == classes
     assert problem.classes == classes
-    assert interned == reference_interning(problem)
+    # the class labels are the checker's own; only the blocks must agree
+    reference = reference_interning(problem)
+    assert blocks(interned.class_of) == blocks(reference.class_of)
+    assert interned == dataclasses.replace(reference, class_of=interned.class_of)
+
+
+# a number of ids n <= 30 and pairs of ids below n
+PAIRS = st.integers(1, 30).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
+    )
+)
+
+
+@given(PAIRS)
+@settings(max_examples=150, deadline=None)
+def test_the_checker_union_find_groups_as_the_engine_does(case):
+    n, pairs = case
+    # the checker's forest both ways it is built: every id present, or
+    # only the ids that a pair names
+    full, lazy = dict(zip(range(n), range(n))), {}
+    equalities = Equalities()
+    names = [f"t{i}" for i in range(n)]
+    table = TermTable.from_names(names, {name: i for i, name in enumerate(names)})
+    for a, b in pairs:
+        union(full, a, b)
+        union(lazy, a, b)
+        equalities.union(a, b)
+        table.mark_possibly_equal((a, b))
+    want = blocks({t: equalities.find(t) for t in range(n)})
+    assert blocks(table.class_of) == want
+    assert blocks({t: find(full, t) for t in range(n)}) == want
+    assert blocks({t: find(lazy, t) for t in range(n)}) == want
+    assert set(lazy) <= {t for pair in pairs for t in pair}
 
 
 def test_named_views_are_read_only():
