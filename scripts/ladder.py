@@ -11,7 +11,9 @@ loop that runs no kequiv code, and every line gives its best time as a
 multiple of the control's best time as well, so a target can be judged
 against the host's speed.  The eq-first rungs assert the eq-chain's
 equalities before its hypotheses, so every hypothesis is renamed as it
-is asserted.  The short-lines rungs (k = 1, 2, 3) assert n lines of 8
+is asserted.  The eq-balanced rungs mark its q_i possibly equal and then
+equate them in balanced pairs, the worst case for a union that relabels
+the smaller class.  The short-lines rungs (k = 1, 2, 3) assert n lines of 8
 terms covered by shuffled (k+1)-term windows, the shape of kqbench's
 many-lines workload, and also print the best time per hypothesis in
 microseconds.  The peak-short-lines rung asserts the k = 2 short-lines
@@ -73,6 +75,7 @@ import tracemalloc
 
 from helpers import (
     chain_shape,
+    eq_balanced_shape,
     eq_chain_check_text,
     eq_chain_shape,
     eq_first_shape,
@@ -96,6 +99,7 @@ SHAPES = {
     "pencil-closed": (pencil_closed_shape, 2000),
     "eq-chain": (eq_chain_shape, 1000),
     "eq-first": (eq_first_shape, 1000),
+    "eq-balanced": (eq_balanced_shape, 1000),
 }
 
 

@@ -19,7 +19,11 @@ live set holding it, bare, or to a set of the handles of two or more
 (`parents_of` reads both); `owner` maps a handle to its active k-set: a
 k-set is active exactly when `owner` maps its handle back to it.  The
 `TermTable` may adopt a parsed problem's name list and name -> id map
-(`TermTable.from_names`), so the names are stored once.  Each fact makes
+(`TermTable.from_names`), so the names are stored once.  `class_of` is
+the root map of the partition's `UnionFind`, so a class label is its
+root's id.  A `UnionFind` relabels the smaller class on a union, and
+its `find`, the equalities' too, is one dict read that writes nothing,
+so queries leave the session untouched.  Each fact makes
 one record.  A hypothesis is stored on its representatives;
 its `Asserted` record keeps the (term, representative) pairs of the
 terms equalities had retired.  A merge absorbs the smaller side into the
@@ -66,7 +70,8 @@ such asserts can take quadratic time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Collection, Hashable, Iterable, Mapping
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "Asserted",
@@ -175,67 +180,59 @@ class EngineInvariantError(AssertionError):
 
 
 class UnionFind:
-    """Union-find with size-based merging and per-root member lists."""
+    """Union-find by size that relabels the smaller class (quick-find):
+    `find` is one read of `root`, in which an absent element is its own
+    root, and writes nothing.  `members` lists each class of two or more."""
 
     def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
+        self.root: dict[int, int] = {}
         self.members: dict[int, list[int]] = {}
 
-    def add(self, x: int) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.members[x] = [x]
-
     def find(self, x: int) -> int:
-        p = self.parent
-        if x not in p:  # never added: a singleton
-            return x
-        while p[x] != x:
-            p[x] = p[p[x]]  # path halving
-            x = p[x]
-        return x
+        return self.root.get(x, x)
 
     def union(self, a: int, b: int) -> tuple[int, list[int]] | None:
-        """Merge the classes of a and b; smaller class moves.
+        """Merge the classes of a and b; the smaller one moves, b's on a tie.
 
-        Returns (surviving root, members that changed representative), or
-        None when already together.
+        Returns (surviving root, members that changed root), or None when
+        already together.
         """
-        self.add(a)
-        self.add(b)
-        ra, rb = self.find(a), self.find(b)
+        root, members = self.root, self.members
+        ra, rb = root.get(a, a), root.get(b, b)
         if ra == rb:
             return None
-        if len(self.members[ra]) < len(self.members[rb]):
-            ra, rb = rb, ra
-        moved = self.members.pop(rb)
-        self.parent[rb] = ra
-        self.members[ra].extend(moved)
+        kept, moved = members.get(ra, [ra]), members.get(rb, [rb])
+        if len(kept) < len(moved):
+            ra, rb, kept, moved = rb, ra, moved, kept
+        for x in moved:
+            root[x] = ra
+        kept += moved
+        members[ra] = kept
+        members.pop(rb, None)
         return ra, moved
 
 
 class TermTable:
     """Term names to dense ids and back, plus the distinctness partition.
 
-    `class_of` maps each term id to a class label: terms in one class are
-    possibly equal, terms in different classes are known distinct.  One
+    `class_of` maps each term id to its class's label: terms in one class
+    are possibly equal, terms in different classes are known distinct.  It
+    is the root map of the partition's `UnionFind`, so a label is its
+    class's root id; a given `partition` may use any hashable labels.  One
     table may be shared by several sessions (see `CongruenceState`); the
     partition is fixed once any of them has logged a fact.
     """
 
-    def __init__(self, partition: Mapping[int, int] | None = None):
+    def __init__(self, partition: Mapping[int, Hashable] | None = None):
         self.term_ids: dict[str, int] = {}
         self.term_names: list[str] = []
-        self.class_of: dict[int, int] = dict(partition or {})
-        self._next_class = max(self.class_of.values(), default=-1) + 1
-        # holds only terms that ever shared a class
         self._classes = UnionFind()
+        self.class_of = self._classes.root
         self.fixed = False
-        first: dict[int, int] = {}
+        first: dict[Hashable, int] = {}
         for t, c in (partition or {}).items():
-            head = first.setdefault(c, t)
-            if head != t:
-                self.mark_possibly_equal((head, t))
+            self.class_of[t] = t
+            self._classes.union(first.setdefault(c, t), t)
 
     @classmethod
     def from_names(cls, term_names: list[str], term_ids: dict[str, int]) -> TermTable:
@@ -243,8 +240,7 @@ class TermTable:
         not copies, with each term in its own class, labelled by its id."""
         table = cls()
         table.term_names, table.term_ids = term_names, term_ids
-        table.class_of = dict(zip(term_ids.values(), term_ids.values()))
-        table._next_class = len(term_names)
+        table.class_of.update(zip(term_ids.values(), term_ids.values()))
         return table
 
     def intern_term(self, name: str) -> int:
@@ -254,17 +250,14 @@ class TermTable:
             tid = len(self.term_names)
             self.term_ids[name] = tid
             self.term_names.append(name)
-            if tid not in self.class_of:
-                self.class_of[tid] = self._next_class
-                self._next_class += 1
+            self.class_of.setdefault(tid, tid)
         return tid
 
     def mark_possibly_equal(self, terms: Iterable[int]) -> None:
         """Collapse the distinctness classes of `terms` into one.
 
         Terms in one class are treated as possibly equal, so they never
-        count as distinct anchors.  Only the members of the smaller class
-        of each union are relabelled.
+        count as distinct anchors.
         """
         if self.fixed:
             raise ValueError("the distinctness partition is fixed once facts exist")
@@ -273,18 +266,15 @@ class TermTable:
             if t not in self.class_of:
                 raise ValueError(f"unknown term id {t}")
         for t in terms[1:]:
-            union = self._classes.union(terms[0], t)
-            if union is not None:
-                root, moved = union
-                for m in moved:
-                    self.class_of[m] = self.class_of[root]
+            self._classes.union(terms[0], t)
 
 
 class Equalities(Sequence[tuple[int, int]]):
     """The equality log of (a, b) pairs, with its union-find and proof forest.
 
-    The equalities that merged two classes form a proof forest (Nieuwenhuis
-    & Oliveras, RTA 2005), each tree rooted at its union-find
+    `find` reads a term's representative, its class's root, and writes
+    nothing.  The equalities that merged two classes form a proof forest
+    (Nieuwenhuis & Oliveras, RTA 2005), each tree rooted at its union-find
     representative.  Unions only add edges and re-rooting only flips them,
     so the path between two joined terms never changes.  The log is
     read-only from outside: `union` is the one way in, so the log, the
@@ -351,7 +341,7 @@ class Session:
     run in parallel.
     """
 
-    def __init__(self, k: int, partition: Mapping[int, int] | None = None):
+    def __init__(self, k: int, partition: Mapping[int, Hashable] | None = None):
         if k < 1:
             raise ValueError("k must be a positive integer")
         self.k = k

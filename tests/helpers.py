@@ -395,6 +395,28 @@ def eq_first_shape(n):
     return session, eqs + hyps
 
 
+def eq_balanced_shape(n):
+    """The eq-chain's terms joined in balanced pairs, the worst case for a
+    union that relabels the smaller class: q_0..q_n-1 marked possibly
+    equal pair by pair, (q0 q1), (q2 q3), ..., then (q0 q2), ..., then
+    the lines (q_i z x_i), then the same pairs equated, which ends in
+    one line."""
+    state = CongruenceState({"coll": 2})
+    q = [state.intern_term(f"q{i}") for i in range(n)]
+    x = [state.intern_term(f"x{i}") for i in range(n)]
+    z = state.intern_term("z")
+    pairs, width = [], 1
+    while width < n:
+        pairs += [(q[i], q[i + width]) for i in range(0, n - width, 2 * width)]
+        width *= 2
+    steps = [(state.mark_possibly_equal, pair) for pair in pairs]
+    steps += [
+        (lambda xs: state.assert_atom("coll", xs), [q[i], z, x[i]]) for i in range(n)
+    ]
+    steps += [(lambda pair: state.assert_eq(*pair), pair) for pair in pairs]
+    return state.sessions["coll"], steps
+
+
 # The same shapes as problem files, each with one entailed and one
 # not-entailed query: for the command-line tests and the end-to-end rung
 # of `scripts/ladder.py`.

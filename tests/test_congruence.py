@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -31,22 +32,47 @@ def state_with(names, groups=(), relations=None):
 class TestUnionFind:
     def test_basics(self):
         uf = UnionFind()
-        for i in range(5):
-            uf.add(i)
         assert uf.union(0, 1) is not None
         assert uf.union(0, 1) is None
         assert uf.find(0) == uf.find(1)
         assert uf.find(2) != uf.find(0)
+        # `find` reads and never writes, for a member and a stranger alike
+        before = copy.deepcopy(vars(uf))
+        assert [uf.find(i) for i in (1, 0, 7)] == [0, 0, 7]
+        assert vars(uf) == before
 
     def test_smaller_side_moves(self):
         uf = UnionFind()
-        for i in range(4):
-            uf.add(i)
         uf.union(0, 1)
         uf.union(0, 2)
         root, moved = uf.union(0, 3)
         assert moved == [3]
         assert {uf.find(i) for i in range(4)} == {root}
+        # the tie rule solve's bytes depend on: equal sizes keep a's root,
+        # a larger b-class keeps b's
+        assert uf.union(4, 5) == (4, [5])
+        assert uf.union(6, 0) == (0, [6])
+        assert uf.union(4, 7) == (4, [7])
+        assert uf.union(8, 4) == (4, [8])
+        assert uf.union(4, 0) == (0, [4, 5, 7, 8])
+
+
+def test_a_query_writes_nothing():
+    # eq a b, eq c d, eq a c leave d two steps below its root in a
+    # parent-pointer union-find, so a query naming d would shorten that path
+    state, ids = state_with("abcdxy", groups=["abcd"])
+    a, b, c, d, x, y = (ids[n] for n in "abcdxy")
+    state.assert_atom("coll", [d, x, y])
+    for pair in ((a, b), (c, d), (a, c)):
+        state.assert_eq(*pair)
+    eqs = state.equalities
+
+    def maps():
+        return vars(eqs._uf), eqs.forest, state.terms.class_of
+
+    before = copy.deepcopy(maps())
+    assert state.query_atom("coll", [d, x, y]) is not None
+    assert maps() == before
 
 
 class TestAssertEq:

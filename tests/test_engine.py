@@ -242,6 +242,20 @@ class TestFindMergesWithPartition:
         assert proof is not None
         assert check_text(proof, s) == {a1, a2, b}
 
+    @pytest.mark.parametrize(
+        "labels", [(5, 5, 7, 8), ("a", "a", "b", "c"), ((1,), (1,), (2, 0), ())]
+    )
+    def test_any_hashable_partition_label(self, labels):
+        # a partition's labels need not be ints; each class is labelled by
+        # the id of its first term, whatever its labels were
+        s = Session(2, dict(enumerate(labels)))
+        a1, a2, b, c = (s.intern_term(n) for n in ("a1", "a2", "b", "c"))
+        assert s.class_of == {a1: a1, a2: a1, b: b, c: c}
+        s.assert_hypothesis([a1, b, c])
+        s.assert_hypothesis([a2, b, c])
+        assert s.stats().active == 1
+        assert check_text(s.resolve_query([a1, a2, b]), s) == {a1, a2, b}
+
     def test_partition_fixed_after_first_fact(self):
         s = Session(2)
         ids = [s.intern_term(c) for c in "abc"]

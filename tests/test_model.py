@@ -8,6 +8,7 @@ active k-sets must equal `closure_sets` of the hypotheses mapped through
 that union-find, every session must validate, and every proof must check.
 """
 
+import copy
 import random
 from itertools import combinations
 
@@ -49,6 +50,9 @@ def snapshot(state):
     """Everything a read-only call must leave as it was."""
     return (
         len(state.equalities),
+        copy.deepcopy(vars(state.equalities._uf)),
+        dict(state.equalities.forest),
+        dict(state.terms.class_of),
         {
             name: (
                 [(r.id, r.terms, r.history, r.active) for r in s.ksets],

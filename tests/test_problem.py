@@ -211,6 +211,8 @@ def test_the_checker_union_find_groups_as_the_engine_does(case):
         table.mark_possibly_equal((a, b))
     want = blocks({t: equalities.find(t) for t in range(n)})
     assert blocks(table.class_of) == want
+    # a label is its class's root id
+    assert all(table.class_of[c] == c for c in table.class_of.values())
     assert blocks({t: find(full, t) for t in range(n)}) == want
     assert blocks({t: find(lazy, t) for t in range(n)}) == want
     assert set(lazy) <= {t for pair in pairs for t in pair}
@@ -240,6 +242,7 @@ def test_a_table_marks_a_given_partition_further(case):
         for t in g[1:]:
             reference.union(g[0], t)
     assert blocks(table.class_of) == blocks({i: reference.find(i) for i in range(n)})
+    assert all(table.class_of[c] == c for c in table.class_of.values())
 
 
 def located(text, line, column, message, tag):
