@@ -56,11 +56,20 @@ solve`: with it on, its heap walks take a share of each hypothesis that
 grows with n.  The other library rungs, the deep query and the control
 included, run with it on.
 
-    PYTHONPATH=src:tests python scripts/ladder.py
+With `--million`, the ladder first runs one more rung, once: the k = 2
+short-lines shape at 166,667 lines, 1,000,002 hypotheses, asserted with
+the collector paused.  It prints the time per hypothesis and the growth
+of the process's peak resident set (`ru_maxrss`) over the asserts, per
+hypothesis: the bytes the engine keeps, as the operating system sees
+them.  It runs first, while that peak is still the shape's own, and
+takes about 20 s and 1 GB, so it is off by default.
+
+    PYTHONPATH=src:tests python scripts/ladder.py [--million]
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import functools
 import gc
@@ -68,6 +77,7 @@ import io
 import math
 import os
 import re
+import resource
 import statistics
 import tempfile
 import time
@@ -90,6 +100,8 @@ from kequiv import ProofCheckError, ProofSyntaxError, check, format_proof
 from kequiv.cli import main as kequiv_main
 
 REPEATS = 5
+# lines of the opt-in rung: 6 hypotheses each at k = 2, 10**6 in all
+MILLION_LINES = 166_667
 # the dict updates the control times, of the order of the deep query at n = 4000
 CONTROL_STEPS = 100_000
 
@@ -138,6 +150,25 @@ def peak_bytes(build, n):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        gc.enable()
+
+
+def maxrss_growth(n):
+    """(seconds, bytes) to assert the k = 2 short-lines shape at n lines,
+    with the collector paused: the time, and the growth of the process's
+    peak resident set over the asserts (Linux reports `ru_maxrss` in KiB)."""
+    _, steps = short_lines_shape(n, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        start = time.perf_counter()
+        for fn, arg in steps:
+            fn(arg)
+        seconds = time.perf_counter() - start
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return seconds, (after - before) * 1024
+    finally:
         gc.enable()
 
 
@@ -325,6 +356,18 @@ def rungs(name, what, measure, n, steps=None, unit="s", against=None):
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--million", action="store_true", help="first run the 10**6-hypothesis rung"
+    )
+    if parser.parse_args().million:
+        seconds, grown = maxrss_growth(MILLION_LINES)
+        hyps = MILLION_LINES * 6
+        print(
+            f"{'short-lines-1e6':15} n={hyps} assert {seconds:8.2f} s"
+            f"  {seconds / hyps * 1e6:6.2f} us/op"
+            f"  {grown / hyps:6.1f} B/op maxrss growth"
+        )
     for name, (build, n) in SHAPES.items():
         rungs(name, "assert", lambda size: assert_seconds(build, size), n)
     for k in (1, 2, 3):

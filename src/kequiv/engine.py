@@ -21,26 +21,29 @@ k-set is active exactly when `owner` maps its handle back to it.  The
 `TermTable` may adopt a parsed problem's name list and name -> id map
 (`TermTable.from_names`), so the names are stored once.  `class_of` is
 the root map of the partition's `UnionFind`, so a class label is its
-root's id.  A `UnionFind` relabels the smaller class on a union, and
-its `find`, the equalities' too, is one dict read that writes nothing,
-so queries leave the session untouched.  Each fact makes
-one record.  A hypothesis is stored on its representatives;
-its `Asserted` record keeps the (term, representative) pairs of the
-terms equalities had retired.  A merge absorbs the smaller side into the
-larger side's live set (union by size, Tarjan-style; a tie absorbs the
-newer side) and re-registers only the absorbed terms; its `Merged`
-record keeps those terms and the anchor the two sides share.  A rename
-edits the live set in place; its `Rewritten` record keeps the one (old,
-new) pair and whether the new term was already there.  `explain` reads
-only these stored pieces, the proof-forest reading of the history
-(Nieuwenhuis & Oliveras, RTA 2005), and `terms_of` an inactive k-set
-rebuilds its set on demand.  `ksets` builds a `KSet` snapshot of each
-record when it is read.  The engine's objects form no reference cycle,
-so reference counting frees all of them and `kequiv` commands run with
-the cycle collector paused (a test enforces this).  One walk extracts
-every proof and writes its text as it goes, as a list of string pieces
-with every term named, which `format_proof` only joins; that text is the
-proof, which `check` judges.
+root's id.  A `UnionFind` relabels the smaller class on a union, and its
+`find`, the equalities' too, is one dict read that writes nothing, so
+queries leave the session untouched.  Each fact makes one record.  A
+hypothesis is stored on its representatives; its `Asserted` record keeps
+the (term, representative) pairs of the terms equalities had retired.  A
+merge absorbs the smaller side into the larger side's live set (union by
+size, Tarjan-style; a tie absorbs the newer side) and re-registers only
+the absorbed terms; its `Merged` record keeps the anchor the two sides
+share and the absorbed terms: as a frozenset (216 B for 2-3 terms) only
+when two or more of them were not in the anchor, else as that one term,
+a bare id (an 8 B pointer; -1 when none).  Most merges add a
+hypothesis's one new term to a line, so most records hold one set.  A
+rename edits the live set in place; its `Rewritten` record keeps the one
+(old, new) pair and whether the new term was already there.  `explain`
+reads only these stored pieces, at each level one record's, the
+proof-forest reading of the history (Nieuwenhuis & Oliveras, RTA 2005),
+and `terms_of` an inactive k-set rebuilds its set on demand.  `ksets`
+builds a `KSet` snapshot of each record when it is read.  The engine's
+objects form no reference cycle, so reference counting frees all of them
+and `kequiv` commands run with the cycle collector paused (a test
+enforces this).  One walk extracts every proof and writes its text as it
+goes, as a list of string pieces with every term named, which
+`format_proof` only joins; that text is the proof, which `check` judges.
 
 Cost.  Let M be the number of terms registered by hypotheses and renames
 (at most k+1 per hypothesis plus one per rename).  An absorbed term
@@ -55,16 +58,17 @@ the parents of the |classes|-k+1 classes with the fewest parent entries
 merge, among the parents of the fused set minus the merged piece with
 the fewest parent entries; each candidate is verified in
 min(|candidate|, |fused|).  The chain, the pencil and the equality chain
-thus assert in O(M log M).  The constant work is one record
-(`Asserted`) and one registration pass over its terms per hypothesis,
-plus a rename scan only once an equality has joined two terms (a renamed
-hypothesis registers only its representatives), one record (`Merged`)
-and one pass over the absorbed terms per merge, and one record
-(`Rewritten`) per k-set a rename edits.  Worst case, a term on many
-lines is still read whole: a hypothesis all of whose classes hold such
-hubs, or a rename into one, reads their parent lists, and a candidate
-that shares fewer than k classes costs its full size, so a sequence of
-such asserts can take quadratic time.
+thus assert in O(M log M).  The constant work is one record (`Asserted`)
+and one registration pass over its terms per hypothesis, plus a rename
+scan only once an equality has joined two terms (a renamed hypothesis
+registers only its representatives), one record (`Merged`, with one set
+when at most one term moved) and one pass over the absorbed terms per
+merge, and one record (`Rewritten`) per k-set a rename edits; a proof
+level reads one record, a bare id by one membership test.  Worst case, a
+term on many lines is still read whole: a hypothesis all of whose
+classes hold such hubs, or a rename into one, reads their parent lists,
+and a candidate that shares fewer than k classes costs its full size, so
+a sequence of such asserts can take quadratic time.
 """
 
 from __future__ import annotations
@@ -108,15 +112,15 @@ class Merged:
 
     The other fields record storage, not the proof, and stay out of `==`
     and `repr`: the side whose terms were absorbed into the other's live
-    set, those terms, and the `anchor` the two sides share.
+    set, those terms, and the `anchor` the two sides share.  When at most
+    one absorbed term is not in the anchor, `absorbed_terms` is that term
+    alone, a bare id (-1 when none) that stands for the anchor plus it.
     """
 
     left: int
     right: int
     absorbed: int = field(default=-1, compare=False, repr=False)
-    absorbed_terms: frozenset[int] = field(
-        default=frozenset(), compare=False, repr=False
-    )
+    absorbed_terms: frozenset[int] | int = field(default=-1, compare=False, repr=False)
     anchor: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
 
 
@@ -524,15 +528,14 @@ class Session:
                 return
             matches.sort()
             added: list[int] = []
-            pieces: list[frozenset[int]] = []
+            pieces: list[AbstractSet[int]] = []
             for i, m in enumerate(matches):
-                n = self._merge(m, n)
-                merged = history[n]
+                n, piece, moved = self._merge(m, n)
                 if handles[n] != h:  # the fused set was absorbed by a larger match
                     h, fused, added = handles[n], live[handles[n]], []
-                added += merged.absorbed_terms - merged.anchor
-                if i == 0 or merged.absorbed == m:
-                    pieces.append(merged.absorbed_terms)
+                added += moved
+                if i == 0 or history[n].absorbed == m:
+                    pieces.append(piece)
             candidates = self._fused_candidates(fused, added, pieces)
             if renamed is not None:
                 candidates.update(parents_of(renamed))
@@ -566,7 +569,7 @@ class Session:
         self,
         fused: AbstractSet[int],
         added: list[int],
-        pieces: list[frozenset[int]],
+        pieces: list[AbstractSet[int]],
     ) -> set[int]:
         """Handles of the live sets that may share k classes with `fused`.
 
@@ -600,13 +603,14 @@ class Session:
                 out |= ps
         return out
 
-    def _merge(self, i1: int, i2: int) -> int:
-        """Replace two active k-sets by their union; returns the new id.
+    def _merge(self, i1: int, i2: int) -> tuple[int, set[int], frozenset[int]]:
+        """Replace two active k-sets by their union.
 
         `_find_merges` passes two distinct active k-sets that share terms of
         k classes.  The smaller side's terms are absorbed into the larger
         side's live set (on a tie, the newer side's), so only they are
-        re-registered.
+        re-registered.  Returns the new id, the absorbed side's terms and
+        those of them not in the anchor, which the merge moved.
         """
         history, handles, owner = self.history, self.handles, self.owner
         ha, hb = handles[i1], handles[i2]
@@ -640,7 +644,8 @@ class Session:
                 parents[x] = ps.pop()
         into |= moved
         n = len(history)
-        history.append(Merged(i1, i2, small, absorbed_terms, anchor))
+        stored = absorbed_terms if len(moved) > 1 else next(iter(moved), -1)
+        history.append(Merged(i1, i2, small, stored, anchor))
         handles.append(handle)
         owner[handle] = n
         c = self.counters
@@ -648,7 +653,7 @@ class Session:
         c.merges += 1
         if len(into) > c.max_kset_size:
             c.max_kset_size = len(into)
-        return n
+        return n, absorbed, moved
 
     # ------------------------------------------------------------------
     # queries
@@ -679,7 +684,9 @@ class Session:
         terms = {rename(t, t) for t in self.hypotheses[h.hyp_index]}
         for h in reversed(layers):
             if isinstance(h, Merged):
-                terms |= h.absorbed_terms
+                # a bare id needs no anchor: the other side holds it
+                side = h.absorbed_terms
+                terms |= {side} - {-1} if type(side) is int else side
             else:
                 terms.discard(h.old)
                 terms.add(h.new)
@@ -756,9 +763,23 @@ class Session:
                 # xs lies in the union; the absorbed side holds the part in
                 # it, the other side the rest, and both hold the anchor
                 absorbed, anchor = h.absorbed_terms, h.anchor
-                inside = xs & absorbed
-                if h.absorbed == h.left:
-                    if len(inside) == len(xs):
+                if type(absorbed) is int:
+                    # the absorbed side is the anchor plus the term `absorbed`
+                    if absorbed not in xs:
+                        n = h.left if h.absorbed == h.right or xs <= anchor else h.right
+                        continue
+                    # the other side is asked the anchor and the rest of xs
+                    other = {*anchor, *xs}
+                    other.discard(absorbed)
+                    if len(other) == len(anchor):  # xs lies in the absorbed side
+                        n = h.absorbed
+                        continue
+                    if h.absorbed == h.left:
+                        left, right = anchor | {absorbed}, other
+                    else:
+                        left, right = other, {absorbed}
+                elif h.absorbed == h.left:
+                    if len(inside := xs & absorbed) == len(xs):
                         n = h.left
                         continue
                     if inside <= anchor:
@@ -766,7 +787,7 @@ class Session:
                         continue
                     left, right = anchor | inside, xs - absorbed
                 else:
-                    if inside <= anchor:
+                    if (inside := xs & absorbed) <= anchor:
                         n = h.left
                         continue
                     if len(inside) == len(xs):
@@ -896,14 +917,23 @@ class Session:
             elif isinstance(h, Merged):
                 left, right = replay[h.left], replay[h.right]
                 terms = left | right
-                if h.absorbed not in (h.left, h.right) or h.absorbed_terms != (
-                    left if h.absorbed == h.left else right
+                if h.anchor != left & right:
+                    raise EngineInvariantError(f"k-set {n} stores a wrong anchor")
+                side = left if h.absorbed == h.left else right
+                moved, stored = side - h.anchor, h.absorbed_terms
+                compact = type(stored) is int
+                # a bare id cannot stand for two moved terms; a frozenset in
+                # its place is in the wrong form only if it holds the side
+                if compact != (len(moved) <= 1) and (compact or stored == side):
+                    raise EngineInvariantError(
+                        f"k-set {n} stores its absorbed side in the wrong form"
+                    )
+                if h.absorbed not in (h.left, h.right) or stored != (
+                    next(iter(moved), -1) if compact else side
                 ):
                     raise EngineInvariantError(
                         f"k-set {n} stores the wrong absorbed side"
                     )
-                if h.anchor != left & right:
-                    raise EngineInvariantError(f"k-set {n} stores a wrong anchor")
             else:
                 source = replay[h.source]
                 if h.old not in source or h.already != (h.new in source):

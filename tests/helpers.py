@@ -457,6 +457,33 @@ def short_lines_text(n, k=2):
     return "".join(line + "\n" for line in lines)
 
 
+def many_lines_text(n):
+    """kqbench's many-lines at small n: for k = 1, 2 and 3, n lines of 8
+    terms covered by their (k+1)-term windows, `class` pairs joining terms
+    of two lines, every window of the file in one seeded shuffled order.
+    Per relation, each line is queried once by k+1 of its terms spread
+    along it, whose proof walks the line's merges, and n times by k+1
+    random terms."""
+    rng = random.Random(f"many-lines-text/{n}")
+    lines, windows, queries = [], [], []
+    for k in (1, 2, 3):
+        rel = relation_name_for(k)
+        lines.append(f"rel {rel} {k}")
+        chunks = [[f"{rel[:2]}{j}_{i}" for i in range(8)] for j in range(n)]
+        for chunk in chunks:
+            windows += [["hyp", rel, *chunk[i : i + k + 1]] for i in range(8 - k)]
+            queries.append(["query", rel, *sorted(rng.sample(chunk, k + 1))])
+        for _ in range(n // 4):
+            first, second = rng.sample(chunks, 2)
+            lines.append(f"class {rng.choice(first)} {rng.choice(second)}")
+        terms = [t for chunk in chunks for t in chunk]
+        queries += [["query", rel, *rng.sample(terms, k + 1)] for _ in range(n)]
+    rng.shuffle(windows)
+    rng.shuffle(queries)
+    lines += [" ".join(words) for words in windows + queries]
+    return "".join(line + "\n" for line in lines)
+
+
 def eq_chain_text(n):
     lines = ["class " + " ".join(f"q{i}" for i in range(n))]
     for i in range(n):

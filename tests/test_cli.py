@@ -31,6 +31,7 @@ from helpers import (
     eq_chain_check_text,
     eq_chain_text,
     eq_first_text,
+    many_lines_text,
     pencil_closed_text,
 )
 
@@ -402,16 +403,25 @@ class TestSolve:
                 eq_first_text(120) + eq_queries(120),
                 "bc2a1dc5ec7fda271285891b41e8a15cb57922b78933a510b3109bc24af1bce2",
             ),
+            (
+                many_lines_text(40),
+                "633a550fc59582f8a2f54ac0d2e1265fff77491fccb4fbfd8d2bf3f3afe2b517",
+            ),
         ],
-        ids=["chain", "pencil-closed", "eq-chain", "eq-first"],
+        ids=["chain", "pencil-closed", "eq-chain", "eq-first", "many-lines"],
     )
     def test_solve_stdout_is_pinned(self, tmp_path, capsys, text, digest):
         # any change to the proof path that moves one byte of solve's output
-        # fails here; the digests were taken before the walk wrote text itself
+        # fails here; the digests were taken before the walk wrote text
+        # itself, and the many-lines one before a merge record could store
+        # one moved term in place of its absorbed side.  Repeated solves in
+        # one process print the same bytes, and every proof checks.
         path = tmp_path / "p.kq"
         path.write_text(text)
-        code, out, _ = run(capsys, "solve", str(path))
+        runs = [run(capsys, "solve", str(path)) for _ in range(3)]
+        code, out, _ = runs[0]
         assert code == 0
+        assert runs[1:] == runs[:1] * 2
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         proofs = tmp_path / "proofs.txt"
         proofs.write_text(out)

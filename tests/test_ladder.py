@@ -36,6 +36,8 @@ def test_ladder_measures_and_rungs(ladder, tmp_path, capsys):
     lines = functools.partial(short_lines_shape, k=2)
     assert ladder.assert_seconds(lines, n, collector=False) > 0
     assert ladder.peak_bytes(lines, n) > 0
+    seconds, grown = ladder.maxrss_growth(n)
+    assert seconds > 0 and grown >= 0
     assert ladder.deep_query_seconds(n) > 0
     assert ladder.deep_check_seconds(n) > 0
     assert ladder.deep_check_seconds(n, "eq-chain") > 0
