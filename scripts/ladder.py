@@ -13,11 +13,16 @@ against the host's speed.  The eq-first rungs assert the eq-chain's
 equalities before its hypotheses, so every hypothesis is renamed as it
 is asserted.  The eq-balanced rungs mark its q_i possibly equal and then
 equate them in balanced pairs, the worst case for a union that relabels
-the smaller class.  The short-lines rungs (k = 1, 2, 3) assert n lines of 8
-terms covered by shuffled (k+1)-term windows, the shape of kqbench's
-many-lines workload, and also print the best time per hypothesis in
-microseconds.  The peak-short-lines rung asserts the k = 2 short-lines
-shape under tracemalloc and prints the peak of the memory allocated
+the smaller class.  The two-pencils rungs time only the last n asserts
+of the two-pencils shape, the hypotheses (h g x_i) on the line joining
+the hubs of two pencils of n lines each, which read a hub's whole parent
+list, so they grow quadratically; once the rung has run for
+TWO_PENCILS_CAP seconds it starts no further round.  The short-lines
+rungs (k = 1, 2, 3) assert n lines of 8 terms covered by shuffled
+(k+1)-term windows, the shape of kqbench's many-lines workload, and
+also print the best time per hypothesis in microseconds.  The
+peak-short-lines rung asserts the k = 2 short-lines shape under
+tracemalloc and prints the peak of the memory allocated
 while asserting, in bytes and in bytes per hypothesis; its growth
 exponent near 1 is memory linear in the hypotheses.  The
 peak-solve-short-lines rung writes the same shape as a problem file and
@@ -94,6 +99,7 @@ from helpers import (
     pencil_shape,
     short_lines_shape,
     short_lines_text,
+    two_pencils_shape,
 )
 
 from kequiv import ProofCheckError, ProofSyntaxError, check, format_proof
@@ -104,6 +110,8 @@ REPEATS = 5
 MILLION_LINES = 166_667
 # the dict updates the control times, of the order of the deep query at n = 4000
 CONTROL_STEPS = 100_000
+# seconds after which the quadratic two-pencils rung starts no further round
+TWO_PENCILS_CAP = 8.0
 
 SHAPES = {
     "chain": (chain_shape, 2000),
@@ -132,6 +140,19 @@ def assert_seconds(build, n, collector=True):
         return time.perf_counter() - start
     finally:
         gc.enable()
+
+
+def joining_seconds(n):
+    """Seconds to assert the n joining hypotheses (h g x_i) of the
+    two-pencils shape at size n, after its 2n pencil lines."""
+    _, steps = two_pencils_shape(n)
+    for fn, arg in steps[: 2 * n]:
+        fn(arg)
+    gc.collect()
+    start = time.perf_counter()
+    for fn, arg in steps[2 * n :]:
+        fn(arg)
+    return time.perf_counter() - start
 
 
 def peak_bytes(build, n):
@@ -302,10 +323,11 @@ def solved_files(directory, name, text_of, sizes):
     return files
 
 
-def rungs(name, what, measure, n, steps=None, unit="s", against=None):
+def rungs(name, what, measure, n, steps=None, unit="s", against=None, cap=None):
     """Measure `measure(size)` at n, 2n and 4n in REPEATS interleaved
     rounds, in `unit`: seconds ("s"), with the control timed in each
-    round, or bytes ("B"), which have no control.
+    round, or bytes ("B"), which have no control.  With `cap`, no round
+    starts once the rounds so far have taken `cap` seconds.
 
     With `steps(size)`, the number of operations measured at that size,
     each line also gives the best value per operation, in microseconds
@@ -318,7 +340,10 @@ def rungs(name, what, measure, n, steps=None, unit="s", against=None):
     values = {size: [] for size in sizes}
     ratios = {size: [] for size in sizes}
     control = []
+    start = time.perf_counter()
     for r in range(REPEATS):
+        if cap is not None and r and time.perf_counter() - start > cap:
+            break
         for size in sizes:
             if against is None:
                 values[size].append(measure(size))
@@ -370,6 +395,7 @@ def main():
         )
     for name, (build, n) in SHAPES.items():
         rungs(name, "assert", lambda size: assert_seconds(build, size), n)
+    rungs("two-pencils", "join", joining_seconds, 1000, cap=TWO_PENCILS_CAP)
     for k in (1, 2, 3):
         build = functools.partial(short_lines_shape, k=k)
         rungs(

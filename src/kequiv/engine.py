@@ -29,10 +29,10 @@ the (term, representative) pairs of the terms equalities had retired.  A
 merge absorbs the smaller side into the larger side's live set (union by
 size, Tarjan-style; a tie absorbs the newer side) and re-registers only
 the absorbed terms; its `Merged` record keeps the anchor the two sides
-share and the absorbed terms: as a frozenset (216 B for 2-3 terms) only
-when two or more of them were not in the anchor, else as that one term,
-a bare id (an 8 B pointer; -1 when none).  Most merges add a
-hypothesis's one new term to a line, so most records hold one set.  A
+share, as a tuple (56 B for 2 terms, a frozenset's 216 B), and the
+absorbed terms: as a frozenset only when two or more of them were not in
+the anchor, else as that one term, a bare id (-1 when none).  Most
+merges add a hypothesis's one new term to a line, so most hold no set.  A
 rename edits the live set in place; its `Rewritten` record keeps the one
 (old, new) pair and whether the new term was already there.  `explain`
 reads only these stored pieces, at each level one record's, the
@@ -61,7 +61,7 @@ min(|candidate|, |fused|).  The chain, the pencil and the equality chain
 thus assert in O(M log M).  The constant work is one record (`Asserted`)
 and one registration pass over its terms per hypothesis, plus a rename
 scan only once an equality has joined two terms (a renamed hypothesis
-registers only its representatives), one record (`Merged`, with one set
+registers only its representatives), one record (`Merged`, with no set
 when at most one term moved) and one pass over the absorbed terms per
 merge, and one record (`Rewritten`) per k-set a rename edits; a proof
 level reads one record, a bare id by one membership test.  Worst case, a
@@ -112,16 +112,17 @@ class Merged:
 
     The other fields record storage, not the proof, and stay out of `==`
     and `repr`: the side whose terms were absorbed into the other's live
-    set, those terms, and the `anchor` the two sides share.  When at most
-    one absorbed term is not in the anchor, `absorbed_terms` is that term
-    alone, a bare id (-1 when none) that stands for the anchor plus it.
+    set, those terms, and the `anchor` the two sides share, a tuple of its
+    distinct terms in no particular order.  When at most one absorbed term
+    is not in the anchor, `absorbed_terms` is that term alone, a bare id
+    (-1 when none) that stands for the anchor plus it.
     """
 
     left: int
     right: int
     absorbed: int = field(default=-1, compare=False, repr=False)
     absorbed_terms: frozenset[int] | int = field(default=-1, compare=False, repr=False)
-    anchor: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
+    anchor: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(slots=True)
@@ -603,14 +604,15 @@ class Session:
                 out |= ps
         return out
 
-    def _merge(self, i1: int, i2: int) -> tuple[int, set[int], frozenset[int]]:
+    def _merge(self, i1: int, i2: int) -> tuple[int, set[int], set[int]]:
         """Replace two active k-sets by their union.
 
         `_find_merges` passes two distinct active k-sets that share terms of
         k classes.  The smaller side's terms are absorbed into the larger
         side's live set (on a tie, the newer side's), so only they are
         re-registered.  Returns the new id, the absorbed side's terms and
-        those of them not in the anchor, which the merge moved.
+        those of them not in the anchor, which the merge moved; a frozenset
+        of the absorbed side is built only when it moved two or more.
         """
         history, handles, owner = self.history, self.handles, self.owner
         ha, hb = handles[i1], handles[i2]
@@ -620,8 +622,7 @@ class Session:
             small, gone, handle, absorbed, into = i1, ha, hb, ta, tb
         else:
             small, gone, handle, absorbed, into = i2, hb, ha, tb, ta
-        absorbed_terms = frozenset(absorbed)
-        anchor = absorbed_terms & into
+        anchor = absorbed & into
         if len(set(map(self.terms.class_of.__getitem__, anchor))) < self.k:
             raise EngineInvariantError(
                 f"merge needs {self.k} distinctness classes in the overlap"
@@ -629,7 +630,7 @@ class Session:
         del live[gone], owner[gone]
         # the absorbed terms leave `gone`; those not in the anchor join `handle`
         parents = self.term2parents
-        moved = absorbed_terms - anchor
+        moved = absorbed - anchor
         for x in moved:
             ps = parents[x]
             if type(ps) is int:
@@ -644,8 +645,8 @@ class Session:
                 parents[x] = ps.pop()
         into |= moved
         n = len(history)
-        stored = absorbed_terms if len(moved) > 1 else next(iter(moved), -1)
-        history.append(Merged(i1, i2, small, stored, anchor))
+        stored = frozenset(absorbed) if len(moved) > 1 else next(iter(moved), -1)
+        history.append(Merged(i1, i2, small, stored, tuple(anchor)))
         handles.append(handle)
         owner[handle] = n
         c = self.counters
@@ -761,39 +762,47 @@ class Session:
             cls = type(h)
             if cls is Merged:
                 # xs lies in the union; the absorbed side holds the part in
-                # it, the other side the rest, and both hold the anchor
+                # it, the other side the rest, and both hold the anchor, a
+                # tuple never copied into a set of its own; `left` is what the
+                # left side is asked, `right` what the right side is besides
+                # the anchor, built into a set only if that side is explained
                 absorbed, anchor = h.absorbed_terms, h.anchor
                 if type(absorbed) is int:
                     # the absorbed side is the anchor plus the term `absorbed`
                     if absorbed not in xs:
-                        n = h.left if h.absorbed == h.right or xs <= anchor else h.right
+                        n = (
+                            h.left
+                            if h.absorbed == h.right
+                            or len(xs) <= len(anchor) and not xs.difference(anchor)
+                            else h.right
+                        )
                         continue
                     # the other side is asked the anchor and the rest of xs
-                    other = {*anchor, *xs}
+                    other = {*xs, *anchor}
                     other.discard(absorbed)
                     if len(other) == len(anchor):  # xs lies in the absorbed side
                         n = h.absorbed
                         continue
                     if h.absorbed == h.left:
-                        left, right = anchor | {absorbed}, other
+                        left, right = {*anchor, absorbed}, other
                     else:
-                        left, right = other, {absorbed}
+                        left, right = other, (absorbed,)
                 elif h.absorbed == h.left:
                     if len(inside := xs & absorbed) == len(xs):
                         n = h.left
                         continue
-                    if inside <= anchor:
+                    if not inside.difference(anchor):
                         n = h.right
                         continue
-                    left, right = anchor | inside, xs - absorbed
+                    left, right = {*inside, *anchor}, xs - absorbed
                 else:
-                    if (inside := xs & absorbed) <= anchor:
+                    if not (inside := xs & absorbed).difference(anchor):
                         n = h.left
                         continue
                     if len(inside) == len(xs):
                         n = h.right
                         continue
-                    left, right = anchor | (xs - absorbed), inside
+                    left, right = {*(xs - absorbed), *anchor}, inside
                 out.append("(project (trans ")
                 named = " ".join([names[t] for t in sorted(xs)])
                 r = history[h.right]
@@ -803,7 +812,7 @@ class Session:
                     tasks.append((_FUSE, None, closer))
                 else:
                     tasks.append((_FUSE, None, f") {named})"))
-                    tasks.append((_EXPLAIN, h.right, anchor | right))
+                    tasks.append((_EXPLAIN, h.right, {*right, *anchor}))
                 n, xs = h.left, left
                 continue
             if cls is Rewritten:
@@ -916,11 +925,16 @@ class Session:
                 raise EngineInvariantError(f"k-set {n} cites a later k-set")
             elif isinstance(h, Merged):
                 left, right = replay[h.left], replay[h.right]
-                terms = left | right
-                if h.anchor != left & right:
+                terms, anchor = left | right, h.anchor
+                # `_explain` counts the anchor's terms by its length
+                if type(anchor) is not tuple or len(set(anchor)) != len(anchor):
+                    raise EngineInvariantError(
+                        f"k-set {n} stores its anchor in the wrong form"
+                    )
+                if set(anchor) != left & right:
                     raise EngineInvariantError(f"k-set {n} stores a wrong anchor")
                 side = left if h.absorbed == h.left else right
-                moved, stored = side - h.anchor, h.absorbed_terms
+                moved, stored = side.difference(anchor), h.absorbed_terms
                 compact = type(stored) is int
                 # a bare id cannot stand for two moved terms; a frozenset in
                 # its place is in the wrong form only if it holds the side

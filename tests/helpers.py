@@ -347,6 +347,22 @@ def pencil_closed_shape(n):
     return s, steps
 
 
+def two_pencils_shape(n):
+    """Two pencils and the line joining their hubs: n lines (h a_j b_j)
+    through hub h, n lines (g c_j d_j) through hub g, then n hypotheses
+    (h g x_i).  Each of those last reads a hub's whole parent list, so
+    their asserts take time quadratic in n."""
+    s = Session(2)
+    h, g = s.intern_term("h"), s.intern_term("g")
+    steps = []
+    for hub, ends in ((h, "ab"), (g, "cd")):
+        for j in range(n):
+            a, b = (s.intern_term(f"{e}{j}") for e in ends)
+            steps.append((s.assert_hypothesis, [hub, a, b]))
+    steps += [(s.assert_hypothesis, [h, g, s.intern_term(f"x{i}")]) for i in range(n)]
+    return s, steps
+
+
 def short_lines_shape(n, k):
     """n lines of 8 terms, each covered by its (k+1)-term windows.
 

@@ -40,6 +40,7 @@ from helpers import (
     random_congruence_instance,
     run_differential,
     short_lines_shape,
+    two_pencils_shape,
 )
 
 TABLE_HYPS = ["abc", "cde", "efg", "adg", "bcd"]
@@ -523,7 +524,11 @@ class TestInvariants:
             "        0, {s.term2parents[0]}),\n"
             "    'empty': lambda s: s.live[0].clear(),\n"
             "    'anchor': lambda s: s.history.__setitem__(\n"
-            "        2, replace(s.history[2], anchor=frozenset({0}))),\n"
+            "        2, replace(s.history[2], anchor=(0,))),\n"
+            "    'anchor set': lambda s: s.history.__setitem__(\n"
+            "        2, replace(s.history[2], anchor=frozenset({0, 1}))),\n"
+            "    'repeated anchor': lambda s: s.history.__setitem__(\n"
+            "        2, replace(s.history[2], anchor=(0, 1, 1))),\n"
             "    'absorbed': lambda s: s.history.__setitem__(\n"
             "        2, replace(s.history[2], absorbed_terms=frozenset({0, 1, 2}))),\n"
             "    'moved': lambda s: s.history.__setitem__(\n"
@@ -595,6 +600,8 @@ class TestInvariants:
             "False term 0 has a non-canonical parent entry\n"
             "False k-set 0 is empty\n"
             "False k-set 2 stores a wrong anchor\n"
+            "False k-set 2 stores its anchor in the wrong form\n"
+            "False k-set 2 stores its anchor in the wrong form\n"
             "False k-set 2 stores the wrong absorbed side\n"
             "False k-set 2 stores the wrong absorbed side\n"
             "False k-set 2 stores its absorbed side in the wrong form\n"
@@ -734,13 +741,16 @@ def test_short_lines_work_is_pinned(k, expected):
     assert tuple(stats[name] for name in (*counted, "registrations")) == expected
 
 
-def test_short_lines_peak_bytes_per_hypothesis():
-    # the ladder's peak-short-lines rung at n = 1000, terms interned before
-    # tracing and the collector paused: a bare handle per one-parent term,
-    # and a bare moved term in a merge record that moved at most one, keep
-    # the peak under 750 B per hypothesis (688; a `set` per term read 1,128,
-    # and a frozenset of the absorbed side in every merge record 835)
-    session, steps = short_lines_shape(1000, 2)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_short_lines_peak_bytes_per_hypothesis(k):
+    # the ladder's peak-short-lines rung at n = 1000 (k = 2; k = 1 and 3 as
+    # well), terms interned before tracing and the collector paused: a bare
+    # handle per one-parent term, a bare moved term in a merge record that
+    # moved at most one, and a tuple for each anchor keep the peak under
+    # 550 / 600 / 650 B per hypothesis (493 / 555 / 616; at k = 2, a `set`
+    # per term read 1,128, a frozenset of the absorbed side in every merge
+    # record 835, and a frozenset for each anchor 688)
+    session, steps = short_lines_shape(1000, k)
     gc.collect()
     gc.disable()
     tracemalloc.start()
@@ -751,7 +761,20 @@ def test_short_lines_peak_bytes_per_hypothesis():
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert peak <= 750 * len(steps), peak / len(steps)
+    assert peak <= {1: 550, 2: 600, 3: 650}[k] * len(steps), peak / len(steps)
+
+
+def test_two_pencils_close_as_the_oracle_does():
+    # the 2n pencil lines stay apart, and the n joining hypotheses fuse
+    # into one line through both hubs
+    n = 20
+    session, steps = two_pencils_shape(n)
+    for fn, arg in steps:
+        fn(arg)
+    session.validate()
+    active = {frozenset(session.terms_of(m)) for m in session.owner.values()}
+    assert active == closure_sets(2, session.hypotheses)
+    assert len(active) == 2 * n + 1
 
 
 def test_rename_scan_is_exact():

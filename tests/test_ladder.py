@@ -39,6 +39,7 @@ def test_ladder_measures_and_rungs(ladder, tmp_path, capsys):
     seconds, grown = ladder.maxrss_growth(n)
     assert seconds > 0 and grown >= 0
     assert ladder.deep_query_seconds(n) > 0
+    assert ladder.joining_seconds(n) > 0
     assert ladder.deep_check_seconds(n) > 0
     assert ladder.deep_check_seconds(n, "eq-chain") > 0
     assert ladder.deep_check_fail_seconds(n) > 0
@@ -83,3 +84,17 @@ def test_check_eq_chain_measure(ladder, tmp_path):
         verdicts = [line.split()[0] for line in Path(proofs).read_text().splitlines()]
         assert verdicts == ["entailed", "not-entailed", "entailed", "entailed"]
         assert ladder.command_seconds("check", problem, proofs) > 0
+
+
+def test_a_capped_rung_stops_starting_rounds(ladder, capsys):
+    sizes = []
+
+    def measure(size):
+        sizes.append(size)
+        return 0.001 * size
+
+    ladder.rungs("capped", "join", measure, 10, cap=0)
+    assert sizes == [10, 20, 40]
+    ladder.rungs("capped", "join", measure, 10, cap=60)
+    assert len(sizes) == 3 + 3 * ladder.REPEATS
+    assert "capped          growth exponent 1.00" in capsys.readouterr().out
