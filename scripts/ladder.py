@@ -55,7 +55,11 @@ check-eq-chain rungs time `kequiv check` on the eq-chain with four
 queries, two of them naming members of its equality class, and the
 proofs `kequiv solve` gives for it: the rung that runs the checker's
 own grouping of the file's `class` lines and its union-find over the
-equality log.  The
+equality log.  The reading path has two rungs on `many_lines_text`,
+kqbench's many-lines shape, with the time per line of the file:
+parse-many-lines times `parse_text` of its text, with the collector
+paused, and check-many-lines times `kequiv check` on it with the proofs
+`kequiv solve` gives for it.  The
 short-lines rungs pause it too, since many-lines runs through `kequiv
 solve`: with it on, its heap walks take a share of each hypothesis that
 grows with n.  The other library rungs, the deep query and the control
@@ -94,6 +98,7 @@ from helpers import (
     eq_chain_check_text,
     eq_chain_shape,
     eq_first_shape,
+    many_lines_text,
     pencil_closed_shape,
     pencil_closed_text,
     pencil_shape,
@@ -102,7 +107,7 @@ from helpers import (
     two_pencils_shape,
 )
 
-from kequiv import ProofCheckError, ProofSyntaxError, check, format_proof
+from kequiv import ProofCheckError, ProofSyntaxError, check, format_proof, parse_text
 from kequiv.cli import main as kequiv_main
 
 REPEATS = 5
@@ -153,6 +158,19 @@ def joining_seconds(n):
     for fn, arg in steps[2 * n :]:
         fn(arg)
     return time.perf_counter() - start
+
+
+def parse_seconds(text):
+    """Seconds to `parse_text` the problem `text`, with the collector
+    paused, as in `kequiv` commands."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        parse_text(text)
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
 
 
 def peak_bytes(build, n):
@@ -458,6 +476,23 @@ def main():
             "check",
             lambda size: command_seconds("check", *chains[size]),
             1000,
+        )
+        texts = {size: many_lines_text(size) for size in (250, 500, 1000)}
+        lines = lambda size: texts[size].count("\n")
+        rungs(
+            "parse-many-lines",
+            "parse",
+            lambda size: parse_seconds(texts[size]),
+            250,
+            lines,
+        )
+        many = solved_files(tmp, "many-lines", texts.get, texts)
+        rungs(
+            "check-many-lines",
+            "check",
+            lambda size: command_seconds("check", *many[size]),
+            250,
+            lines,
         )
 
 

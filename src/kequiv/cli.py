@@ -118,6 +118,8 @@ def cmd_check(args) -> int:
                 f"terms {names[a]!r} and {names[b]!r} are known distinct", EXIT_GUARD
             )
         union(blocks, a, b)
+    # each block's root, flattened once, so a match reads one dict per term
+    root = {t: find(blocks, t) for t in blocks}
     # frozen once here: `frozenset()` of a frozenset is that frozenset, so
     # each `assume` that cites a hypothesis takes it without a copy
     hypotheses = {rel: [] for rel in interned.relations}
@@ -154,7 +156,7 @@ def cmd_check(args) -> int:
             print(f"fail: line {lineno}: {e}")
             ok = False
             continue
-        if {find(blocks, t) for t in conclusion} != {find(blocks, t) for t in xs}:
+        if set(map(root.get, conclusion, conclusion)) != set(map(root.get, xs, xs)):
             print(f"fail: line {lineno}: conclusion does not match the query")
             ok = False
             continue

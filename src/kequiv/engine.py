@@ -277,7 +277,8 @@ class TermTable:
 class Equalities(Sequence[tuple[int, int]]):
     """The equality log of (a, b) pairs, with its union-find and proof forest.
 
-    `find` reads a term's representative, its class's root, and writes
+    `find` reads a term's representative, its class's root, from the
+    union-find's map `root`, where a term absent is its own, and writes
     nothing.  The equalities that merged two classes form a proof forest
     (Nieuwenhuis & Oliveras, RTA 2005), each tree rooted at its union-find
     representative.  Unions only add edges and re-rooting only flips them,
@@ -289,7 +290,7 @@ class Equalities(Sequence[tuple[int, int]]):
     def __init__(self) -> None:
         self._log: list[tuple[int, int]] = []
         self._uf = UnionFind()
-        self.find = self._uf.find
+        self.find, self.root = self._uf.find, self._uf.root
         # term -> its step up, (term, parent, equality index); roots are absent
         self.forest: dict[int, tuple[int, int, int]] = {}
 
@@ -703,7 +704,9 @@ class Session:
         interned raises ValueError, as in `assert_hypothesis`.  The
         session is left untouched.
         """
-        s = frozenset(map(self.equalities.find, xs))
+        xs = tuple(xs)
+        root = self.equalities.root
+        s = frozenset(map(root.get, xs, xs))
         if not s:
             raise ValueError("empty query")
         lo, hi = min(s), max(s)
@@ -712,10 +715,16 @@ class Session:
         if len(s) <= self.k:
             names = self.term_names
             return ["(subrefl " + " ".join([names[t] for t in sorted(s)]) + ")"]
-        parents = [self.parents_of(x) for x in s]
-        if not all(parents):
+        parents = list(map(self.term2parents.get, s))
+        if None in parents:
             return None
-        common = set(min(parents, key=len)).intersection(*parents)
+        # a term with one parent leaves that live set the one candidate
+        for ps in parents:
+            if type(ps) is int:
+                common = (ps,) if s <= self.live[ps] else ()
+                break
+        else:
+            common = set(min(parents, key=len)).intersection(*parents)
         if not common:
             return None
         # a proof that is one hypothesis needs no `project`: the hypothesis

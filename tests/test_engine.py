@@ -114,8 +114,9 @@ class TestAssert:
         ids = [s.intern_term(c) for c in "abcd"]
         with pytest.raises(ValueError):
             s.assert_hypothesis(ids)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as e:
             s.assert_hypothesis(ids[:2])
+        assert str(e.value) == "hypothesis needs exactly 3 terms, got 2"
 
     def test_duplicate_terms_collapse(self):
         s = Session(2)
@@ -129,6 +130,13 @@ class TestAssert:
         s.intern_term("a")
         with pytest.raises(ValueError):
             s.assert_hypothesis([0, 1, 2])
+
+    def test_first_id_past_the_table_rejected(self):
+        s = Session(2)
+        a, b = s.intern_term("a"), s.intern_term("b")
+        with pytest.raises(ValueError, match="^unknown term id 2$"):
+            s.assert_hypothesis([a, b, 2])
+        assert not s.hypotheses
 
 
 class TestArena:
@@ -178,6 +186,14 @@ class TestNegativeIds:
         s = two_record_session()
         with pytest.raises(ValueError, match="unknown k-set id -1"):
             s.terms_of(-1)
+
+    def test_first_id_past_the_history(self):
+        s = two_record_session()
+        with pytest.raises(ValueError, match="^unknown k-set id 2$"):
+            s.terms_of(2)
+        for xs in ([0], []):
+            with pytest.raises(ValueError, match="^unknown k-set id 2$"):
+                s.explain(2, xs)
 
     def test_validate_rejects_a_cited_negative_id(self):
         s = Session(2)
@@ -507,6 +523,28 @@ class TestInvariants:
         with pytest.raises(AssertionError):
             s.check_counter_bounds()
 
+    def test_one_hypothesis_allows_no_merge(self):
+        s = Session(2)
+        s.assert_hypothesis([s.intern_term(c) for c in "abc"])
+        s.counters.merges = 1
+        with pytest.raises(EngineInvariantError, match="merge count exceeded n-1"):
+            s.check_counter_bounds()
+
+    @pytest.mark.parametrize("hyp, added", [("abd", 1), ("def", 0)])
+    def test_rename_registers_only_a_swapped_in_term(self, hyp, added):
+        # `eq e d` retires d: a k-set without e registers e, one with it
+        # registers nothing, and the renamed k-sets merge with nothing
+        s = Session(2)
+        ids = {c: s.intern_term(c) for c in "abcdef"}
+        s.mark_possibly_equal([ids["d"], ids["e"]])
+        s.assert_hypothesis([ids[c] for c in hyp])
+        before = s.stats().registrations
+        assert s.equalities.union(ids["e"], ids["d"]) == ids["d"]
+        s.rename_term(ids["d"])
+        assert s.stats().registrations - before == added
+        assert s.stats().merges == 0
+        s.validate()
+
     def test_counter_bounds_survive_optimize_flag(self):
         script = (
             "from kequiv import EngineInvariantError, Session\n"
@@ -542,13 +580,21 @@ class TestInvariants:
             "        3, replace(s.history[3], already=True)),\n"
             "    'renames': lambda s: s.history.__setitem__(\n"
             "        4, replace(s.history[4], renames=())),\n"
+            "    'self cite': lambda s: s.history.__setitem__(\n"
+            "        2, replace(s.history[2], left=2)),\n"
+            "    'self rename': lambda s: s.history.__setitem__(\n"
+            "        3, replace(s.history[3], source=3)),\n"
+            "    # the second hypothesis asserted unmerged, beside the first\n"
+            "    'overlap': lambda s: (\n"
+            "        setattr(s, '_find_merges', lambda n, renamed=None: None),\n"
+            "        s.assert_hypothesis([0, 1, 3])),\n"
             "}\n"
             "for corrupt, apply in corruptions.items():\n"
             "    s = Session(2)\n"
             "    a, b, c, d, e, f, g, h = (s.intern_term(t) for t in 'abcdefgh')\n"
             "    s.mark_possibly_equal([d, e])\n"
             "    s.assert_hypothesis([a, b, c])\n"
-            "    if corrupt != 'empty':\n"
+            "    if corrupt not in ('empty', 'overlap'):\n"
             "        s.assert_hypothesis([a, b, d])\n"
             "        # `eq e d` renames d in k-set 2 (k-set 3), then renames the\n"
             "        # next hypothesis as it is asserted (active k-set 4)\n"
@@ -609,6 +655,9 @@ class TestInvariants:
             "False handle map out of sync\n"
             "False k-set 3 misrecords its renamed term\n"
             "False k-set 4 disagrees with its history\n"
+            "False k-set 2 cites a later k-set\n"
+            "False k-set 3 cites a later k-set\n"
+            "False active k-sets 0 and 1 share 2 classes\n"
             "False no equality path between renamed terms\n"
             "False merge needs 2 distinctness classes in the overlap\n"
         )

@@ -13,6 +13,7 @@ import pytest
 from helpers import (
     chain_shape,
     eq_chain_check_text,
+    many_lines_text,
     short_lines_shape,
     short_lines_text,
 )
@@ -83,6 +84,18 @@ def test_check_eq_chain_measure(ladder, tmp_path):
         assert Path(problem).name == f"eq-chain-{size}.kq"
         verdicts = [line.split()[0] for line in Path(proofs).read_text().splitlines()]
         assert verdicts == ["entailed", "not-entailed", "entailed", "entailed"]
+        assert ladder.command_seconds("check", problem, proofs) > 0
+
+
+def test_reading_path_measures(ladder, tmp_path):
+    texts = {size: many_lines_text(size) for size in (4, 8)}
+    for text in texts.values():
+        assert ladder.parse_seconds(text) > 0
+    files = ladder.solved_files(tmp_path, "many-lines", texts.get, texts)
+    assert sorted(files) == [4, 8]
+    for size, (problem, proofs) in files.items():
+        assert Path(problem).name == f"many-lines-{size}.kq"
+        assert len(Path(proofs).read_text().splitlines()) == 6 * size
         assert ladder.command_seconds("check", problem, proofs) > 0
 
 

@@ -109,7 +109,8 @@ TERM_NAMES = st.sampled_from([f"n{i}" for i in range(9)])
 def interleaved_files(draw):
     """Problem text with `class`, `hyp`, `eq` and `query` lines in any
     order, so a name may be seen first in any of them, and the lines by
-    name as (head, relation or None, names)."""
+    name as (head, relation or None, names).  A comment may hold '(' or
+    ')', which makes `parse_text` check the names of the whole text."""
     arity = {"coll": 3, "eqv": 2}
     text = "rel coll 2\nrel eqv 1\n"
     lines = []
@@ -125,7 +126,7 @@ def interleaved_files(draw):
             size = arity[rel] if head == "hyp" else draw(st.integers(1, 4))
             names = draw(st.lists(TERM_NAMES, min_size=size, max_size=size))
         lines.append((head, rel, tuple(names)))
-        comment = "  # a comment" if draw(st.booleans()) else ""
+        comment = draw(st.sampled_from(["", "  # a comment", "  # (a) comment"]))
         text += " ".join([head, *[rel] * (rel is not None), *names]) + comment + "\n"
     return text, lines
 
@@ -183,6 +184,23 @@ def test_ids_and_named_views_agree(case):
     reference = reference_interning(problem)
     assert blocks(interned.class_of) == blocks(reference.class_of)
     assert interned == dataclasses.replace(reference, class_of=interned.class_of)
+
+
+@given(interleaved_files())
+@settings(max_examples=150, deadline=None)
+def test_checked_and_plain_texts_number_alike(case):
+    text, _ = case
+    # a line that repeats a name it is the first to name
+    text += "hyp coll new new n0\n"
+    plain = text.replace("(", "").replace(")", "")
+    # one '(' or ')' in a comment sends the whole text down the checked path
+    problems = [parse_text(t) for t in (plain, plain + "# (\n", plain + "# )\n", text)]
+    fields = lambda p: (p.term_order, p.term_ids, p.facts, p.query_ids, p.class_ids)
+    assert all(fields(p) == fields(problems[0]) for p in problems[1:])
+    problem = problems[0]
+    assert problem.term_ids == {name: i for i, name in enumerate(problem.term_order)}
+    new, n0 = problem.term_ids["new"], problem.term_ids["n0"]
+    assert problem.facts[-1] == ("coll", (new, new, n0))
 
 
 # a number of ids n <= 30 and pairs of ids below n
