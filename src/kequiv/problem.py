@@ -12,8 +12,7 @@ Class statements apply file-wide (the distinctness partition is fixed
 before any fact), hypotheses and equalities keep file order, and queries
 are answered against the final state.  Term names are numbered 0, 1, ...
 in the order they are first seen.  A name is a token without '(', ')' or
-'#', so names are checked only in a text that holds '(' or ')', in the
-lines that hold one.
+'#', so names are checked only in a text that holds '(' or ')'.
 """
 
 from __future__ import annotations
@@ -139,10 +138,10 @@ def parse_text(text: str) -> Problem:
     """Read problem text into term ids, in one pass (see `Problem`).
 
     Each line's shape is checked first; then its term names are numbered
-    by one `map` of `term_ids.setdefault`, which gives a new name the
-    table's size as its id.  A token holds no whitespace or '#', so a text
-    without '(' or ')' holds no invalid name; in one with them, the names
-    of each line holding either are checked before they are numbered.
+    by `term_ids.setdefault(name, len(term_ids))`, mapped over the line,
+    which gives a new name the table's size as its id.  A token holds no
+    whitespace or '#', so a text without '(' or ')' holds no invalid name;
+    in one with either, every line's names are checked before numbering.
     """
     problem = Problem()
     relations, facts = problem.relations, problem.facts
@@ -157,13 +156,13 @@ def parse_text(text: str) -> Problem:
         return ParseError(lineno, m.start() + 1, message)
 
     checked = "(" in text or ")" in text
-    # len(term_ids) read as each name is numbered, after the name before it
+    # an endless feed of the table's size, shared by every line: `map`
+    # fetches its arguments in order, one call at a time, so each size is
+    # read after the name before it was numbered
     sizes = map(len, repeat(term_ids))
 
-    lines = split_lines(text)
-    if "#" in text:
-        lines = [raw.split("#", 1)[0] for raw in lines]
-    for lineno, code in enumerate(lines, start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        code = raw.split("#", 1)[0] if "#" in raw else raw
         tokens = code.split()
         if not tokens:
             continue
@@ -215,13 +214,13 @@ def parse_text(text: str) -> Problem:
             continue
         else:
             raise error(0, f"unknown statement {head!r}")
-        if checked and ("(" in code or ")" in code):
+        if checked:
             for j in range(first, len(tokens)):
                 if not _NAME.match(tokens[j]):
                     raise error(j, f"invalid term name {tokens[j]!r}")
-        # through a list, so the tuple is made at its size and can reuse a
-        # freed one; `tuple(map(...))` shrinks a larger one, which raised
-        # `kequiv solve`'s peak by 1.3 % on kqbench's chain-pencil file
+        # one C-level call per name: `kequiv check` on kqbench's many-lines
+        # ran faster than with `[number(name, len(term_ids)) for ...]`; via
+        # a list, as `tuple(map(...))` shrinks a larger tuple and raised peak
         xs = tuple([*map(number, tokens[first:], sizes)])
         out.append(xs if head == "class" else (rel, xs))
     problem.term_order = list(term_ids)
