@@ -26,6 +26,7 @@ from .proofs import (
     ProofCheckError,
     ProofSyntaxError,
     check,
+    checker,
     format_proof,
     parse_proof,
     used_hypotheses,
@@ -46,6 +47,7 @@ __all__ = [
     "ProofCheckError",
     "ProofSyntaxError",
     "check",
+    "checker",
     "used_hypotheses",
     "format_proof",
     "parse_proof",

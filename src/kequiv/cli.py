@@ -28,7 +28,7 @@ from .problem import (
     split_lines,
     union,
 )
-from .proofs import ProofCheckError, ProofSyntaxError, check, format_proof, numeral
+from .proofs import ProofCheckError, ProofSyntaxError, checker, format_proof, numeral
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,11 +120,18 @@ def cmd_check(args) -> int:
         union(blocks, a, b)
     # each block's root, flattened once, so a match reads one dict per term
     root = {t: find(blocks, t) for t in blocks}
-    # frozen once here: `frozenset()` of a frozenset is that frozenset, so
-    # each `assume` that cites a hypothesis takes it without a copy
+    # one judge per relation for the whole file, which freezes a hypothesis
+    # when a proof first cites it and keeps each leaf and `subst` step it
+    # has judged
     hypotheses = {rel: [] for rel in interned.relations}
     for rel, xs in interned.atoms:
-        hypotheses[rel].append(frozenset(xs))
+        hypotheses[rel].append(xs)
+    judges = {
+        rel: checker(
+            k, hypotheses[rel], class_of, interned.equalities, ids=interned.term_ids
+        )
+        for rel, k in interned.relations.items()
+    }
     ok = True
     for lineno, ((rel, xs), line) in enumerate(
         zip(interned.queries, proof_lines), start=1
@@ -144,14 +151,7 @@ def cmd_check(args) -> int:
             ok = False
             continue
         try:
-            conclusion = check(
-                fields[1],
-                interned.relations[rel],
-                hypotheses[rel],
-                class_of,
-                interned.equalities,
-                ids=interned.term_ids,
-            )
+            conclusion = judges[rel](fields[1])
         except (ProofSyntaxError, ProofCheckError) as e:
             print(f"fail: line {lineno}: {e}")
             ok = False

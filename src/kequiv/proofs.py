@@ -29,6 +29,15 @@ wins.  It is also the only reader of malformed text: it raises the first
 ProofSyntaxError in the text, and works out its column only then, from
 where in the split text the error stands.
 
+`checker` binds the pass to one log and gives it two tables, kept across
+the texts it judges: a leaf's opening stretch (`assume 17`) to its
+judgment, and a `subst` node's atom stretch (` a b 3`) to its validated
+(from, to) pair.  A stretch is stored once its node has passed every
+syntax check and law, and looked up only while no law is broken in the
+text, so a leaf or step met again is not read again and every error is
+raised as without the tables.  The bound log must not change while the
+judge is in use.
+
 An index in proof text is refused if longer than `numeral` allows, so
 it means the same under any limit Python sets on the digits `int`
 converts (PYTHONINTMAXSTRDIGITS).
@@ -44,6 +53,7 @@ __all__ = [
     "ProofCheckError",
     "ProofSyntaxError",
     "check",
+    "checker",
     "used_hypotheses",
     "format_proof",
     "parse_proof",
@@ -99,6 +109,42 @@ class ProofSyntaxError(ValueError):
         super().__init__(f"col {column}: {message}")
 
 
+def checker(
+    k: int,
+    hypotheses: Sequence[Sequence[int]],
+    partition: Mapping[int, int] | None = None,
+    equalities: Sequence[tuple[int, int]] = (),
+    *,
+    ids: Mapping[str, int],
+) -> Callable[[str], frozenset[int]]:
+    """A judge bound to one log: it takes proof text and returns what
+    `check` with these arguments returns, or raises what it raises.
+
+    The judge keeps two tables for as long as it lives.  One maps a
+    leaf's opening stretch (``assume 17``, ``subrefl a b``) to its
+    judgment, so each hypothesis is frozen when a leaf first cites it;
+    the other maps the atom stretch of a ``subst`` node (`` a b 3``) to
+    its validated (from, to) pair.  An entry is stored once its node has
+    passed every syntax check and law, and is read only until a law is
+    broken in the text being judged, so a later node with the same
+    stretch skips reading its atoms and its law, and every error is the
+    one `check` raises.  The tables hold for the bound log alone:
+    `hypotheses`, `partition`, `equalities` and `ids` must not change
+    while the judge is in use.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if partition is None:
+        partition = {}  # every term a class of its own
+    laws = (k, hypotheses, partition, equalities, {}, {})
+    name_id = ids.__getitem__
+
+    def judge(proof: str) -> frozenset[int]:
+        return _judge(proof, name_id, laws)
+
+    return judge
+
+
 def check(
     proof: str,
     k: int,
@@ -111,9 +157,11 @@ def check(
     """Check proof text and return the judgment (term set) it establishes.
 
     `ids` maps the text's term names to ids.  The text is judged in one
-    pass.  Malformed text raises the first ProofSyntaxError in it, even
-    if a law is broken before it.  A malformed log entry that a node
-    cites raises ValueError, unless a law is broken first.
+    pass, by a fresh `checker` judge, so a leaf or ``subst`` step that
+    recurs in the text is judged once.  Malformed text raises the first
+    ProofSyntaxError in it, even if a law is broken before it.  A
+    malformed log entry that a node cites raises ValueError, unless a
+    law is broken first.
 
     Laws enforced per node:
 
@@ -134,11 +182,7 @@ def check(
     not rejected.  Raises ProofCheckError with the path to the
     offending node on any violation.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if partition is None:
-        partition = {}  # every term a class of its own
-    return _judge(proof, ids.__getitem__, (k, hypotheses, partition, equalities))
+    return checker(k, hypotheses, partition, equalities, ids=ids)(proof)
 
 
 def used_hypotheses(text: str) -> frozenset[int]:
@@ -188,10 +232,10 @@ def _judge(
     """Read proof `text` in one pass.
 
     With `laws` None it reads for syntax only, and returns None.  With
-    `laws`, `check`'s (k, hypotheses, partition, equalities), it returns
-    the judgment the proof establishes; the first broken law raises
-    ProofCheckError at its node once the rest is read for shape, names and
-    indices only.  A malformed log (hypotheses, partition or equalities)
+    `laws`, `checker`'s (k, hypotheses, partition, equalities, leaves,
+    steps), it returns the judgment the proof establishes; the first
+    broken law raises ProofCheckError at its node once the rest is read
+    for shape, names and indices only.  A malformed log (hypotheses, partition or equalities)
     raises ValueError in its place, if it comes first.  Malformed text
     raises the first ProofSyntaxError in the text, before any of these.
     `name_id` gives a term name's id, or raises KeyError or ValueError; an
@@ -202,12 +246,15 @@ def _judge(
     split again, into the node's opening stretch (its head and atoms) and
     the stretch after each ')' that closes in it.  Only `project`, `subst`
     and the leaves split a stretch into atoms; elsewhere a stretch must be
-    whitespace.  Where a syntax error is
+    whitespace.  While no law is broken, a leaf whose opening stretch is
+    in `leaves`, or a ``subst`` node whose atom stretch is in `steps`,
+    takes what the table holds for it without reading the stretch, and
+    a node that passes stores it there.  Where a syntax error is
     found, its column is worked out only to raise it (see `_refusal`).
     """
     judging = laws is not None
     if judging:
-        k, hypotheses, partition, equalities = laws
+        k, hypotheses, partition, equalities, leaves, steps = laws
         class_of = partition.__getitem__
         n_hyps, n_eqs = len(hypotheses), len(equalities)
     # the error class and arguments of the first broken law or malformed log
@@ -261,8 +308,8 @@ def _judge(
                         result = x | y
                 elif size == 3:  # one sub-proof: project or subst
                     kind = node[0].strip()
-                    atoms = node[2].split()
                     if kind == "project":
+                        atoms = node[2].split()
                         if not atoms:
                             raise ValueError  # a malformed node
                         terms = frozenset(map(name_id, atoms))
@@ -274,54 +321,67 @@ def _judge(
                                 )
                             result = terms
                     elif kind == "subst":
-                        if len(atoms) != 3 or len(atoms[2]) > _NUMERAL_MAX:
-                            raise ValueError  # a malformed node
-                        frm, to, e = name_id(atoms[0]), name_id(atoms[1]), int(atoms[2])
-                        if judging:
-                            if not 0 <= e < n_eqs:
-                                raise _BrokenLaw(f"equality index {e} out of range")
-                            a, b = equalities[e]
-                            if (frm, to) != (a, b) and (to, frm) != (a, b):
-                                raise _BrokenLaw(
-                                    f"equality {e} does not relate the "
-                                    "substituted terms"
-                                )
-                            try:
-                                if class_of(a) != class_of(b):
+                        # a step judged before is read from `steps`
+                        if not (judging and node[2] in steps):
+                            atoms = node[2].split()
+                            if len(atoms) != 3 or len(atoms[2]) > _NUMERAL_MAX:
+                                raise ValueError  # a malformed node
+                            frm, to = name_id(atoms[0]), name_id(atoms[1])
+                            e = int(atoms[2])
+                            if judging:
+                                if not 0 <= e < n_eqs:
+                                    raise _BrokenLaw(f"equality index {e} out of range")
+                                a, b = equalities[e]
+                                if (frm, to) != (a, b) and (to, frm) != (a, b):
                                     raise _BrokenLaw(
-                                        f"equality {e} equates known-distinct terms"
+                                        f"equality {e} does not relate the "
+                                        "substituted terms"
                                     )
-                            except KeyError:
-                                pass  # an unmapped term is never known-distinct
+                                try:
+                                    if class_of(a) != class_of(b):
+                                        raise _BrokenLaw(
+                                            f"equality {e} equates known-distinct terms"
+                                        )
+                                except KeyError:
+                                    pass  # an unmapped term is never known-distinct
+                                steps[node[2]] = frm, to
+                        if judging:
+                            frm, to = steps[node[2]]
                             result = node[1]
                             if frm in result:
                                 result = (result - {frm}) | {to}
                     else:
                         raise ValueError  # a malformed node
                 elif size == 1:  # a leaf: assume or subrefl
-                    head = node[0].split()
-                    kind = head[0] if head else None
-                    if kind == "assume":
-                        if len(head) != 2 or len(head[1]) > _NUMERAL_MAX:
+                    # a leaf judged before is read from `leaves`
+                    if not (judging and node[0] in leaves):
+                        head = node[0].split()
+                        kind = head[0] if head else None
+                        if kind == "assume":
+                            if len(head) != 2 or len(head[1]) > _NUMERAL_MAX:
+                                raise ValueError  # a malformed node
+                            i = int(head[1])
+                            if judging:
+                                if not 0 <= i < n_hyps:
+                                    raise _BrokenLaw(
+                                        f"hypothesis index {i} out of range"
+                                    )
+                                leaves[node[0]] = frozenset(hypotheses[i])
+                        elif kind == "subrefl":
+                            if len(head) < 2:
+                                raise ValueError  # a malformed node
+                            terms = frozenset(map(name_id, head[1:]))
+                            if judging:
+                                if len(terms) > k:
+                                    raise _BrokenLaw(
+                                        f"sub-reflexivity allows at most {k} terms, "
+                                        f"got {len(terms)}"
+                                    )
+                                leaves[node[0]] = terms
+                        else:
                             raise ValueError  # a malformed node
-                        i = int(head[1])
-                        if judging:
-                            if not 0 <= i < n_hyps:
-                                raise _BrokenLaw(f"hypothesis index {i} out of range")
-                            result = frozenset(hypotheses[i])
-                    elif kind == "subrefl":
-                        if len(head) < 2:
-                            raise ValueError  # a malformed node
-                        terms = frozenset(map(name_id, head[1:]))
-                        if judging:
-                            if len(terms) > k:
-                                raise _BrokenLaw(
-                                    f"sub-reflexivity allows at most {k} terms, "
-                                    f"got {len(terms)}"
-                                )
-                            result = terms
-                    else:
-                        raise ValueError  # a malformed node
+                    if judging:
+                        result = leaves[node[0]]
                 else:
                     raise ValueError  # a malformed node
             except _BrokenLaw as broken:  # its traceback holds this frame

@@ -340,7 +340,8 @@ class TestSolve:
 
         monkeypatch.setattr(kequiv.proofs, "parse_proof", proof_read)
         monkeypatch.setattr(kequiv.proofs, "check", proof_read)
-        monkeypatch.setattr(kequiv.cli, "check", proof_read)
+        monkeypatch.setattr(kequiv.proofs, "checker", proof_read)
+        monkeypatch.setattr(kequiv.cli, "checker", proof_read)
         for name in files:
             assert run(capsys, "solve", str(tmp_path / f"{name}.kq")) == expected[name]
 
