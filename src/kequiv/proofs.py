@@ -235,11 +235,12 @@ def _judge(
     `laws`, `checker`'s (k, hypotheses, partition, equalities, leaves,
     steps), it returns the judgment the proof establishes; the first
     broken law raises ProofCheckError at its node once the rest is read
-    for shape, names and indices only.  A malformed log (hypotheses, partition or equalities)
-    raises ValueError in its place, if it comes first.  Malformed text
-    raises the first ProofSyntaxError in the text, before any of these.
-    `name_id` gives a term name's id, or raises KeyError or ValueError; an
-    index is read by `int` and refused if longer than `_NUMERAL_MAX`.
+    for shape, names and indices only.  A malformed log (hypotheses,
+    partition or equalities) raises ValueError in its place, if it comes
+    first.  Malformed text raises the first ProofSyntaxError in the text,
+    before any of these.  `name_id` gives a term name's id, or raises
+    KeyError or ValueError; an index is read by `int` and refused if
+    longer than `_NUMERAL_MAX`.
 
     A node's judgment is worked out from its children's when its ')' is
     read.  The text is split at each '(', and a chunk holding a ')' is
@@ -321,18 +322,19 @@ def _judge(
                                 )
                             result = terms
                     elif kind == "subst":
-                        # a step judged before is read from `steps`
-                        if not (judging and node[2] in steps):
-                            atoms = node[2].split()
-                            if len(atoms) != 3 or len(atoms[2]) > _NUMERAL_MAX:
+                        if judging and node[2] in steps:  # judged before
+                            frm, to = steps[node[2]]
+                        else:
+                            # three atoms, or a malformed node
+                            frm, to, e = node[2].split()
+                            if len(e) > _NUMERAL_MAX:
                                 raise ValueError  # a malformed node
-                            frm, to = name_id(atoms[0]), name_id(atoms[1])
-                            e = int(atoms[2])
+                            frm, to, e = name_id(frm), name_id(to), int(e)
                             if judging:
                                 if not 0 <= e < n_eqs:
                                     raise _BrokenLaw(f"equality index {e} out of range")
                                 a, b = equalities[e]
-                                if (frm, to) != (a, b) and (to, frm) != (a, b):
+                                if not (frm == a and to == b or frm == b and to == a):
                                     raise _BrokenLaw(
                                         f"equality {e} does not relate the "
                                         "substituted terms"
@@ -346,27 +348,28 @@ def _judge(
                                     pass  # an unmapped term is never known-distinct
                                 steps[node[2]] = frm, to
                         if judging:
-                            frm, to = steps[node[2]]
                             result = node[1]
                             if frm in result:
                                 result = (result - {frm}) | {to}
                     else:
                         raise ValueError  # a malformed node
                 elif size == 1:  # a leaf: assume or subrefl
-                    # a leaf judged before is read from `leaves`
-                    if not (judging and node[0] in leaves):
+                    if judging and node[0] in leaves:  # judged before
+                        result = leaves[node[0]]
+                    else:
                         head = node[0].split()
                         kind = head[0] if head else None
                         if kind == "assume":
-                            if len(head) != 2 or len(head[1]) > _NUMERAL_MAX:
+                            _, i = head  # one index, or a malformed node
+                            if len(i) > _NUMERAL_MAX:
                                 raise ValueError  # a malformed node
-                            i = int(head[1])
+                            i = int(i)
                             if judging:
                                 if not 0 <= i < n_hyps:
                                     raise _BrokenLaw(
                                         f"hypothesis index {i} out of range"
                                     )
-                                leaves[node[0]] = frozenset(hypotheses[i])
+                                result = leaves[node[0]] = frozenset(hypotheses[i])
                         elif kind == "subrefl":
                             if len(head) < 2:
                                 raise ValueError  # a malformed node
@@ -377,11 +380,9 @@ def _judge(
                                         f"sub-reflexivity allows at most {k} terms, "
                                         f"got {len(terms)}"
                                     )
-                                leaves[node[0]] = terms
+                                result = leaves[node[0]] = terms
                         else:
                             raise ValueError  # a malformed node
-                    if judging:
-                        result = leaves[node[0]]
                 else:
                     raise ValueError  # a malformed node
             except _BrokenLaw as broken:  # its traceback holds this frame
