@@ -55,7 +55,12 @@ check-eq-chain rungs time `kequiv check` on the eq-chain with four
 queries, two of them naming members of its equality class, and the
 proofs `kequiv solve` gives for it: the rung that runs the checker's
 own grouping of the file's `class` lines and its union-find over the
-equality log.  The reading path has two rungs on `many_lines_text`,
+equality log.  The check-shared-steps rungs time `kequiv check` on the
+eq-chain with n // 10 more queries that name members of its equality
+class, whose proofs rewrite along the chain, so most of their `subst`
+steps recur from line to line, with the time per proof node (per '('
+of the proofs file); their node count grows as n squared.  The reading
+path has two rungs on `many_lines_text`,
 kqbench's many-lines shape, with the time per line of the file:
 parse-many-lines times `parse_text` of its text, with the collector
 paused, and check-many-lines times `kequiv check` on it with the proofs
@@ -97,6 +102,7 @@ from helpers import (
     eq_balanced_shape,
     eq_chain_check_text,
     eq_chain_shape,
+    eq_chain_shared_text,
     eq_first_shape,
     many_lines_text,
     pencil_closed_shape,
@@ -341,6 +347,12 @@ def solved_files(directory, name, text_of, sizes):
     return files
 
 
+def proof_nodes(path):
+    """The number of proof nodes in the proofs file at `path`: its '('."""
+    with open(path, encoding="utf-8") as f:
+        return f.read().count("(")
+
+
 def rungs(name, what, measure, n, steps=None, unit="s", against=None, cap=None):
     """Measure `measure(size)` at n, 2n and 4n in REPEATS interleaved
     rounds, in `unit`: seconds ("s"), with the control timed in each
@@ -476,6 +488,15 @@ def main():
             "check",
             lambda size: command_seconds("check", *chains[size]),
             1000,
+        )
+        sizes = (1000, 2000, 4000)
+        shared = solved_files(tmp, "eq-shared", eq_chain_shared_text, sizes)
+        rungs(
+            "check-shared-steps",
+            "check",
+            lambda size: command_seconds("check", *shared[size]),
+            1000,
+            lambda size: proof_nodes(shared[size][1]),
         )
         texts = {size: many_lines_text(size) for size in (250, 500, 1000)}
         lines = lambda size: texts[size].count("\n")

@@ -517,6 +517,15 @@ def eq_chain_check_text(n):
     )
 
 
+def eq_chain_shared_text(n):
+    """`eq_chain_text` with n // 10 more queries (q_i x_j z), each naming a
+    member of the q class, whose proofs rewrite q_i along the chain of
+    equalities: most of their `subst` steps recur in other lines."""
+    return eq_chain_text(n) + "".join(
+        f"query coll q{i} x{(7 * i + 1) % n} z\n" for i in range(0, n, 10)
+    )
+
+
 def eq_first_text(n):
     """`eq_chain_text` with every `eq` first, as in `eq_first_shape`."""
     lines = ["class " + " ".join(f"q{i}" for i in range(n))]

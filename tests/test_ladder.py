@@ -13,6 +13,7 @@ import pytest
 from helpers import (
     chain_shape,
     eq_chain_check_text,
+    eq_chain_shared_text,
     many_lines_text,
     short_lines_shape,
     short_lines_text,
@@ -85,6 +86,19 @@ def test_check_eq_chain_measure(ladder, tmp_path):
         verdicts = [line.split()[0] for line in Path(proofs).read_text().splitlines()]
         assert verdicts == ["entailed", "not-entailed", "entailed", "entailed"]
         assert ladder.command_seconds("check", problem, proofs) > 0
+
+
+def test_check_shared_steps_measure(ladder, tmp_path):
+    files = ladder.solved_files(tmp_path, "eq-shared", eq_chain_shared_text, (20, 40))
+    nodes = {}
+    for size, (problem, proofs) in files.items():
+        lines = Path(proofs).read_text().splitlines()
+        # the eq-chain's two queries, then one per ten of its steps
+        assert len(lines) == 2 + size // 10
+        assert all(line.startswith("entailed (subst ") for line in lines[2:])
+        nodes[size] = ladder.proof_nodes(proofs)
+        assert ladder.command_seconds("check", problem, proofs) > 0
+    assert nodes[40] > 2 * nodes[20] > 0
 
 
 def test_reading_path_measures(ladder, tmp_path):
