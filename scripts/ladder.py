@@ -29,7 +29,12 @@ peak-solve-short-lines rung writes the same shape as a problem file and
 prints the peak of the memory allocated by `kequiv solve` on it in this
 process, per hypothesis too: the parse and the term table count there,
 which peak-short-lines, whose terms are interned before tracing, cannot
-see.  The deep-query
+see.  The k ladder holds n fixed and doubles k instead, from 2 to 16: the
+k-chain rungs assert one line of n overlapping (k+1)-tuples, the
+k-pencil rungs n lines through k-1 shared hubs, and each line also gives
+the best time per input term, n(k+1) of them, in microseconds; their
+`k_growth` exponent, log(t(16) / t(2)) / log 8, near 1 is time linear in
+k.  The deep-query
 rungs time the proof of (p0, p1, p_n+1) on the asserted chain, which has
 about n levels: `resolve_query`, whose proof walk writes the proof's
 text pieces, then `format_proof`, which joins them, the path `kequiv
@@ -64,7 +69,9 @@ path has two rungs on `many_lines_text`,
 kqbench's many-lines shape, with the time per line of the file:
 parse-many-lines times `parse_text` of its text, with the collector
 paused, and check-many-lines times `kequiv check` on it with the proofs
-`kequiv solve` gives for it.  The
+`kequiv solve` gives for it.  The peak-solve-many-lines rung prints the
+peak of the memory allocated by `kequiv solve` on the same files, as
+peak-solve-short-lines does, in bytes per line of the file.  The
 short-lines rungs pause it too, since many-lines runs through `kequiv
 solve`: with it on, its heap walks take a share of each hypothesis that
 grows with n.  The other library rungs, the deep query and the control
@@ -104,6 +111,8 @@ from helpers import (
     eq_chain_shape,
     eq_chain_shared_text,
     eq_first_shape,
+    k_chain_shape,
+    k_pencil_shape,
     many_lines_text,
     pencil_closed_shape,
     pencil_closed_text,
@@ -123,6 +132,9 @@ MILLION_LINES = 166_667
 CONTROL_STEPS = 100_000
 # seconds after which the quadratic two-pencils rung starts no further round
 TWO_PENCILS_CAP = 8.0
+# the k of the k ladder's rungs, and its fixed number of hypotheses
+K_LADDER = (2, 4, 8, 16)
+K_LADDER_N = 2000
 
 SHAPES = {
     "chain": (chain_shape, 2000),
@@ -353,11 +365,15 @@ def proof_nodes(path):
         return f.read().count("(")
 
 
-def rungs(name, what, measure, n, steps=None, unit="s", against=None, cap=None):
+def rungs(
+    name, what, measure, n, steps=None, unit="s", against=None, cap=None, ks=None
+):
     """Measure `measure(size)` at n, 2n and 4n in REPEATS interleaved
     rounds, in `unit`: seconds ("s"), with the control timed in each
     round, or bytes ("B"), which have no control.  With `cap`, no round
-    starts once the rounds so far have taken `cap` seconds.
+    starts once the rounds so far have taken `cap` seconds.  With `ks`, a
+    tuple of k, n stays fixed and `measure(k)` is measured at each k in
+    its place, with a `k_growth` exponent over k.
 
     With `steps(size)`, the number of operations measured at that size,
     each line also gives the best value per operation, in microseconds
@@ -366,7 +382,8 @@ def rungs(name, what, measure, n, steps=None, unit="s", against=None, cap=None):
     first in every other round, and each line also gives the median over
     the rounds of the ratio of the two.
     """
-    sizes = (n, 2 * n, 4 * n)
+    sizes = ks or (n, 2 * n, 4 * n)
+    axis = "k" if ks else "n"
     values = {size: [] for size in sizes}
     ratios = {size: [] for size in sizes}
     control = []
@@ -398,16 +415,18 @@ def rungs(name, what, measure, n, steps=None, unit="s", against=None, cap=None):
         else:
             value = f"{best:10d} B  (range {best}-{worst})"
             per = "" if steps is None else f"  {best / steps(size):8.1f} B/op"
-        print(f"{name:15} n={size:6d} {what} {value}{per}")
-    growth = math.log(min(values[4 * n]) / min(values[n]), 4)
+        print(f"{name:15} {axis}={size:6d} {what} {value}{per}")
+    first, last = sizes[0], sizes[-1]
+    growth = math.log(min(values[last]) / min(values[first]), last / first)
+    label = "k_growth" if ks else "growth"
     if control:
         low, high = min(control), max(control)
         print(
-            f"{name:15} growth exponent {growth:.2f}"
+            f"{name:15} {label} exponent {growth:.2f}"
             f"  control {low:.4f} s (range {low:.4f}-{high:.4f})"
         )
     else:
-        print(f"{name:15} growth exponent {growth:.2f}")
+        print(f"{name:15} {label} exponent {growth:.2f}")
 
 
 def main():
@@ -426,6 +445,15 @@ def main():
     for name, (build, n) in SHAPES.items():
         rungs(name, "assert", lambda size: assert_seconds(build, size), n)
     rungs("two-pencils", "join", joining_seconds, 1000, cap=TWO_PENCILS_CAP)
+    for name, build in (("k-chain", k_chain_shape), ("k-pencil", k_pencil_shape)):
+        rungs(
+            name,
+            "assert",
+            lambda k: assert_seconds(functools.partial(build, k=k), K_LADDER_N),
+            K_LADDER_N,
+            lambda k: K_LADDER_N * (k + 1),
+            ks=K_LADDER,
+        )
     for k in (1, 2, 3):
         build = functools.partial(short_lines_shape, k=k)
         rungs(
@@ -514,6 +542,14 @@ def main():
             lambda size: command_seconds("check", *many[size]),
             250,
             lines,
+        )
+        rungs(
+            "peak-solve-many-lines",
+            "peak",
+            lambda size: solve_peak_bytes(many[size][0]),
+            250,
+            lines,
+            unit="B",
         )
 
 

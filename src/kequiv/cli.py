@@ -63,7 +63,7 @@ def _build_state(problem: Problem) -> CongruenceState:
     state = CongruenceState(problem.relations, terms)
     for group in problem.class_ids:
         state.mark_possibly_equal(group)
-    for rel, xs in problem.facts:
+    for rel, xs in zip(problem.fact_relations, problem.fact_ids):
         if rel is None:
             state.assert_eq(*xs)
         else:

@@ -30,11 +30,12 @@ merge absorbs the smaller side into the larger side's live set (union by
 size, Tarjan-style; a tie absorbs the newer side) and re-registers only
 the absorbed terms; its `Merged` record keeps the anchor the two sides
 share, as a tuple (56 B for 2 terms, a frozenset's 216 B), and the
-absorbed terms: as a frozenset only when two or more of them were not in
-the anchor, else as that one term, a bare id (-1 when none).  Most
-merges add a hypothesis's one new term to a line, so most hold no set.  A
-rename edits the live set in place; its `Rewritten` record keeps the one
-(old, new) pair and whether the new term was already there.  `explain`
+absorbed terms: as a tuple too, only when two or more of them were not
+in the anchor, else as that one term, a bare id (-1 when none).  Most
+merges add a hypothesis's one new term to a line, so most hold no tuple
+of their absorbed side.  A rename edits the live set in place; its
+`Rewritten` record keeps the one (old, new) pair and whether the new
+term was already there.  `explain`
 reads only these stored pieces, at each level one record's, the
 proof-forest reading of the history (Nieuwenhuis & Oliveras, RTA 2005),
 and `terms_of` an inactive k-set rebuilds its set on demand.  `ksets`
@@ -61,14 +62,15 @@ min(|candidate|, |fused|).  The chain, the pencil and the equality chain
 thus assert in O(M log M).  The constant work is one record (`Asserted`)
 and one registration pass over its terms per hypothesis, plus a rename
 scan only once an equality has joined two terms (a renamed hypothesis
-registers only its representatives), one record (`Merged`, with no set
-when at most one term moved) and one pass over the absorbed terms per
-merge, and one record (`Rewritten`) per k-set a rename edits; a proof
-level reads one record, a bare id by one membership test.  Worst case, a
-term on many lines is still read whole: a hypothesis all of whose
-classes hold such hubs, or a rename into one, reads their parent lists,
-and a candidate that shares fewer than k classes costs its full size, so
-a sequence of such asserts can take quadratic time.
+registers only its representatives), one record (`Merged`, with no
+tuple of the absorbed side when at most one term moved) and one pass
+over the absorbed terms per merge, and one record (`Rewritten`) per
+k-set a rename edits; a proof level reads one record, a bare id by one
+membership test.  Worst case, a term on many lines is still read whole:
+a hypothesis all of whose classes hold such hubs, or a rename into one,
+reads their parent lists, and a candidate that shares fewer than k
+classes costs its full size, so a sequence of such asserts can take
+quadratic time.
 """
 
 from __future__ import annotations
@@ -112,16 +114,16 @@ class Merged:
 
     The other fields record storage, not the proof, and stay out of `==`
     and `repr`: the side whose terms were absorbed into the other's live
-    set, those terms, and the `anchor` the two sides share, a tuple of its
-    distinct terms in no particular order.  When at most one absorbed term
-    is not in the anchor, `absorbed_terms` is that term alone, a bare id
-    (-1 when none) that stands for the anchor plus it.
+    set, those terms, and the `anchor` the two sides share, each a tuple
+    of distinct terms in no particular order.  When at most one absorbed
+    term is not in the anchor, `absorbed_terms` is that term alone, a bare
+    id (-1 when none) that stands for the anchor plus it.
     """
 
     left: int
     right: int
     absorbed: int = field(default=-1, compare=False, repr=False)
-    absorbed_terms: frozenset[int] | int = field(default=-1, compare=False, repr=False)
+    absorbed_terms: tuple[int, ...] | int = field(default=-1, compare=False, repr=False)
     anchor: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
@@ -612,8 +614,8 @@ class Session:
         k classes.  The smaller side's terms are absorbed into the larger
         side's live set (on a tie, the newer side's), so only they are
         re-registered.  Returns the new id, the absorbed side's terms and
-        those of them not in the anchor, which the merge moved; a frozenset
-        of the absorbed side is built only when it moved two or more.
+        those of them not in the anchor, which the merge moved; a tuple of
+        the absorbed side is built only when it moved two or more.
         """
         history, handles, owner = self.history, self.handles, self.owner
         ha, hb = handles[i1], handles[i2]
@@ -646,7 +648,7 @@ class Session:
                 parents[x] = ps.pop()
         into |= moved
         n = len(history)
-        stored = frozenset(absorbed) if len(moved) > 1 else next(iter(moved), -1)
+        stored = tuple(absorbed) if len(moved) > 1 else next(iter(moved), -1)
         history.append(Merged(i1, i2, small, stored, tuple(anchor)))
         handles.append(handle)
         owner[handle] = n
@@ -688,7 +690,10 @@ class Session:
             if isinstance(h, Merged):
                 # a bare id needs no anchor: the other side holds it
                 side = h.absorbed_terms
-                terms |= {side} - {-1} if type(side) is int else side
+                if type(side) is not int:
+                    terms.update(side)
+                elif side >= 0:
+                    terms.add(side)
             else:
                 terms.discard(h.old)
                 terms.add(h.new)
@@ -771,8 +776,8 @@ class Session:
             cls = type(h)
             if cls is Merged:
                 # xs lies in the union; the absorbed side holds the part in
-                # it, the other side the rest, and both hold the anchor, a
-                # tuple never copied into a set of its own; `left` is what the
+                # it, the other side the rest, and both hold the anchor, each
+                # a tuple never copied into a set of its own; `left` is what the
                 # left side is asked, `right` what the right side is besides
                 # the anchor, built into a set only if that side is explained
                 absorbed, anchor = h.absorbed_terms, h.anchor
@@ -797,21 +802,21 @@ class Session:
                     else:
                         left, right = other, (absorbed,)
                 elif h.absorbed == h.left:
-                    if len(inside := xs & absorbed) == len(xs):
+                    if len(inside := xs.intersection(absorbed)) == len(xs):
                         n = h.left
                         continue
                     if not inside.difference(anchor):
                         n = h.right
                         continue
-                    left, right = {*inside, *anchor}, xs - absorbed
+                    left, right = {*inside, *anchor}, xs.difference(absorbed)
                 else:
-                    if not (inside := xs & absorbed).difference(anchor):
+                    if not (inside := xs.intersection(absorbed)).difference(anchor):
                         n = h.left
                         continue
                     if len(inside) == len(xs):
                         n = h.right
                         continue
-                    left, right = {*(xs - absorbed), *anchor}, inside
+                    left, right = {*xs.difference(absorbed), *anchor}, inside
                 out.append("(project (trans ")
                 named = " ".join([names[t] for t in sorted(xs)])
                 r = history[h.right]
@@ -945,14 +950,20 @@ class Session:
                 side = left if h.absorbed == h.left else right
                 moved, stored = side.difference(anchor), h.absorbed_terms
                 compact = type(stored) is int
-                # a bare id cannot stand for two moved terms; a frozenset in
-                # its place is in the wrong form only if it holds the side
-                if compact != (len(moved) <= 1) and (compact or stored == side):
+                full = not compact and set(stored) == side
+                # a side that moved two or more terms is a tuple; a bare id
+                # cannot stand for it, and a tuple in a bare id's place is in
+                # the wrong form only if it holds the side
+                if not compact and type(stored) is not tuple or (
+                    compact != (len(moved) <= 1) and (compact or full)
+                ):
                     raise EngineInvariantError(
                         f"k-set {n} stores its absorbed side in the wrong form"
                     )
-                if h.absorbed not in (h.left, h.right) or stored != (
-                    next(iter(moved), -1) if compact else side
+                if h.absorbed not in (h.left, h.right) or not (
+                    stored == next(iter(moved), -1)
+                    if compact
+                    else full and len(stored) == len(side)
                 ):
                     raise EngineInvariantError(
                         f"k-set {n} stores the wrong absorbed side"

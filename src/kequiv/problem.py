@@ -71,21 +71,26 @@ class Problem:
     """A problem file read into term ids.
 
     Term id i names `term_order[i]`, ids numbered in first-seen order, and
-    `term_ids` maps each name back to its id.  `facts` holds the `hyp`
-    and `eq` lines in file order, a hypothesis as (relation, ids) and an
-    equality as (None, (a, b)); `query_ids` holds the queries as
-    (relation, ids) and `class_ids` the `class` lines as id tuples.
+    `term_ids` maps each name back to its id.  The `hyp` and `eq` lines
+    are kept in file order in two parallel lists: `fact_relations` holds a
+    hypothesis's relation, None for an equality, and `fact_ids` its term
+    ids, (a, b) for an equality.  `query_ids` holds the queries as
+    (relation, ids) and `class_ids` the `class` lines as id tuples.  Every
+    relation name stored is the `relations` key itself, one string per
+    relation.
 
-    `statements`, `queries` and `classes` are the same lines by name, as
-    `Atom`/`Equality`, `Query` and name tuples.  They are read-only, built
-    from the ids on each read; `kequiv solve` and `kequiv check` never
+    `facts` is the two fact lists zipped, as (relation, ids) pairs;
+    `statements`, `queries` and `classes` are the lines by name, as
+    `Atom`/`Equality`, `Query` and name tuples.  These views are
+    read-only, built on each read; `kequiv solve` and `kequiv check` never
     read them.
     """
 
     relations: dict[str, int] = field(default_factory=dict)
     term_order: list[str] = field(default_factory=list)
     term_ids: dict[str, int] = field(default_factory=dict)
-    facts: list[tuple[str | None, tuple[int, ...]]] = field(default_factory=list)
+    fact_relations: list[str | None] = field(default_factory=list)
+    fact_ids: list[tuple[int, ...]] = field(default_factory=list)
     query_ids: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
     class_ids: list[tuple[int, ...]] = field(default_factory=list)
 
@@ -94,11 +99,15 @@ class Problem:
         return tuple([names[x] for x in xs])
 
     @property
+    def facts(self) -> list[tuple[str | None, tuple[int, ...]]]:
+        return list(zip(self.fact_relations, self.fact_ids))
+
+    @property
     def statements(self) -> list[Atom | Equality]:
         names = self._names
         return [
             Equality(*names(xs)) if rel is None else Atom(rel, names(xs))
-            for rel, xs in self.facts
+            for rel, xs in zip(self.fact_relations, self.fact_ids)
         ]
 
     @property
@@ -144,7 +153,12 @@ def parse_text(text: str) -> Problem:
     in one with either, every line's names are checked before numbering.
     """
     problem = Problem()
-    relations, facts = problem.relations, problem.facts
+    relations = problem.relations
+    fact_relations, fact_ids = problem.fact_relations, problem.fact_ids
+    query_ids = problem.query_ids
+    # each declared relation's name and k, the name the `relations` key, so
+    # that every line stores that one string, not a copy of its own
+    declared: dict[str, tuple[str, int]] = {}
     # each term name's id, numbered in first-seen order
     term_ids = problem.term_ids
     number = term_ids.setdefault
@@ -167,31 +181,32 @@ def parse_text(text: str) -> Problem:
         if not tokens:
             continue
         # a statement with term names says where they start (`first`) and
-        # which list keeps it (`out`), as (rel, ids) or, for `class`, ids
+        # which list keeps its ids (`out`): a fact's beside its relation, a
+        # query's as (rel, ids)
         head, nargs = tokens[0], len(tokens) - 1
         if head == "hyp":
             if not nargs:
                 raise error(0, "hyp needs a relation name")
-            rel = tokens[1]
-            k = relations.get(rel)
-            if k is None:
-                raise error(1, f"unknown relation {rel!r}")
+            entry = declared.get(tokens[1])
+            if entry is None:
+                raise error(1, f"unknown relation {tokens[1]!r}")
+            rel, k = entry
             if nargs - 1 != k + 1:
                 raise error(1, f"relation {rel!r} takes {k + 1} terms, got {nargs - 1}")
-            first, out = 2, facts
+            first, out = 2, fact_ids
         elif head == "eq":
             if nargs != 2:
                 raise error(0, "eq needs exactly two terms")
-            first, out, rel = 1, facts, None
+            first, out, rel = 1, fact_ids, None
         elif head == "query":
             if not nargs:
                 raise error(0, "query needs a relation name")
-            rel = tokens[1]
-            if rel not in relations:
-                raise error(1, f"unknown relation {rel!r}")
+            entry = declared.get(tokens[1])
+            if entry is None:
+                raise error(1, f"unknown relation {tokens[1]!r}")
             if nargs == 1:
                 raise error(1, "query needs at least one term")
-            first, out = 2, problem.query_ids
+            first, out, rel = 2, query_ids, entry[0]
         elif head == "class":
             if nargs < 2:
                 raise error(0, "class needs at least two terms")
@@ -211,6 +226,7 @@ def parse_text(text: str) -> Problem:
             if k < 1:
                 raise error(2, f"k must be a positive integer, got {kstr!r}")
             relations[name] = k
+            declared[name] = name, k
             continue
         else:
             raise error(0, f"unknown statement {head!r}")
@@ -222,7 +238,9 @@ def parse_text(text: str) -> Problem:
         # ran faster than with `[number(name, len(term_ids)) for ...]`; via
         # a list, as `tuple(map(...))` shrinks a larger tuple and raised peak
         xs = tuple([*map(number, tokens[first:], sizes)])
-        out.append(xs if head == "class" else (rel, xs))
+        if out is fact_ids:
+            fact_relations.append(rel)
+        out.append((rel, xs) if out is query_ids else xs)
     problem.term_order = list(term_ids)
     return problem
 
@@ -272,14 +290,14 @@ def intern_problem(problem: Problem) -> InternedProblem:
         for t in group[1:]:
             union(class_of, group[0], t)
     class_of.update((t, find(class_of, t)) for group in groups for t in group)
-    facts = problem.facts
+    rels, facts = problem.fact_relations, problem.fact_ids
     return InternedProblem(
         relations=dict(problem.relations),
         term_names=problem.term_order,
         term_ids=problem.term_ids,
         class_of=class_of,
-        atoms=[fact for fact in facts if fact[0] is not None],
-        equalities=[xs for rel, xs in facts if rel is None],
+        atoms=[(rel, xs) for rel, xs in zip(rels, facts) if rel is not None],
+        equalities=[xs for rel, xs in zip(rels, facts) if rel is None],
         queries=list(problem.query_ids),
     )
 

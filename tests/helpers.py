@@ -336,6 +336,27 @@ def pencil_shape(n):
     return s, steps
 
 
+def k_chain_shape(n, k):
+    """One line of n overlapping in-order (k+1)-tuples (p_i ... p_i+k);
+    at k = 2 the hypotheses of `chain_shape(n)`."""
+    s = Session(k)
+    p = [s.intern_term(f"p{i}") for i in range(n + k)]
+    return s, [(s.assert_hypothesis, p[i : i + k + 1]) for i in range(n)]
+
+
+def k_pencil_shape(n, k):
+    """n lines (h_1 ... h_k-1 a_j b_j) through k-1 shared hubs, which no
+    two lines share enough of to fuse; at k = 2 the hypotheses of
+    `pencil_shape(n)`, by term id."""
+    s = Session(k)
+    hubs = [s.intern_term(f"h{i}") for i in range(1, k)]
+    steps = []
+    for j in range(n):
+        a, b = s.intern_term(f"a{j}"), s.intern_term(f"b{j}")
+        steps.append((s.assert_hypothesis, [*hubs, a, b]))
+    return s, steps
+
+
 def pencil_closed_shape(n):
     """n lines through one hub, each asserted as (h a_j b_j) then (a_j b_j c_j)."""
     s = Session(2)

@@ -14,7 +14,10 @@ from helpers import (
     chain_shape,
     eq_chain_check_text,
     eq_chain_shared_text,
+    k_chain_shape,
+    k_pencil_shape,
     many_lines_text,
+    pencil_shape,
     short_lines_shape,
     short_lines_text,
 )
@@ -111,6 +114,60 @@ def test_reading_path_measures(ladder, tmp_path):
         assert Path(problem).name == f"many-lines-{size}.kq"
         assert len(Path(proofs).read_text().splitlines()) == 6 * size
         assert ladder.command_seconds("check", problem, proofs) > 0
+        assert ladder.solve_peak_bytes(problem) > 0
+
+
+def test_solve_peak_bytes_per_hypothesis_on_many_lines(ladder, tmp_path):
+    # the peak-solve-many-lines rung's measure at n = 300: one string per
+    # relation name, the facts' relations and ids in two lists, and a tuple
+    # for each absorbed side that moved two or more terms keep the peak
+    # under 880 B per `hyp` line (833; a copy of the name per line, a pair
+    # per fact and a frozenset for each such side read 987)
+    text = many_lines_text(300)
+    problem = ladder.write(tmp_path, "many-lines.kq", text)
+    hyps = sum(line.startswith("hyp ") for line in text.splitlines())
+    peak = ladder.solve_peak_bytes(problem)
+    assert peak <= 880 * hyps, peak / hyps
+
+
+def test_k_ladder(ladder, capsys):
+    n = 12
+    hypotheses = lambda shape: [xs for _, xs in shape[1]]
+    assert hypotheses(k_chain_shape(n, 2)) == hypotheses(chain_shape(n))
+    assert hypotheses(k_pencil_shape(n, 2)) == hypotheses(pencil_shape(n))
+    for k in ladder.K_LADDER:
+        chain, steps = k_chain_shape(n, k)
+        pencil, more = k_pencil_shape(n, k)
+        for fn, xs in steps + more:
+            assert len(xs) == k + 1
+            fn(xs)
+        chain.validate()
+        pencil.validate()
+        # the chain fuses into one line; no two pencil lines share k terms
+        assert (chain.stats().active, pencil.stats().active) == (1, n)
+
+    capsys.readouterr()
+    ladder.rungs(
+        "k-chain",
+        "assert",
+        lambda k: ladder.assert_seconds(functools.partial(k_chain_shape, k=k), n),
+        n,
+        lambda k: n * (k + 1),
+        ks=ladder.K_LADDER,
+    )
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 5, printed
+    for line, k in zip(printed, ladder.K_LADDER):
+        assert re.fullmatch(
+            rf"k-chain +k= +{k} assert +[\d.]+ s  \(range [\d.]+-[\d.]+\)"
+            r" +[\d.]+x control +[\d.]+ us/op",
+            line,
+        ), line
+    assert re.fullmatch(
+        r"k-chain +k_growth exponent -?[\d.]+"
+        r"  control [\d.]+ s \(range [\d.]+-[\d.]+\)",
+        printed[4],
+    ), printed[4]
 
 
 def test_a_capped_rung_stops_starting_rounds(ladder, capsys):

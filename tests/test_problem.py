@@ -168,6 +168,11 @@ def test_ids_and_named_views_agree(case):
     assert problem.term_order == order
     assert problem.term_ids == {name: i for i, name in enumerate(order)}
     names = lambda xs: tuple(order[x] for x in xs)
+    assert problem.facts == list(zip(problem.fact_relations, problem.fact_ids))
+    # every line stores the `rel` line's own string, the `relations` key
+    key = {rel: rel for rel in problem.relations}
+    assert all(r is None or r is key[r] for r in problem.fact_relations)
+    assert all(r is key[r] for r, _ in problem.query_ids)
     facts = [(rel, names(xs)) for rel, xs in problem.facts]
     assert facts == [(r, ns) for h, r, ns in lines if h in ("hyp", "eq")]
     statements = [Equality(*ns) if r is None else Atom(r, ns) for r, ns in facts]
@@ -195,7 +200,14 @@ def test_checked_and_plain_texts_number_alike(case):
     plain = text.replace("(", "").replace(")", "")
     # one '(' or ')' in a comment sends the whole text down the checked path
     problems = [parse_text(t) for t in (plain, plain + "# (\n", plain + "# )\n", text)]
-    fields = lambda p: (p.term_order, p.term_ids, p.facts, p.query_ids, p.class_ids)
+    fields = lambda p: (
+        p.term_order,
+        p.term_ids,
+        p.fact_relations,
+        p.fact_ids,
+        p.query_ids,
+        p.class_ids,
+    )
     assert all(fields(p) == fields(problems[0]) for p in problems[1:])
     problem = problems[0]
     assert problem.term_ids == {name: i for i, name in enumerate(problem.term_order)}
@@ -238,7 +250,7 @@ def test_the_checker_union_find_groups_as_the_engine_does(case):
 
 def test_named_views_are_read_only():
     problem = parse_text(EXAMPLE)
-    for view in ("statements", "queries", "classes"):
+    for view in ("facts", "statements", "queries", "classes"):
         with pytest.raises(AttributeError):
             setattr(problem, view, [])
 
